@@ -348,12 +348,11 @@ let dse_sweep_json ?(assert_warm = false) () =
   end;
   let solver_json =
     Printf.sprintf
-      "\"solver\":{\"instances\":%d,\"resolves\":%d,\"warm_hits\":%d,\"warm_misses\":%d,\"fastpath\":%d,\"bf_rounds\":%d,\"bnb_nodes\":%d,\"pivots\":%d,\"phase1_pivots\":%d,\"dual_pivots\":%d}"
+      "\"solver\":{\"instances\":%d,\"resolves\":%d,\"warm_hits\":%d,\"warm_misses\":%d,\"bf_rounds\":%d}"
       (Longnail.Flow.session_solver_count ss.Longnail.Dse.ss_flow)
-      sst.Lp.Instance.is_resolves sst.Lp.Instance.is_warm_hits sst.Lp.Instance.is_warm_misses
-      sst.Lp.Instance.is_fastpath sst.Lp.Instance.is_bf_rounds sst.Lp.Instance.is_bnb_nodes
-      sst.Lp.Instance.is_pivots sst.Lp.Instance.is_phase1_pivots
-      sst.Lp.Instance.is_dual_pivots
+      sst.Lp.Instance.is_resolves sst.Lp.Instance.is_warm_hits
+      (sst.Lp.Instance.is_resolves - sst.Lp.Instance.is_warm_hits)
+      sst.Lp.Instance.is_bf_rounds
   in
   let stats_json stats =
     String.concat ","

@@ -293,3 +293,19 @@ let to_json ds =
     ds;
   Buffer.add_string buf "]}";
   Buffer.contents buf
+
+(* ---- did-you-mean support ---- *)
+
+let levenshtein a b =
+  let la = String.length a and lb = String.length b in
+  let prev = Array.init (lb + 1) Fun.id in
+  let cur = Array.make (lb + 1) 0 in
+  for i = 1 to la do
+    cur.(0) <- i;
+    for j = 1 to lb do
+      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
+      cur.(j) <- min (min (prev.(j) + 1) (cur.(j - 1) + 1)) (prev.(j - 1) + cost)
+    done;
+    Array.blit cur 0 prev 0 (lb + 1)
+  done;
+  prev.(lb)

@@ -131,3 +131,7 @@ val to_string : t -> string
 val to_json : t list -> string
 (** [{"diagnostics":[...]}] with stable field names; see
     docs/DIAGNOSTICS.md for the schema. *)
+
+val levenshtein : string -> string -> int
+(** Edit distance (insertions, deletions, substitutions), the metric
+    behind every did-you-mean hint. *)

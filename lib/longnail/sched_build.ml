@@ -121,39 +121,28 @@ let schedule ?(scheduler = Ilp) ?solver (bt : built) =
       | Sched.Asap_scheduler.Infeasible -> false)
 
 (* Explain an infeasible problem: compute each operation's ASAP lower
-   bound (longest dependence path, honoring [earliest] but ignoring
-   [latest]) and return the op whose lower bound overshoots its own
-   [latest] window the most, with (lower_bound, latest). The returned mir
-   op carries the CoreDSL span the violation originates from, so flow
-   errors can cite the offending source line. *)
+   bound (the least element of the scheduling difference system with its
+   [latest] windows dropped) and return the op whose lower bound
+   overshoots its own [latest] window the most, with (lower_bound,
+   latest). The returned mir op carries the CoreDSL span the violation
+   originates from, so flow errors can cite the offending source line. *)
 let infeasible_culprit (bt : built) : (op * int * int) option =
-  let p = bt.problem in
-  let ops = p.Sched.Problem.operations in
-  let n = Array.length ops in
-  let lb = Array.make n 0 in
-  Array.iteri (fun i (o : Sched.Problem.operation) -> lb.(i) <- o.lot.earliest) ops;
-  let preds = Array.make n [] in
-  let add_edge extra (d : Sched.Problem.dependence) =
-    let w = ops.(d.dep_src).lot.latency + extra in
-    preds.(d.dep_dst) <- (d.dep_src, w) :: preds.(d.dep_dst)
-  in
-  List.iter (add_edge 0) p.Sched.Problem.dependences;
-  List.iter (add_edge 1) (Sched.Problem.chain_breakers p);
-  List.iter
-    (fun j ->
-      List.iter (fun (i, w) -> if lb.(i) + w > lb.(j) then lb.(j) <- lb.(i) + w) preds.(j))
-    (Sched.Problem.topo_order p);
-  let best = ref None in
-  Array.iteri
-    (fun i (o : Sched.Problem.operation) ->
-      match o.lot.latest with
-      | Some l when lb.(i) > l -> (
-          match !best with
-          | Some (_, lb0, l0) when lb0 - l0 >= lb.(i) - l -> ()
-          | _ -> best := Some (bt.ops_by_index.(i), lb.(i), l))
-      | _ -> ())
-    ops;
-  !best
+  let ops = bt.problem.Sched.Problem.operations in
+  let s = Sched.Problem.difference_system bt.problem in
+  match Lp.Netopt.asap { s with upper = Array.map (fun _ -> None) s.upper } with
+  | None -> None
+  | Some lb ->
+      let best = ref None in
+      Array.iteri
+        (fun i (o : Sched.Problem.operation) ->
+          match o.lot.latest with
+          | Some l when lb.(i) > l -> (
+              match !best with
+              | Some (_, lb0, l0) when lb0 - l0 >= lb.(i) - l -> ()
+              | _ -> best := Some (bt.ops_by_index.(i), lb.(i), l))
+          | _ -> ())
+        ops;
+      !best
 
 (* start time of a mir op after scheduling *)
 let start_time bt (op : op) =

@@ -25,6 +25,13 @@
 
 type edge = { e_src : int; e_dst : int; e_w : int }
 
+type system = {
+  edges : edge array;
+  lower : int array;
+  upper : int option array;
+  cost : int array;
+}
+
 exception Unbounded
 
 (* ---- Dinic max-flow ---- *)
@@ -113,11 +120,12 @@ end
    result is exactly the same minimal element a cold run computes, in
    fewer sweeps. [rounds] accumulates the sweep count. *)
 
-let asap ?init ?rounds ~n ~(edges : edge list) ~lower ~upper () =
+let asap ?init ?rounds (s : system) =
+  let n = Array.length s.lower in
   let t =
     match init with
-    | None -> Array.copy lower
-    | Some s -> Array.mapi (fun i lo -> max lo s.(i)) lower
+    | None -> Array.copy s.lower
+    | Some prev -> Array.mapi (fun i lo -> max lo prev.(i)) s.lower
   in
   let changed = ref true and sweeps = ref 0 and ok = ref true in
   while !changed && !ok do
@@ -125,93 +133,80 @@ let asap ?init ?rounds ~n ~(edges : edge list) ~lower ~upper () =
     incr sweeps;
     if !sweeps > n + 1 then ok := false
     else
-      List.iter
+      Array.iter
         (fun e ->
           if t.(e.e_src) + e.e_w > t.(e.e_dst) then begin
             t.(e.e_dst) <- t.(e.e_src) + e.e_w;
             changed := true
           end)
-        edges
+        s.edges
   done;
   (match rounds with Some r -> r := !r + !sweeps | None -> ());
-  if not !ok then None
-  else begin
-    let feasible = ref true in
-    Array.iteri
-      (fun i ti -> match upper.(i) with Some hi when ti > hi -> feasible := false | _ -> ())
-      t;
-    if !feasible then Some t else None
-  end
+  if !ok && Array.for_all2 (fun ti up -> match up with Some hi -> ti <= hi | None -> true) t s.upper
+  then Some t
+  else None
 
 (* ---- steepest-ascent phase ----
 
    Shift-by-closed-set ascent from the minimal element [t] (mutated in
-   place). Split out of [solve] so a warm caller can feed a warm-started
+   place). Kept apart from [asap] so a warm caller can feed a warm-started
    ASAP result through the identical ascent — making warm and cold solves
    not just equal-objective but equal-valued. *)
 
-let ascend ~n ~(edges : edge list) ~(upper : int option array) ~(cost : int array) t =
-      let iterations = ref 0 in
-      let improved = ref true in
-      while !improved do
-        incr iterations;
-        if !iterations > 100_000 then failwith "Netopt.solve: did not converge";
-        improved := false;
-        (* build the closure graph on tight edges:
-           i in S and (i->j) tight  ==>  j in S;
-           i at its upper bound     ==>  i not in S *)
-        let src = n and snk = n + 1 in
-        let g = Maxflow.create (n + 2) in
-        let neg_total = ref 0 in
-        for i = 0 to n - 1 do
-          if cost.(i) < 0 then begin
-            Maxflow.add_edge g src i (-cost.(i));
-            neg_total := !neg_total - cost.(i)
-          end
-          else if cost.(i) > 0 then Maxflow.add_edge g i snk cost.(i);
-          match upper.(i) with
-          | Some hi when t.(i) >= hi -> Maxflow.add_edge g i snk Maxflow.inf
-          | _ -> ()
-        done;
-        List.iter
-          (fun e ->
-            if t.(e.e_dst) - t.(e.e_src) = e.e_w then
-              Maxflow.add_edge g e.e_src e.e_dst Maxflow.inf)
-          edges;
-        let g = Maxflow.freeze g in
-        let flow, level = Maxflow.max_flow g src snk in
-        (* the min closure weight is flow - neg_total; improving iff < 0 *)
-        if flow < !neg_total then begin
-          (* S = nodes on the source side of the min cut *)
-          let in_s i = level.(i) >= 0 in
-          (* maximum feasible shift *)
-          let delta = ref max_int in
-          List.iter
-            (fun e ->
-              if in_s e.e_src && not (in_s e.e_dst) then
-                delta := min !delta (t.(e.e_dst) - t.(e.e_src) - e.e_w))
-            edges;
-          for i = 0 to n - 1 do
-            if in_s i then
-              match upper.(i) with Some hi -> delta := min !delta (hi - t.(i)) | None -> ()
-          done;
-          if !delta = max_int then raise Unbounded;
-          if !delta <= 0 then failwith "Netopt.solve: zero shift on improving set";
-          for i = 0 to n - 1 do
-            if in_s i then t.(i) <- t.(i) + !delta
-          done;
-          improved := true
-        end
+let ascend (s : system) t =
+  let n = Array.length t and edges = s.edges and upper = s.upper and cost = s.cost in
+  let iterations = ref 0 in
+  let improved = ref true in
+  while !improved do
+    incr iterations;
+    if !iterations > 100_000 then failwith "Netopt.ascend: did not converge";
+    improved := false;
+    (* build the closure graph on tight edges:
+       i in S and (i->j) tight  ==>  j in S;
+       i at its upper bound     ==>  i not in S *)
+    let src = n and snk = n + 1 in
+    let g = Maxflow.create (n + 2) in
+    let neg_total = ref 0 in
+    for i = 0 to n - 1 do
+      if cost.(i) < 0 then begin
+        Maxflow.add_edge g src i (-cost.(i));
+        neg_total := !neg_total - cost.(i)
+      end
+      else if cost.(i) > 0 then Maxflow.add_edge g i snk cost.(i);
+      match upper.(i) with
+      | Some hi when t.(i) >= hi -> Maxflow.add_edge g i snk Maxflow.inf
+      | _ -> ()
+    done;
+    Array.iter
+      (fun e ->
+        if t.(e.e_dst) - t.(e.e_src) = e.e_w then Maxflow.add_edge g e.e_src e.e_dst Maxflow.inf)
+      edges;
+    let g = Maxflow.freeze g in
+    let flow, level = Maxflow.max_flow g src snk in
+    (* the min closure weight is flow - neg_total; improving iff < 0 *)
+    if flow < !neg_total then begin
+      (* S = nodes on the source side of the min cut *)
+      let in_s i = level.(i) >= 0 in
+      (* maximum feasible shift *)
+      let delta = ref max_int in
+      Array.iter
+        (fun e ->
+          if in_s e.e_src && not (in_s e.e_dst) then
+            delta := min !delta (t.(e.e_dst) - t.(e.e_src) - e.e_w))
+        edges;
+      for i = 0 to n - 1 do
+        if in_s i then
+          match upper.(i) with Some hi -> delta := min !delta (hi - t.(i)) | None -> ()
       done;
-      t
-
-(* ---- main solver ---- *)
-
-let solve ?init ?rounds ~n ~(edges : edge list) ~(lower : int array)
-    ~(upper : int option array) ~(cost : int array) () : int array option =
-  match asap ?init ?rounds ~n ~edges ~lower ~upper () with
-  | None -> None
-  | Some t -> Some (ascend ~n ~edges ~upper ~cost t)
+      if !delta = max_int then raise Unbounded;
+      if !delta <= 0 then failwith "Netopt.ascend: zero shift on improving set";
+      for i = 0 to n - 1 do
+        if in_s i then t.(i) <- t.(i) + !delta
+      done;
+      improved := true
+    end
+  done;
+  t
 
 (* objective value of a solution *)
 let objective ~cost t =

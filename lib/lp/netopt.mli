@@ -23,56 +23,37 @@
    Exactness is cross-checked against the branch-and-bound MILP solver in
    the test suite. *)
 
-type edge = { e_src : int; e_dst : int; e_w : int; }
-exception Unbounded
-module Maxflow :
-  sig
-    type arc = {
-      dst : int;
-      mutable cap : int;
-      mutable flow : int;
-      rev : int;
-    }
-    type t = {
-      n : int;
-      adj : arc array array;
-      mutable adj_build : arc list array;
-    }
-    val inf : int
-    val create : int -> t
-    val add_edge : t -> int -> int -> int -> unit
-    val freeze : t -> t
-    val max_flow : t -> int -> int -> int * int array
-  end
-val asap :
-  ?init:int array ->
-  ?rounds:int ref ->
-  n:int ->
-  edges:edge list ->
-  lower:int array -> upper:int option array -> unit -> int array option
-(** The componentwise-minimal feasible point (Bellman-Ford longest
-    paths). With [init] the relaxation warm-starts from [max init lower];
-    the result is identical to a cold run whenever that start is below
-    the minimal solution — in particular when [init] is the ASAP result
-    of a system this one only tightens. [rounds] accumulates relaxation
-    sweeps. *)
+type edge = { e_src : int; e_dst : int; e_w : int }
+(** [t_dst - t_src >= e_w]. *)
 
-val ascend :
-  n:int ->
-  edges:edge list ->
-  upper:int option array -> cost:int array -> int array -> int array
+(** One scheduling problem as a difference system: minimize
+    [sum cost_i * t_i] subject to [edges] and [lower_i <= t_i <= upper_i].
+    [Sched.Problem.difference_system] produces these. *)
+type system = {
+  edges : edge array;
+  lower : int array;
+  upper : int option array;
+  cost : int array;
+}
+
+exception Unbounded
+
+val asap : ?init:int array -> ?rounds:int ref -> system -> int array option
+(** The componentwise-minimal feasible point (Bellman-Ford longest
+    paths); [cost] is ignored. [None] when the system is infeasible
+    (positive cycle, or the least point breaks an upper bound, in which
+    case every point does). With [init] the relaxation warm-starts from
+    [max init lower]; the result is identical to a cold run whenever that
+    start is below the minimal solution — in particular when [init] is
+    the ASAP result of a system this one only tightens. [rounds]
+    accumulates relaxation sweeps. *)
+
+val ascend : system -> int array -> int array
 (** The steepest-ascent phase, from a minimal element produced by
     {!asap} (mutated in place and returned). Deterministic: equal inputs
     give equal outputs, so a warm-started {!asap} feeding this yields
-    byte-identical schedules to a cold solve. Raises {!Unbounded}. *)
-
-val solve :
-  ?init:int array ->
-  ?rounds:int ref ->
-  n:int ->
-  edges:edge list ->
-  lower:int array ->
-  upper:int option array -> cost:int array -> unit -> int array option
-(** [asap] composed with [ascend]. *)
+    byte-identical schedules to a cold solve. With no negative cost the
+    minimal element is already optimal and is returned unchanged. Raises
+    {!Unbounded}. *)
 
 val objective : cost:int array -> int array -> int

@@ -257,8 +257,9 @@ let assemble ?(base = 0) ?(custom : custom_encoder option) (src : string) : int 
                 if v >= -2048 && v < 2048 then
                   emit (Word (i_type ~imm:v ~rs1:0 ~funct3:0 ~rd:(reg rd) ~opcode:0x13))
                 else begin
-                  (* lui + addi *)
-                  let lo = ((v land 0xFFF) lsl 20) asr 20 in
+                  (* lui + addi; addi sign-extends its 12-bit immediate,
+                     so lui loads the upper part rounded to compensate *)
+                  let lo = ((v land 0xFFF) lxor 0x800) - 0x800 in
                   let hi = (v - lo) land 0xFFFFFFFF in
                   let r = reg rd in
                   emit (Word (u_type ~imm:hi ~rd:r ~opcode:0x37));

@@ -3,8 +3,6 @@
     follow the same "unknown X 'y' (available: ...); did you mean ...?"
     shape as the core registry's resolver. *)
 
-val levenshtein : string -> string -> int
-
 (** Up to three closest candidates for an unknown name. *)
 val suggest : names:string list -> string -> string list
 

@@ -124,29 +124,15 @@ let of_datasheet (ds : Datasheet.t) = find ds.core_name
 
 (* ---- did-you-mean ---- *)
 
-let levenshtein a b =
-  let la = String.length a and lb = String.length b in
-  let prev = Array.init (lb + 1) Fun.id in
-  let cur = Array.make (lb + 1) 0 in
-  for i = 1 to la do
-    cur.(0) <- i;
-    for j = 1 to lb do
-      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-      cur.(j) <- min (min (prev.(j) + 1) (cur.(j - 1) + 1)) (prev.(j - 1) + cost)
-    done;
-    Array.blit cur 0 prev 0 (lb + 1)
-  done;
-  prev.(lb)
-
-let is_prefix p s = String.length p <= String.length s && String.sub s 0 (String.length p) = p
-
 let suggest name =
   let n = String.lowercase_ascii name in
   !registered
   |> List.filter_map (fun d ->
-         let dist = levenshtein n d.slug in
+         let dist = Diag.levenshtein n d.slug in
          let budget = max 2 (String.length d.slug / 3) in
-         if dist <= budget || (n <> "" && is_prefix n d.slug) then Some (dist, d.slug) else None)
+         if dist <= budget || (n <> "" && String.starts_with ~prefix:n d.slug) then
+           Some (dist, d.slug)
+         else None)
   |> List.stable_sort (fun (d1, _) (d2, _) -> compare d1 d2)
   |> List.map snd
   |> fun l -> List.filteri (fun i _ -> i < 3) l

@@ -10,8 +10,10 @@
    (C4) integrality / non-negativity
    (C5) t_i + latency_i + 1 <= t_j        for every chain-breaking edge
 
-   The paper solves this with Cbc via OR-Tools; we use the exact
-   branch-and-bound solver from lib/lp. *)
+   The paper solves this with Cbc via OR-Tools. Here the default backend
+   solves the equivalent difference system ({!Problem.difference_system})
+   exactly; [build_ilp] plus the branch-and-bound solver from lib/lp is
+   the cross-check oracle. *)
 
 type outcome = Scheduled | Infeasible
 
@@ -87,72 +89,34 @@ let schedule_exact (p : Problem.t) : outcome =
       Problem.compute_start_time_in_cycle p;
       Scheduled
 
-(* Default backend: eliminate the lifetime variables analytically
-   (l_ij = t_j - t_i at any optimum), turning the Figure 7 ILP into
-   "minimize sum c_i t_i over difference constraints" with node costs
-   c_i = 1 + indegree - outdegree, and solve that exactly with the
-   lattice/min-cut solver in {!Lp.Netopt}. *)
-let schedule_netflow (p : Problem.t) : outcome =
-  Problem.check_input p;
-  let n = Array.length p.Problem.operations in
-  let cost = Array.make n 1 in
-  List.iter
-    (fun (d : Problem.dependence) ->
-      cost.(d.dep_dst) <- cost.(d.dep_dst) + 1;
-      cost.(d.dep_src) <- cost.(d.dep_src) - 1)
-    p.Problem.dependences;
-  let edges =
-    List.map
-      (fun (d : Problem.dependence) ->
-        {
-          Lp.Netopt.e_src = d.dep_src;
-          e_dst = d.dep_dst;
-          e_w = p.Problem.operations.(d.dep_src).lot.latency;
-        })
-      p.Problem.dependences
-    @ List.map
-        (fun (d : Problem.dependence) ->
-          {
-            Lp.Netopt.e_src = d.dep_src;
-            e_dst = d.dep_dst;
-            e_w = p.Problem.operations.(d.dep_src).lot.latency + 1;
-          })
-        (Problem.chain_breakers p)
-  in
-  let lower = Array.map (fun (op : Problem.operation) -> op.lot.earliest) p.Problem.operations in
-  let upper = Array.map (fun (op : Problem.operation) -> op.lot.latest) p.Problem.operations in
-  match Lp.Netopt.solve ~n ~edges ~lower ~upper ~cost () with
-  | None -> Infeasible
-  | Some t ->
-      Array.iteri (fun i ti -> p.Problem.start_time.(i) <- ti) t;
+(* Write a solved start-time vector back into [p]. *)
+let store (p : Problem.t) = function
+  | `Infeasible | `Unbounded -> Infeasible
+  | `Optimal t ->
+      Array.blit t 0 p.Problem.start_time 0 (Array.length t);
       Problem.compute_start_time_in_cycle p;
       Scheduled
 
 type backend = Exact | Netflow
 
+(* The default backend solves {!Problem.difference_system} on a fresh
+   {!Lp.Instance}: the lattice/min-cut solver in {!Lp.Netopt}. *)
 let schedule ?(backend = Netflow) (p : Problem.t) : outcome =
-  match backend with Exact -> schedule_exact p | Netflow -> schedule_netflow p
+  match backend with
+  | Exact -> schedule_exact p
+  | Netflow ->
+      Problem.check_input p;
+      store p (Lp.Instance.resolve (Lp.Instance.create (Problem.difference_system p)))
 
 (* ---- persistent incremental scheduler ----------------------------------
 
    One {!Lp.Instance} per dependence-graph structure, kept alive across the
-   re-schedules of a DSE sweep. The Figure 7 ILP is lowered with the
-   lifetime variables eliminated (node costs 1 + indegree - outdegree, as
-   in [schedule_netflow]) and constraints C1/C5 merged into a single row
-   per dependence whose right-hand side is [latency] — or [latency + 1]
-   when the edge currently breaks a combinational chain. Between grid
-   points only the numbers move:
-
-   - a chain-breaker set change is an [update_rhs] per flipped edge;
-   - a window change is an [update_bounds] per operation.
-
-   [resolve] then warm-starts from the previous grid point. The merged
-   rows describe exactly the same feasible set as the duplicated C1+C5
-   edges of the one-shot backends (the breaker row dominates its plain
-   copy), and the tight-edge closure used by the min-cut ascent is also
-   unchanged (a dominated edge is never tight and never crosses an
-   improving cut), so this path is schedule-for-schedule identical to
-   [schedule_netflow] — warm or cold. *)
+   re-schedules of a DSE sweep. Between grid points only the numbers of
+   {!Problem.difference_system} move — a chain-breaker flip is one edge
+   weight, a window change one variable's bounds — and [resolve]
+   warm-starts from the previous grid point. The instance computes the
+   same schedule a fresh one would, so this path is schedule-for-schedule
+   identical to [schedule ~backend:Netflow]. *)
 
 module Incremental = struct
   type t = {
@@ -170,29 +134,8 @@ module Incremental = struct
   let create (p : Problem.t) : t =
     Problem.check_input p;
     let n, deps = shape_of p in
-    let lp = Lp.create () in
-    let t =
-      Array.init n (fun i ->
-          let op = p.Problem.operations.(i) in
-          Lp.add_int_var lp ~lower:op.lot.earliest ?upper:op.lot.latest
-            ~name:(Printf.sprintf "t%d" i))
-    in
-    let breakers = Problem.chain_breakers p in
-    let is_breaker d = List.memq d breakers in
-    List.iter
-      (fun (d : Problem.dependence) ->
-        let lat = p.Problem.operations.(d.dep_src).lot.latency in
-        let rhs = if is_breaker d then lat + 1 else lat in
-        Lp.add_int_constraint lp [ (1, t.(d.dep_dst)); (-1, t.(d.dep_src)) ] Lp.Ge rhs)
-      p.Problem.dependences;
-    let cost = Array.make n 1 in
-    List.iter
-      (fun (d : Problem.dependence) ->
-        cost.(d.dep_dst) <- cost.(d.dep_dst) + 1;
-        cost.(d.dep_src) <- cost.(d.dep_src) - 1)
-      p.Problem.dependences;
-    Lp.set_int_objective lp (List.init n (fun i -> (cost.(i), t.(i))));
-    { n; deps; inst = Lp.Instance.create lp; lock = Mutex.create () }
+    let inst = Lp.Instance.create (Problem.difference_system p) in
+    { n; deps; inst; lock = Mutex.create () }
 
   (* Same dependence-graph structure? (Latencies, windows and the breaker
      set are data and may differ; operation count and edge list may not.) *)
@@ -202,28 +145,15 @@ module Incremental = struct
     Problem.check_input p;
     if not (compatible inc p) then
       Problem.problem_error "Ilp_scheduler.Incremental: dependence graph changed shape";
+    let s = Problem.difference_system p in
     Mutex.protect inc.lock (fun () ->
         Array.iteri
-          (fun i (op : Problem.operation) ->
-            Lp.Instance.update_bounds inc.inst i ~lower:(Lp.Rat.of_int op.lot.earliest)
-              ~upper:(Option.map Lp.Rat.of_int op.lot.latest))
-          p.Problem.operations;
-        let breakers = Problem.chain_breakers p in
-        let is_breaker d = List.memq d breakers in
-        List.iteri
-          (fun row (d : Problem.dependence) ->
-            let lat = p.Problem.operations.(d.dep_src).lot.latency in
-            let rhs = if is_breaker d then lat + 1 else lat in
-            Lp.Instance.update_rhs inc.inst row (Lp.Rat.of_int rhs))
-          p.Problem.dependences;
-        match Lp.Instance.resolve inc.inst with
-        | `Infeasible | `Unbounded -> Infeasible
-        | `Optimal sol ->
-            Array.iteri
-              (fun i _ -> p.Problem.start_time.(i) <- Lp.value_int sol i)
-              p.Problem.operations;
-            Problem.compute_start_time_in_cycle p;
-            Scheduled)
+          (fun e (ed : Lp.Netopt.edge) -> Lp.Instance.update_weight inc.inst e ed.e_w)
+          s.edges;
+        Array.iteri
+          (fun v lower -> Lp.Instance.update_bounds inc.inst v ~lower ~upper:s.upper.(v))
+          s.lower;
+        store p (Lp.Instance.resolve inc.inst))
 
   let stats inc = Lp.Instance.stats inc.inst
   let classify inc = Lp.Instance.classify inc.inst

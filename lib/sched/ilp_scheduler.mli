@@ -10,31 +10,34 @@
    (C4) integrality / non-negativity
    (C5) t_i + latency_i + 1 <= t_j        for every chain-breaking edge
 
-   The paper solves this with Cbc via OR-Tools; we use the exact
-   branch-and-bound solver from lib/lp. *)
+   The paper solves this with Cbc via OR-Tools. Here the default backend
+   solves the equivalent difference system ({!Problem.difference_system})
+   exactly; [build_ilp] plus the branch-and-bound solver from lib/lp is
+   the cross-check oracle. *)
 
 type outcome = Scheduled | Infeasible
 val horizon : Problem.t -> int
 val build_ilp : Problem.t -> Lp.problem * int array
 val schedule_exact : Problem.t -> outcome
-val schedule_netflow : Problem.t -> outcome
 type backend = Exact | Netflow
+
 val schedule : ?backend:backend -> Problem.t -> outcome
+(** [Netflow] (the default) solves {!Problem.difference_system} on a
+    fresh {!Lp.Instance}; [Exact] runs {!schedule_exact}. *)
+
 val ilp_text : Problem.t -> string
 
 val ilp_size : Problem.t -> int * int
 (** [(variables, constraints)] of the Figure 7 ILP for this instance,
     computed without building it (profiling must stay cheap). *)
 
-(** Persistent incremental scheduler: one {!Lp.Instance} kept alive
-    across the re-schedules of a DSE sweep. The Figure 7 ILP is lowered
-    as in [schedule_netflow] (lifetimes eliminated, node costs
-    1 + indegree - outdegree) with C1/C5 merged into one row per
-    dependence; between grid points only right-hand sides (chain-breaker
-    flips) and bounds (window changes) move, and {!Lp.Instance.resolve}
+(** Persistent incremental scheduler: one {!Lp.Instance} of
+    {!Problem.difference_system} kept alive across the re-schedules of a
+    DSE sweep. Between grid points only edge weights (chain-breaker flips)
+    and bounds (window changes) move, and {!Lp.Instance.resolve}
     warm-starts from the previous solution. Produces schedules identical
-    to [schedule_netflow], warm or cold. Thread-safe: re-schedules on the
-    same instance are serialized by an internal mutex. *)
+    to [schedule ~backend:Netflow], warm or cold. Thread-safe: re-schedules
+    on the same instance are serialized by an internal mutex. *)
 module Incremental : sig
   type t
 

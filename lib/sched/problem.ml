@@ -240,6 +240,34 @@ let compute_start_time_in_cycle p =
       p.start_time_in_cycle.(j) <- !s)
     order
 
+(* ---- lowering to a difference system ---- *)
+
+(* The Figure 7 ILP with the lifetime variables eliminated (l_ij = t_j - t_i
+   at any optimum): one edge per dependence, weighted [latency] (C1), or
+   [latency + 1] when the edge breaks a combinational chain (C5, which
+   dominates C1); the [earliest]/[latest] windows as bounds (C3); and
+   node costs 1 + indegree - outdegree, so that sum cost_i t_i equals
+   sum t_i + sum l_ij. Every scheduler path solves this one system. *)
+let difference_system p : Lp.Netopt.system =
+  let breakers = chain_breakers p in
+  let edge d =
+    let lat = p.operations.(d.dep_src).lot.latency in
+    let e_w = if List.memq d breakers then lat + 1 else lat in
+    { Lp.Netopt.e_src = d.dep_src; e_dst = d.dep_dst; e_w }
+  in
+  let cost = Array.make (Array.length p.operations) 1 in
+  List.iter
+    (fun d ->
+      cost.(d.dep_dst) <- cost.(d.dep_dst) + 1;
+      cost.(d.dep_src) <- cost.(d.dep_src) - 1)
+    p.dependences;
+  {
+    edges = Array.of_list (List.map edge p.dependences);
+    lower = Array.map (fun op -> op.lot.earliest) p.operations;
+    upper = Array.map (fun op -> op.lot.latest) p.operations;
+    cost;
+  }
+
 (* ---- pretty-printing (Figure 6-style dump) ---- *)
 
 let pp fmt p =

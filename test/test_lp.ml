@@ -2,7 +2,7 @@
 
 module Rat = Lp.Rat
 module Simplex = Lp.Simplex
-module Difference = Lp.Difference
+module Netopt = Lp.Netopt
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -166,31 +166,32 @@ let test_lp_to_text () =
   in
   check_bool "mentions bounds" true (contains "bounds" txt)
 
-(* ---- Difference-constraint solver ---- *)
+(* ---- Difference-constraint least element (Netopt.asap) ---- *)
+
+let diff_system ?(lower = [||]) ?(upper = [||]) n edges : Netopt.system =
+  {
+    edges =
+      Array.of_list (List.map (fun (s, t, w) -> { Netopt.e_src = s; e_dst = t; e_w = w }) edges);
+    lower = Array.init n (fun i -> if i < Array.length lower then lower.(i) else 0);
+    upper = Array.init n (fun i -> if i < Array.length upper then upper.(i) else None);
+    cost = Array.make n 1;
+  }
 
 let test_difference_matches_ilp () =
-  let d = Difference.create 3 in
-  Difference.add_ge d ~src:0 ~dst:1 ~weight:1;
-  Difference.add_ge d ~src:1 ~dst:2 ~weight:1;
-  Difference.set_lower d 1 3;
-  (match Difference.solve d with
+  match Netopt.asap (diff_system 3 [ (0, 1, 1); (1, 2, 1) ] ~lower:[| 0; 3 |]) with
   | Some sol ->
       check_int "t0" 0 sol.(0);
       check_int "t1" 3 sol.(1);
       check_int "t2" 4 sol.(2)
-  | None -> Alcotest.fail "expected feasible")
+  | None -> Alcotest.fail "expected feasible"
 
 let test_difference_infeasible_upper () =
-  let d = Difference.create 2 in
-  Difference.add_ge d ~src:0 ~dst:1 ~weight:5;
-  Difference.set_upper d 1 3;
-  check_bool "infeasible" true (Difference.solve d = None)
+  check_bool "infeasible" true
+    (Netopt.asap (diff_system 2 [ (0, 1, 5) ] ~upper:[| None; Some 3 |]) = None)
 
 let test_difference_positive_cycle () =
-  let d = Difference.create 2 in
-  Difference.add_ge d ~src:0 ~dst:1 ~weight:1;
-  Difference.add_ge d ~src:1 ~dst:0 ~weight:1;
-  check_bool "positive cycle infeasible" true (Difference.solve d = None)
+  check_bool "positive cycle infeasible" true
+    (Netopt.asap (diff_system 2 [ (0, 1, 1); (1, 0, 1) ]) = None)
 
 (* ---- persistent instances (warm-start API) ---- *)
 
@@ -229,29 +230,45 @@ let build_problem spec =
 
 let cold_solve spec = Lp.solve (build_problem spec)
 
+(* the same numbers as a difference system, the instance's input *)
+let system_of spec : Netopt.system =
+  {
+    edges =
+      Array.of_list
+        (List.mapi (fun r (dst, src) -> { Netopt.e_src = src; e_dst = dst; e_w = spec.sp_w.(r) })
+           spec.sp_deps);
+    lower = Array.copy spec.sp_lower;
+    upper = Array.copy spec.sp_upper;
+    cost = Array.copy spec.sp_cost;
+  }
+
 (* push the spec's current numbers into the instance *)
 let sync_instance inst spec =
-  List.iteri (fun r _ -> I.update_rhs inst r (rat spec.sp_w.(r))) spec.sp_deps;
+  List.iteri (fun r _ -> I.update_weight inst r spec.sp_w.(r)) spec.sp_deps;
   Array.iteri
-    (fun v _ ->
-      I.update_bounds inst v ~lower:(rat spec.sp_lower.(v))
-        ~upper:(Option.map rat spec.sp_upper.(v)))
+    (fun v lower -> I.update_bounds inst v ~lower ~upper:spec.sp_upper.(v))
     spec.sp_lower
 
-let outcome_matches name warm cold =
-  match (warm, cold) with
-  | `Optimal (sa : Lp.solution), `Optimal (sb : Lp.solution) ->
-      Rat.equal sa.Lp.objective sb.Lp.objective
-      || QCheck.Test.fail_reportf "%s: warm obj %s <> cold obj %s" name
-           (Rat.to_string sa.Lp.objective) (Rat.to_string sb.Lp.objective)
+let show = function
+  | `Optimal _ -> "optimal"
+  | `Infeasible -> "infeasible"
+  | `Unbounded -> "unbounded"
+
+(* [warm] from a long-lived instance, [fresh] from a new instance on the
+   same numbers, [oracle] from the simplex/B&B MILP solver: the two
+   instance answers must be identical, and optimal for the oracle *)
+let outcome_matches name spec ~warm ~fresh ~oracle =
+  (warm = fresh
+  || QCheck.Test.fail_reportf "%s: warm %s differs from fresh %s" name (show warm) (show fresh))
+  &&
+  match (warm, oracle) with
+  | `Optimal sol, `Optimal (sb : Lp.solution) ->
+      let obj = Netopt.objective ~cost:spec.sp_cost sol in
+      Rat.equal (rat obj) sb.Lp.objective
+      || QCheck.Test.fail_reportf "%s: warm obj %d <> oracle obj %s" name obj
+           (Rat.to_string sb.Lp.objective)
   | `Infeasible, `Infeasible | `Unbounded, `Unbounded -> true
-  | _ ->
-      let show = function
-        | `Optimal _ -> "optimal"
-        | `Infeasible -> "infeasible"
-        | `Unbounded -> "unbounded"
-      in
-      QCheck.Test.fail_reportf "%s: warm %s, cold %s" name (show warm) (show cold)
+  | _ -> QCheck.Test.fail_reportf "%s: warm %s, oracle %s" name (show warm) (show oracle)
 
 let test_instance_classification () =
   let diff =
@@ -259,28 +276,22 @@ let test_instance_classification () =
       sp_lower = [| 0; 0; 0 |]; sp_upper = [| None; None; None |]; sp_cost = [| 1; 1; 1 |] }
   in
   check_str "pure difference system" "difference"
-    (I.klass_name (I.classify (I.create (build_problem diff))));
+    (I.klass_name (I.classify (I.create (system_of diff))));
   let netflow = { diff with sp_cost = [| 1; -2; 1 |]; sp_upper = [| Some 9; Some 9; Some 9 |] } in
   check_str "negative costs go to netflow" "netflow"
-    (I.klass_name (I.classify (I.create (build_problem netflow))));
-  let p = Lp.create () in
-  let x = Lp.add_int_var p ~upper:1 ~name:"x" in
-  let y = Lp.add_int_var p ~upper:1 ~name:"y" in
-  Lp.add_int_constraint p [ (2, x); (3, y) ] Lp.Le 4;
-  Lp.set_int_objective p [ (-1, x); (-1, y) ];
-  check_str "general row goes to milp" "milp" (I.klass_name (I.classify (I.create p)))
+    (I.klass_name (I.classify (I.create (system_of netflow))))
 
 let test_instance_update_guards () =
   let spec =
     { sp_n = 2; sp_deps = [ (1, 0) ]; sp_w = [| 1 |]; sp_lower = [| 0; 0 |];
       sp_upper = [| None; None |]; sp_cost = [| 1; 1 |] }
   in
-  let inst = I.create (build_problem spec) in
-  check_int "row count" 1 (I.nrows inst);
-  (match I.update_rhs inst 3 Rat.one with
+  let inst = I.create (system_of spec) in
+  check_int "edge count" 1 (I.nedges inst);
+  (match I.update_weight inst 3 1 with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument for rhs row out of range");
-  match I.update_bounds inst 7 ~lower:Rat.zero ~upper:None with
+  | () -> Alcotest.fail "expected Invalid_argument for edge out of range");
+  match I.update_bounds inst 7 ~lower:0 ~upper:None with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument for bounds var out of range"
 
@@ -291,45 +302,24 @@ let test_instance_warm_counters () =
     { sp_n = 3; sp_deps = [ (1, 0); (2, 1) ]; sp_w = [| 1; 1 |]; sp_lower = [| 0; 0; 0 |];
       sp_upper = [| None; None; None |]; sp_cost = [| 1; 1; 1 |] }
   in
-  let inst = I.create (build_problem spec) in
+  let inst = I.create (system_of spec) in
   ignore (I.resolve inst);
-  I.update_rhs inst 0 (rat 2);
+  I.update_weight inst 0 2;
   ignore (I.resolve inst);
-  I.update_bounds inst 1 ~lower:(rat 4) ~upper:None;
+  I.update_bounds inst 1 ~lower:4 ~upper:None;
   (match I.resolve inst with
   | `Optimal sol ->
-      check_int "t1 pushed to 4" 4 (Rat.to_int_exn sol.Lp.values.(1));
-      check_int "t2 follows" 5 (Rat.to_int_exn sol.Lp.values.(2))
+      check_int "t1 pushed to 4" 4 sol.(1);
+      check_int "t2 follows" 5 sol.(2)
   | _ -> Alcotest.fail "expected optimal");
   let st = I.stats inst in
   check_int "three resolves" 3 st.I.is_resolves;
-  check_int "all on the fast path" 3 st.I.is_fastpath;
-  check_int "one cold start" 1 st.I.is_warm_misses;
-  check_int "two warm hits" 2 st.I.is_warm_hits;
-  check_bool "no simplex pivots" true (st.I.is_pivots = 0)
-
-let test_instance_milp_warm_basis () =
-  (* general rows go through the simplex; the second resolve reuses the
-     root basis (dual repair) instead of a fresh Phase 1 *)
-  let p = Lp.create () in
-  let x = Lp.add_int_var p ~upper:1 ~name:"x" in
-  let y = Lp.add_int_var p ~upper:1 ~name:"y" in
-  let z = Lp.add_int_var p ~upper:1 ~name:"z" in
-  Lp.add_int_constraint p [ (3, x); (4, y); (2, z) ] Lp.Le 6;
-  Lp.set_int_objective p [ (-10, x); (-13, y); (-7, z) ];
-  let inst = I.create p in
-  check_str "milp class" "milp" (I.klass_name (I.classify inst));
-  (match I.resolve inst with
-  | `Optimal sol -> check_int "knapsack optimum" (-20) (Rat.to_int_exn sol.Lp.objective)
-  | _ -> Alcotest.fail "expected optimal");
-  I.update_rhs inst 0 (rat 5);
-  (match I.resolve inst with
-  | `Optimal sol -> check_int "tightened optimum" (-17) (Rat.to_int_exn sol.Lp.objective)
-  | _ -> Alcotest.fail "expected optimal");
-  let st = I.stats inst in
-  check_int "no fast path" 0 st.I.is_fastpath;
-  check_bool "second resolve warm" true (st.I.is_warm_hits >= 1);
-  check_bool "b&b nodes counted" true (st.I.is_bnb_nodes >= 2)
+  check_int "two warm hits, one cold start" 2 st.I.is_warm_hits;
+  check_bool "relaxation sweeps counted" true (st.I.is_bf_rounds >= 3);
+  (* loosening a weight forces a cold start *)
+  I.update_weight inst 1 0;
+  ignore (I.resolve inst);
+  check_int "no warm hit on loosening" 2 (I.stats inst).I.is_warm_hits
 
 let test_simplex_budget_exhausted () =
   let obj = [| rat 1; rat 1 |] in
@@ -360,19 +350,27 @@ let prop_rat_floor_le =
       Rat.le f x && Rat.lt x (Rat.add f Rat.one))
 
 let prop_difference_minimality =
-  (* the difference solver returns the componentwise-minimal solution: every
-     solution point satisfies all constraints *)
+  (* the least element satisfies every constraint, and lowering any one
+     entry of it breaks one: it is componentwise minimal *)
   QCheck.Test.make ~name:"difference solution satisfies all constraints" ~count:100
     (QCheck.list_of_size (QCheck.Gen.return 10)
        (QCheck.triple (QCheck.int_range 0 5) (QCheck.int_range 0 5) (QCheck.int_range 0 3)))
     (fun edges ->
-      let d = Difference.create 6 in
-      List.iter (fun (s, t, w) -> if s <> t then Difference.add_ge d ~src:s ~dst:t ~weight:w) edges;
-      match Difference.solve d with
+      let edges = List.filter (fun (s, t, _) -> s <> t) edges in
+      match Netopt.asap (diff_system 6 edges) with
       | None -> true (* cycles possible with random edges *)
       | Some sol ->
-          List.for_all (fun (s, t, w) -> s = t || sol.(t) - sol.(s) >= w) edges
-          && Array.for_all (fun v -> v >= 0) sol)
+          let feasible x = List.for_all (fun (s, t, w) -> x.(t) - x.(s) >= w) edges in
+          feasible sol
+          && Array.for_all (fun v -> v >= 0) sol
+          && List.for_all
+               (fun i ->
+                 sol.(i) = 0
+                 ||
+                 let x = Array.copy sol in
+                 x.(i) <- x.(i) - 1;
+                 not (feasible x))
+               (List.init 6 Fun.id))
 
 (* random scheduling-shaped spec: a DAG of difference rows (dst > src, so
    the initial system is always feasible) plus a perturbation chain that
@@ -413,10 +411,12 @@ let apply_perturb spec = function
   | `Up (v, u) -> spec.sp_upper.(v) <- u
 
 let run_chain (spec, perturbs) =
-  let inst = I.create (build_problem spec) in
+  let inst = I.create (system_of spec) in
   let step name =
     sync_instance inst spec;
-    outcome_matches name (I.resolve inst) (cold_solve spec)
+    let warm = I.resolve inst in
+    outcome_matches name spec ~warm ~fresh:(I.resolve (I.create (system_of spec)))
+      ~oracle:(cold_solve spec)
   in
   let ok0 = step "initial" in
   ok0
@@ -429,7 +429,7 @@ let run_chain (spec, perturbs) =
 let prop_instance_warm_equals_cold =
   QCheck.Test.make ~name:"warm resolve == cold solve on tightening chains" ~count:60
     (QCheck.make gen_diff_chain) (fun ((spec, _) as chain) ->
-      let inst = I.create (build_problem spec) in
+      let inst = I.create (system_of spec) in
       I.classify inst = I.Difference && run_chain chain)
 
 (* same shape but with negative costs, finite-or-absent uppers and
@@ -448,10 +448,12 @@ let gen_transition_chain =
     list_size (int_range 2 7)
       (oneof
          [
+           (* weights and lowers move both ways: a loosening step must
+              not warm-start from a least element above the new one *)
            (int_range 0 (ndeps - 1) >>= fun r ->
-            int_range 1 3 >>= fun d -> return (`Rhs (r, d)));
+            int_range (-3) 3 >>= fun d -> return (`Rhs (r, d)));
            (int_range 0 (n - 1) >>= fun v ->
-            int_range 1 4 >>= fun d -> return (`Low (v, d)));
+            int_range (-4) 4 >>= fun d -> return (`Low (v, d)));
            (* squeeze an upper bound: often below a lower or a chain,
               flipping the system infeasible *)
            (int_range 0 (n - 1) >>= fun v ->
@@ -477,43 +479,6 @@ let prop_instance_transitions =
     ~name:"resolve tracks cold solver through infeasible/unbounded transitions" ~count:60
     (QCheck.make gen_transition_chain) run_chain
 
-(* general (non-difference) rows: the simplex/B&B path with root-basis
-   reuse and incumbent seeding must also agree with cold solves while the
-   capacity moves in both directions *)
-let gen_milp_chain =
-  QCheck.Gen.(
-    list_size (return 3) (int_range 1 5) >>= fun ws ->
-    list_size (return 3) (int_range 1 10) >>= fun vals ->
-    int_range 1 8 >>= fun cap ->
-    list_size (int_range 1 6) (int_range (-3) 3) >>= fun deltas ->
-    return (ws, vals, cap, deltas))
-
-let prop_instance_milp_warm_equals_cold =
-  QCheck.Test.make ~name:"milp warm resolve == cold solve under rhs perturbation" ~count:40
-    (QCheck.make gen_milp_chain) (fun (ws, vals, cap, deltas) ->
-      let build c =
-        let p = Lp.create () in
-        let xs =
-          List.mapi (fun i _ -> Lp.add_int_var p ~upper:1 ~name:(Printf.sprintf "x%d" i)) ws
-        in
-        Lp.add_int_constraint p (List.map2 (fun w x -> (w, x)) ws xs) Lp.Le c;
-        Lp.set_int_objective p (List.map2 (fun v x -> (-v, x)) vals xs);
-        p
-      in
-      let inst = I.create (build cap) in
-      let step c name =
-        I.update_rhs inst 0 (rat c);
-        outcome_matches name (I.resolve inst) (Lp.solve (build c))
-      in
-      let ok0 = step cap "initial" in
-      let c = ref cap in
-      ok0
-      && List.for_all
-           (fun d ->
-             c := !c + d;
-             step !c "after capacity move")
-           deltas)
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -522,7 +487,6 @@ let qcheck_cases =
       prop_difference_minimality;
       prop_instance_warm_equals_cold;
       prop_instance_transitions;
-      prop_instance_milp_warm_equals_cold;
     ]
 
 let () =
@@ -561,7 +525,6 @@ let () =
           Alcotest.test_case "classification" `Quick test_instance_classification;
           Alcotest.test_case "update guards" `Quick test_instance_update_guards;
           Alcotest.test_case "warm counters" `Quick test_instance_warm_counters;
-          Alcotest.test_case "milp warm basis" `Quick test_instance_milp_warm_basis;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -33,6 +33,22 @@ let test_asm_pseudo () =
   (* li with a large value expands to lui + addi *)
   check_int "four words" 4 (List.length words)
 
+(* li of a value whose bit 11 is set: the lui part must round up, since
+   the addi immediate is sign-extended *)
+let test_asm_li_values () =
+  let cases = [ (11, 2048); (12, 0x12345800); (13, 0x7ffff800); (14, -2049) ] in
+  let src =
+    String.concat "\n" (List.map (fun (r, v) -> Printf.sprintf "li x%d, %d" r v) cases)
+  in
+  let words = Riscv.Asm.assemble src in
+  let t = Riscv.Iss.create () in
+  List.iteri (fun i w -> Riscv.Iss.write_word t (4 * i) w) words;
+  List.iter (fun _ -> Riscv.Iss.step t) words;
+  List.iter
+    (fun (r, v) ->
+      check_int (Printf.sprintf "li %d" v) (v land Riscv.Iss.mask32) (Riscv.Iss.read_reg t r))
+    cases
+
 let test_asm_errors () =
   (try
      ignore (Riscv.Asm.assemble "frobnicate x1");
@@ -335,6 +351,7 @@ let () =
           Alcotest.test_case "golden encodings" `Quick test_asm_encodings;
           Alcotest.test_case "labels and branches" `Quick test_asm_labels_and_branches;
           Alcotest.test_case "pseudo instructions" `Quick test_asm_pseudo;
+          Alcotest.test_case "li immediates" `Quick test_asm_li_values;
           Alcotest.test_case "errors" `Quick test_asm_errors;
         ] );
       ( "iss",

@@ -213,7 +213,76 @@ let prop_asap_minimal =
       | Sched.Asap_scheduler.Infeasible, Sched.Ilp_scheduler.Infeasible -> true
       | _ -> false)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_netflow_matches_exact; prop_asap_minimal ]
+(* One Incremental instance re-scheduled along a random chain of window
+   and latency perturbations (latency changes also flip chain breakers,
+   the problem has a cycle time) must reach the exact MILP objective at
+   every step, warm or cold. *)
+let prop_incremental_matches_exact =
+  QCheck.Test.make ~name:"incremental re-schedules match exact MILP" ~count:40 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 3 + Random.State.int rng 5 in
+      let deps = ref [] in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          if Random.State.int rng 100 < 40 then deps := (i, j) :: !deps
+        done
+      done;
+      let deps = List.rev !deps in
+      let delay = Array.init n (fun _ -> 0.1 *. float_of_int (Random.State.int rng 6)) in
+      let lots =
+        Array.init n (fun _ ->
+            let earliest = Random.State.int rng 3 in
+            ot "t" ~earliest ~latency:(Random.State.int rng 2))
+      in
+      let build () =
+        let b = P.builder () in
+        Array.iteri
+          (fun i lot ->
+            ignore
+              (P.add_operation b ~label:(Printf.sprintf "o%d" i)
+                 { lot with P.outgoing_delay = delay.(i) }))
+          lots;
+        List.iter (fun (src, dst) -> P.add_dependence b ~src ~dst) deps;
+        P.finish ~cycle_time:1.0 b
+      in
+      let perturb () =
+        let i = Random.State.int rng n in
+        let lot = lots.(i) in
+        lots.(i) <-
+          (match Random.State.int rng 3 with
+          | 0 -> { lot with P.latency = Random.State.int rng 3 }
+          | 1 ->
+              let earliest = Random.State.int rng 4 in
+              let latest = Option.map (fun _ -> earliest + 2) lot.P.latest in
+              { lot with P.earliest; latest }
+          | _ ->
+              let latest =
+                if Random.State.bool rng then None
+                else Some (lot.P.earliest + Random.State.int rng 5)
+              in
+              { lot with P.latest })
+      in
+      let inc = Sched.Ilp_scheduler.Incremental.create (build ()) in
+      List.for_all
+        (fun step ->
+          if step > 0 then perturb ();
+          let p1 = build () and p2 = build () in
+          let r1 = Sched.Ilp_scheduler.Incremental.schedule inc p1 in
+          let r2 = Sched.Ilp_scheduler.schedule ~backend:Sched.Ilp_scheduler.Exact p2 in
+          match (r1, r2) with
+          | Sched.Ilp_scheduler.Infeasible, Sched.Ilp_scheduler.Infeasible -> true
+          | Sched.Ilp_scheduler.Scheduled, Sched.Ilp_scheduler.Scheduled ->
+              P.verify p1;
+              objective p1 = objective p2
+              || QCheck.Test.fail_reportf "step %d: incremental %d, exact %d" step (objective p1)
+                   (objective p2)
+          | _ -> QCheck.Test.fail_reportf "step %d: feasibility differs" step)
+        (List.init 8 Fun.id))
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_netflow_matches_exact; prop_asap_minimal; prop_incremental_matches_exact ]
 
 let () =
   Alcotest.run "sched"
