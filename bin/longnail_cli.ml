@@ -91,7 +91,7 @@ let knob_flags_term : (string * string option) list Term.t =
 
 (* Malformed knob values are plain usage errors (exit 2) — except flags
    with a structured diagnostic code ([Knob_flags.error_code]): unknown
-   --sim-engine / --emit names raise E0913 with did-you-mean suggestions,
+   --emit backend names raise E0913 with did-you-mean suggestions,
    rendered like any other diagnostic (exit 1). *)
 let resolve_knob_flags settings =
   List.fold_left
@@ -198,7 +198,7 @@ let compile_cmd =
             (fun (f : Longnail.Flow.output_func) ->
               let path =
                 Filename.concat outdir
-                  (f.of_name ^ "." ^ Rtl.Backend.file_ext kf.Longnail.Knob_flags.emit_backend)
+                  (f.of_name ^ "." ^ Rtl.Backend.file_ext kf.Longnail.Knob_flags.knobs.k_backend)
               in
               write_file path f.of_sv;
               note "wrote %s (%s, last stage %d)\n" path f.of_mode f.of_max_stage)
@@ -220,7 +220,7 @@ let compile_cmd =
             (fun (f : Longnail.Flow.compiled_functionality) ->
               let path =
                 Filename.concat outdir
-                  (f.cf_name ^ "." ^ Rtl.Backend.file_ext kf.Longnail.Knob_flags.emit_backend)
+                  (f.cf_name ^ "." ^ Rtl.Backend.file_ext kf.Longnail.Knob_flags.knobs.k_backend)
               in
               write_file path f.cf_sv;
               note "wrote %s (%s, last stage %d)\n" path
@@ -397,7 +397,7 @@ let run_cmd =
       in
       let c =
         Longnail.Flow.compile
-          ~request:(Longnail.Flow.Request.make ~knobs:(Longnail.Knob_flags.knobs kf) ())
+          ~request:(Longnail.Flow.Request.make ~knobs:kf.Longnail.Knob_flags.knobs ())
           core tu
       in
       (* execution defaults (reset PC, initial stack pointer) come from
@@ -424,7 +424,7 @@ let run_cmd =
           Printf.printf "cycles: %d, instructions: %d\n" cycles m.Riscv.Machine.instret;
           dump_regs (Riscv.Machine.read_gpr m)
       | `Pipeline ->
-          let p = Riscv.Pipeline.create ~engine:kf.Longnail.Knob_flags.sim_engine c in
+          let p = Riscv.Pipeline.create c in
           Riscv.Pipeline.load_program p ~base:sim.reset_pc words;
           Riscv.Pipeline.write_gpr p 2 sim.sp_init;
           let cycles = Riscv.Pipeline.run p in
@@ -433,7 +433,7 @@ let run_cmd =
           Printf.printf "cycles: %d, instructions: %d\n" cycles p.Riscv.Pipeline.instret;
           dump_regs (Riscv.Pipeline.read_gpr p)
       | `Rtl_loop ->
-          let rl = Riscv.Rtl_loop.create ~engine:kf.Longnail.Knob_flags.sim_engine c in
+          let rl = Riscv.Rtl_loop.create c in
           Riscv.Rtl_loop.load_program rl ~base:sim.reset_pc words;
           let instret = Riscv.Rtl_loop.run rl in
           Printf.printf "engine: RTL-in-the-loop (%s)\n" core.Scaiev.Datasheet.core_name;

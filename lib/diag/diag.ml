@@ -107,7 +107,7 @@ let all_codes =
     ("E0910", "malformed serve request");
     ("E0911", "serve transport error");
     ("E0912", "unknown core in serve request");
-    ("E0913", "unknown simulation engine or emission backend");
+    ("E0913", "unknown emission backend");
     ("W1001", "dead assignment: computed value is never used");
     ("W1002", "unused encoding field");
     ("W1003", "unused architectural register");

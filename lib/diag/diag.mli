@@ -132,6 +132,13 @@ val to_json : t list -> string
 (** [{"diagnostics":[...]}] with stable field names; see
     docs/DIAGNOSTICS.md for the schema. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal: quote, backslash, newline, tab
+    and carriage return get their short escapes, other control
+    characters [\u00XX]; every other byte passes through. The one
+    escaper behind every JSON writer (diagnostics, profiles, the serve
+    protocol). *)
+
 val levenshtein : string -> string -> int
 (** Edit distance (insertions, deletions, substitutions), the metric
     behind every did-you-mean hint. *)

@@ -21,12 +21,14 @@
 
      frontend artifact   per source            (caller-supplied key)
      IR artifact         per functionality     (unit fp; core-independent)
-     sched artifact      per functionality x core x knobs
-     target artifact     per unit x core x knobs (incl. hazard handling)
+     sched artifact      per functionality x core x scheduling knobs
+     target artifact     per unit x core x knobs (incl. hazard handling
+                         and the emission backend)
 
-   Hazard handling only affects the SCAIE-V adapter, so it appears only in
-   the target key: the w/ and w/o-scoreboard ablation shares every
-   per-functionality artifact. *)
+   Hazard handling only affects the SCAIE-V adapter and the emission
+   backend only the HDL text, so both appear only in the target key: the
+   w/ and w/o-scoreboard ablation and an SV/Verilog-2001 switch share
+   every schedule and netlist. *)
 
 (* Every failure of the flow surfaces as [Diag.Fatal]: stage exceptions
    already carrying a [Diag.t] are re-raised as fatal diagnostics at the
@@ -124,7 +126,6 @@ type knobs = {
   k_delay : Delay_model.spec;
   k_cycle_time : float option;  (* None = the core's base clock period *)
   k_hazard_handling : bool;
-  k_sim_engine : Rtl.Engine.kind;  (* RTL-in-the-loop simulation engine *)
   k_backend : Rtl.Backend.kind;  (* HDL emission backend *)
   k_narrow : bool;  (* analysis-driven width narrowing (TV-guarded) *)
 }
@@ -135,31 +136,25 @@ let default_knobs =
     k_delay = Delay_model.Default;
     k_cycle_time = None;
     k_hazard_handling = true;
-    k_sim_engine = Rtl.Engine.Compiled;
     k_backend = Rtl.Backend.Sv;
     k_narrow = false;
   }
 
 let knobs ?(scheduler = Sched_build.Ilp) ?(delay = Delay_model.Default) ?cycle_time
-    ?(hazard_handling = true) ?(sim_engine = Rtl.Engine.Compiled)
-    ?(backend = Rtl.Backend.Sv) ?(narrow = false) () =
+    ?(hazard_handling = true) ?(backend = Rtl.Backend.Sv) ?(narrow = false) () =
   { k_scheduler = scheduler; k_delay = delay; k_cycle_time = cycle_time;
-    k_hazard_handling = hazard_handling; k_sim_engine = sim_engine; k_backend = backend;
-    k_narrow = narrow }
+    k_hazard_handling = hazard_handling; k_backend = backend; k_narrow = narrow }
 
 let scheduler_name = function Sched_build.Ilp -> "ilp" | Sched_build.Asap -> "asap"
 
-(* The knob part of the per-functionality sched key. Hazard handling is
-   deliberately absent: it only affects the adapter (target artifact).
-   The simulation engine cannot change any artifact (engines are asserted
-   bit-identical) but is still keyed so engine-tagged runs never share
-   entries; the emission backend changes the HDL text and must be keyed. *)
+(* The knob part of the per-functionality sched key: exactly the knobs
+   that change the schedule or the netlist. Hazard handling (the adapter)
+   and the emission backend (the HDL text) are deliberately absent; both
+   appear only in the target key. *)
 let func_knobs_key k =
-  Printf.sprintf "%s|ct:%s|%s|eng:%s|be:%s|nw:%s" (scheduler_name k.k_scheduler)
+  Printf.sprintf "%s|ct:%s|%s|nw:%s" (scheduler_name k.k_scheduler)
     (match k.k_cycle_time with Some ct -> Printf.sprintf "%h" ct | None -> "core")
     (Delay_model.spec_key k.k_delay)
-    (Rtl.Engine.kind_to_string k.k_sim_engine)
-    (Rtl.Backend.to_string k.k_backend)
     (if k.k_narrow then "on" else "off")
 
 let delay_model_for core k =
@@ -174,10 +169,14 @@ let delay_model_for core k =
    and the optimized Figure 5c CDFG). *)
 type func_ir = { fi_hlir : Ir.Mir.graph; fi_lil : Ir.Mir.graph }
 
+(* Sched artifact: the solved problem and the netlist built from it. It
+   holds no HDL text, so every emission backend shares it. *)
+type func_hw = { fh_built : Sched_build.built; fh_hw : Hwgen.result; fh_mode : Scaiev.Config.mode }
+
 type session = {
   s_frontend : Coredsl.Tast.tunit Cache.Store.t;
   s_ir : func_ir Cache.Store.t;
-  s_func : compiled_functionality Cache.Store.t;
+  s_func : func_hw Cache.Store.t;
   s_target : compiled Cache.Store.t;
   s_disk : Cache.Disk.t option;
       (* persistent spill: whole-target output artifacts (SV + YAML +
@@ -291,8 +290,9 @@ let func_key s k core tu ~kind ~name =
     (core_fp s core) (func_knobs_key k)
 
 let target_key s k (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) =
-  Printf.sprintf "%s/%s/%s|%s" (unit_fp s tu) (core_fp s core) (func_knobs_key k)
+  Printf.sprintf "%s/%s/%s|%s|be:%s" (unit_fp s tu) (core_fp s core) (func_knobs_key k)
     (if k.k_hazard_handling then "hz" else "nohz")
+    (Rtl.Backend.to_string k.k_backend)
 
 (* A throwaway session with storing disabled: used when a caller compiles
    without a session, so the un-cached path has no retention cost. *)
@@ -301,10 +301,7 @@ let throwaway () = create_session ~enabled:false ()
 (* ---- compile requests ------------------------------------------------ *)
 
 (* The unified public compile API: one record bundles everything a compile
-   entry point takes. The former per-entry-point optional arguments
-   (?scheduler ?delay ... ?session ?obs) are gone; [make] accepts the
-   individual knob shorthands instead, and mixing them with a full [?knobs]
-   record is a usage error (E0902) — there is no silent precedence. *)
+   entry point takes; knobs travel as one [knobs] record. *)
 module Request = struct
   type t = {
     knobs : knobs;
@@ -317,47 +314,9 @@ module Request = struct
   let default =
     { knobs = default_knobs; session = None; obs = None; jobs = 1; verify_each = false }
 
-  let conflict msg =
-    Diag.fatal
-      (Diag.make ~code:"E0902" ("conflicting compile options: " ^ msg)
-         ~notes:
-           [
-             "pass either one full ?knobs record or the individual knob arguments to \
-              Request.make, not both";
-           ])
-
-  let make ?scheduler ?delay ?cycle_time ?hazard_handling ?knobs ?session ?obs ?(jobs = 1)
-      ?(verify_each = false) () =
+  let make ?(knobs = default_knobs) ?session ?obs ?(jobs = 1) ?(verify_each = false) () =
     if jobs < 1 then
       Diag.fatalf ~code:"E0902" "invalid compile request: jobs must be >= 1 (got %d)" jobs;
-    let individual =
-      List.filter_map
-        (fun (present, arg) -> if present then Some arg else None)
-        [
-          (Option.is_some scheduler, "?scheduler");
-          (Option.is_some delay, "?delay");
-          (Option.is_some cycle_time, "?cycle_time");
-          (Option.is_some hazard_handling, "?hazard_handling");
-        ]
-    in
-    let knobs =
-      match knobs with
-      | Some k ->
-          if individual <> [] then
-            conflict
-              (Printf.sprintf "?knobs given together with %s" (String.concat ", " individual));
-          k
-      | None ->
-          {
-            k_scheduler = Option.value scheduler ~default:Sched_build.Ilp;
-            k_delay = Option.value delay ~default:Delay_model.Default;
-            k_cycle_time = cycle_time;
-            k_hazard_handling = Option.value hazard_handling ~default:true;
-            k_sim_engine = Rtl.Engine.Compiled;
-            k_backend = Rtl.Backend.Sv;
-            k_narrow = false;
-          }
-    in
     { knobs; session; obs; jobs; verify_each }
 end
 
@@ -366,9 +325,11 @@ end
 (* The per-functionality Figure-9 stages, in pipeline order. Each cold
    compiled functionality records exactly one profiling span per stage
    (nested under the [ir_artifact] / [sched_artifact] cache-boundary
-   spans); tests and the CI schema check rely on this list staying in sync
-   with [compile_functionality]. Cache hits skip the stage spans entirely
-   — only the boundary span with its cache counters remains. *)
+   spans, except [sv_emit], which runs after [sched_artifact] on its
+   netlist); tests and the CI schema check rely on this list staying in
+   sync with [compile_functionality]. Cache hits skip the stage spans
+   inside the boundary — only the boundary span with its cache counters
+   remains. *)
 let stage_names =
   [ "hlir"; "lil"; "optimize"; "verify"; "schedule"; "hwgen"; "netcheck"; "sv_emit" ]
 
@@ -441,7 +402,7 @@ let build_func_ir ?(verify_each = false) ?(narrow = false) (tu : Coredsl.Tast.tu
   { fi_hlir = hlir; fi_lil = lil }
 
 let build_func_hw ?solver_for (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) k ~name
-    ~kind obs (fir : func_ir) =
+    ~kind obs (fir : func_ir) : func_hw =
   let delay_model = delay_model_for core k in
   let cycle_time = k.k_cycle_time in
   let scheduler = k.k_scheduler in
@@ -480,13 +441,8 @@ let build_func_hw ?solver_for (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tun
             Obs.metric_int_opt sobs "solver.resolves" (d (fun s -> s.Lp.Instance.is_resolves));
             Obs.metric_int_opt sobs "solver.warm_hits"
               (d (fun s -> s.Lp.Instance.is_warm_hits));
-            (* every resolve is on the difference-system path, and it never
-               branches or pivots: these three names stay in the schema *)
-            Obs.metric_int_opt sobs "solver.fastpath" (d (fun s -> s.Lp.Instance.is_resolves));
             Obs.metric_int_opt sobs "solver.bf_rounds"
-              (d (fun s -> s.Lp.Instance.is_bf_rounds));
-            Obs.metric_int_opt sobs "solver.bnb_nodes" 0;
-            Obs.metric_int_opt sobs "solver.pivots" 0);
+              (d (fun s -> s.Lp.Instance.is_bf_rounds)));
         Obs.metric_int_opt sobs "feasible" (if feasible then 1 else 0);
         if not feasible then begin
           (* name the operation that overshoots its interface window, so the
@@ -524,30 +480,12 @@ let build_func_hw ?solver_for (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tun
         Obs.metric_int_opt sobs "pipe_reg_bits" hw.Hwgen.pipe_reg_bits;
         hw)
   in
-  let () =
-    Obs.span_opt obs "netcheck" (fun sobs ->
-        Analysis.Netcheck.verify ~what:name
-          ~provenance:(Analysis.Netcheck.signal_provenance lil)
-          hw.Hwgen.netlist;
-        Obs.metric_int_opt sobs "signals"
-          (List.length hw.Hwgen.netlist.Rtl.Netlist.nodes))
-  in
-  let sv =
-    Obs.span_opt obs "sv_emit" (fun sobs ->
-        let sv = Rtl.Backend.emit k.k_backend hw.netlist in
-        Obs.metric_int_opt sobs "sv_bytes" (String.length sv);
-        sv)
-  in
-  {
-    cf_name = name;
-    cf_kind = kind;
-    cf_hlir = fir.fi_hlir;
-    cf_lil = fir.fi_lil;
-    cf_built = built;
-    cf_hw = hw;
-    cf_sv = sv;
-    cf_mode = dominant_mode hw ~kind;
-  }
+  Obs.span_opt obs "netcheck" (fun sobs ->
+      Analysis.Netcheck.verify ~what:name
+        ~provenance:(Analysis.Netcheck.signal_provenance lil)
+        hw.Hwgen.netlist;
+      Obs.metric_int_opt sobs "signals" (List.length hw.Hwgen.netlist.Rtl.Netlist.nodes));
+  { fh_built = built; fh_hw = hw; fh_mode = dominant_mode hw ~kind }
 
 let compile_functionality_in session k ?obs ?(verify_each = false)
     (core : Scaiev.Datasheet.t)
@@ -581,9 +519,29 @@ let compile_functionality_in session k ?obs ?(verify_each = false)
            (core_fp session core))
       ~create:(fun () -> Sched.Ilp_scheduler.Incremental.create p)
   in
-  Obs.span_opt obs "sched_artifact" @@ fun sobs ->
-  Cache.Store.find_or_add session.s_func ?obs:sobs (func_key session k core tu ~kind ~name)
-    (fun () -> build_func_hw ~solver_for core tu k ~name ~kind sobs fir)
+  let fh =
+    Obs.span_opt obs "sched_artifact" @@ fun sobs ->
+    Cache.Store.find_or_add session.s_func ?obs:sobs (func_key session k core tu ~kind ~name)
+      (fun () -> build_func_hw ~solver_for core tu k ~name ~kind sobs fir)
+  in
+  (* emission is the last step over the cached netlist, so a backend
+     switch costs one emit and never re-schedules *)
+  let sv =
+    Obs.span_opt obs "sv_emit" (fun sobs ->
+        let sv = Rtl.Backend.emit k.k_backend fh.fh_hw.netlist in
+        Obs.metric_int_opt sobs "sv_bytes" (String.length sv);
+        sv)
+  in
+  {
+    cf_name = name;
+    cf_kind = kind;
+    cf_hlir = fir.fi_hlir;
+    cf_lil = fir.fi_lil;
+    cf_built = fh.fh_built;
+    cf_hw = fh.fh_hw;
+    cf_sv = sv;
+    cf_mode = fh.fh_mode;
+  }
 
 let compile_functionality ?request (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit)
     (fn : [ `Instr of Coredsl.Tast.tinstr | `Always of Coredsl.Tast.talways ]) :

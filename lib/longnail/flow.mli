@@ -7,8 +7,9 @@
       -> high-level IR, Figure 5b      (Ir.Hlir)        ]
       -> lil CDFG, Figure 5c           (Ir.Lil+Passes)  ] [IR artifact]
       -> LongnailProblem + schedule    (Sched_build)    ]
-      -> RTL + SystemVerilog, Fig 5d   (Hwgen, Sv_emit) ] [sched artifact]
-      -> SCAIE-V configuration, Fig 8  (Config_gen)       [target artifact]
+      -> RTL netlist, Fig 5d           (Hwgen)          ] [sched artifact]
+      -> SystemVerilog / Verilog-2001  (Rtl.Backend)    ]
+      -> SCAIE-V configuration, Fig 8  (Config_gen)     ] [target artifact]
     v}
 
     Artifact granularity (see docs/CACHING.md for the key grammar):
@@ -16,9 +17,10 @@
     functionality (core-independent — a unit compiled for five cores
     lowers and optimizes each instruction once); the sched artifact per
     functionality x core x scheduling knobs; the target artifact per
-    unit x core x knobs including hazard handling. Hazard handling only
-    affects the SCAIE-V adapter, so the w/ and w/o-scoreboard ablation
-    shares every per-functionality artifact.
+    unit x core x knobs including hazard handling and the emission
+    backend. Hazard handling only affects the SCAIE-V adapter and the
+    backend only the HDL text, so the w/ and w/o-scoreboard ablation and
+    an SV/Verilog-2001 switch share every schedule and netlist.
 
     Only the ISAX instructions (those not part of the RV32I base set) and
     always-blocks are synthesized; base instructions are implemented by
@@ -45,7 +47,7 @@ type compiled_functionality = {
   cf_lil : Ir.Mir.graph;  (** the optimized Figure 5c CDFG *)
   cf_built : Sched_build.built;  (** the solved LongnailProblem *)
   cf_hw : Hwgen.result;  (** netlist + SCAIE-V port bindings *)
-  cf_sv : string;  (** emitted SystemVerilog *)
+  cf_sv : string;  (** emitted HDL: SystemVerilog, or Verilog-2001 under [k_backend] *)
   cf_mode : Scaiev.Config.mode;  (** dominant execution mode (Section 3.2) *)
 }
 
@@ -73,22 +75,21 @@ val dominant_mode : Hwgen.result -> kind:[> `Always ] -> Scaiev.Config.mode
     (wiring is free), reproducing the reported ~10-stage sqrt. *)
 val default_delay_model : Scaiev.Datasheet.t -> float option -> Delay_model.t
 
-(** {1 Scheduling knobs}
+(** {1 Knobs}
 
-    The fingerprintable knob set that selects one point of the scheduling
-    design space. Knobs are part of the sched- and target-artifact cache
-    keys; two compiles with equal knobs (and equal unit/core fingerprints)
-    share artifacts. *)
+    The one fingerprintable knob record; every field changes an artifact.
+    Knobs are part of the sched- and target-artifact cache keys; two
+    compiles with equal knobs (and equal unit/core fingerprints) share
+    artifacts. *)
 type knobs = {
   k_scheduler : Sched_build.scheduler;
   k_delay : Delay_model.spec;
   k_cycle_time : float option;  (** [None] = the core's base clock period *)
   k_hazard_handling : bool;
       (** scoreboard for decoupled mode; only affects the target artifact *)
-  k_sim_engine : Rtl.Engine.kind;
-      (** RTL-in-the-loop simulation engine (compiled by default) *)
   k_backend : Rtl.Backend.kind;
-      (** HDL emission backend: SystemVerilog or Verilog-2001 *)
+      (** HDL emission backend: SystemVerilog or Verilog-2001; only
+          affects the emitted text of the target artifact *)
   k_narrow : bool;
       (** analysis-driven width narrowing of the optimized LIL
           ({!Analysis.Narrow}); every rewrite is translation-validated
@@ -97,25 +98,24 @@ type knobs = {
 
 val default_knobs : knobs
 (** ILP scheduler, the paper's uniform cycle-time-derived delay model, the
-    core's base period, hazard handling on, compiled simulation engine,
-    SystemVerilog emission. *)
+    core's base period, hazard handling on, SystemVerilog emission, no
+    narrowing. *)
 
 val knobs :
   ?scheduler:Sched_build.scheduler ->
   ?delay:Delay_model.spec ->
   ?cycle_time:float ->
   ?hazard_handling:bool ->
-  ?sim_engine:Rtl.Engine.kind ->
   ?backend:Rtl.Backend.kind ->
   ?narrow:bool ->
   unit ->
   knobs
 
 val func_knobs_key : knobs -> string
-(** The knob component of sched-artifact keys (excludes hazard handling,
-    which only appears in the target key; includes the simulation engine,
-    emission backend and narrowing knob, so switching any of them never
-    shares artifacts). *)
+(** The knob component of sched-artifact keys: scheduler, cycle time,
+    delay spec and narrowing. Hazard handling and the emission backend
+    only appear in the target key ({!target_key}), so switching either
+    reuses every schedule and netlist. *)
 
 val delay_model_for : Scaiev.Datasheet.t -> knobs -> Delay_model.t
 (** Resolve the knob's delay spec against the effective cycle time. *)
@@ -160,11 +160,8 @@ val session_solver_count : session -> int
 
     The compile API (docs/PARALLELISM.md): one {!Request.t} bundles the
     scheduling knobs, the session, the profiling scope and the worker
-    count. It is the {e only} way to configure a compile — the per-entry-
-    point optional arguments that used to shadow it were removed.
-    [Request.make] accepts the individual knob shorthands directly;
-    mixing them with a full [?knobs] record raises {!Diag.Fatal} with
-    code E0902 (there is no silent precedence). *)
+    count. It is the {e only} way to configure a compile; knobs travel
+    only as one {!knobs} record ([~knobs:(Flow.knobs ~cycle_time:7.0 ())]). *)
 module Request : sig
   type t = {
     knobs : knobs;
@@ -182,10 +179,6 @@ module Request : sig
   (** [default_knobs], no session, no profiling, one job, no sanitizer. *)
 
   val make :
-    ?scheduler:Sched_build.scheduler ->
-    ?delay:Delay_model.spec ->
-    ?cycle_time:float ->
-    ?hazard_handling:bool ->
     ?knobs:knobs ->
     ?session:session ->
     ?obs:Obs.scope ->
@@ -193,9 +186,8 @@ module Request : sig
     ?verify_each:bool ->
     unit ->
     t
-  (** Raises {!Diag.Fatal} (E0902) when [jobs < 1], or when [?knobs] is
-      mixed with any of the individual knob arguments
-      ([?scheduler] / [?delay] / [?cycle_time] / [?hazard_handling]). *)
+  (** [knobs] defaults to {!default_knobs}. Raises {!Diag.Fatal} (E0902)
+      when [jobs < 1]. *)
 end
 
 val frontend :
@@ -217,11 +209,13 @@ val target_key : session -> knobs -> Scaiev.Datasheet.t -> Coredsl.Tast.tunit ->
     profiling scope, a {e cold} {!compile_functionality} records one child
     span named ["func:NAME"] containing one span per stage in this list,
     nested under the ["ir_artifact"] (hlir/lil/optimize/verify) and
-    ["sched_artifact"] (schedule/hwgen/netcheck/sv_emit) cache-boundary
-    spans. The ["verify"] stage runs the dialect-aware
-    {!Analysis.Verifier} over the optimized LIL, and ["netcheck"] runs
-    {!Analysis.Netcheck} over the generated netlist before SV emission. A
-    cache hit skips the stage spans: only the boundary span with its
+    ["sched_artifact"] (schedule/hwgen/netcheck) cache-boundary spans;
+    ["sv_emit"] runs after ["sched_artifact"], on its netlist, with the
+    [k_backend] of the request. The ["verify"] stage runs the
+    dialect-aware {!Analysis.Verifier} over the optimized LIL, and
+    ["netcheck"] runs {!Analysis.Netcheck} over the generated netlist
+    before emission. A cache hit skips the stage spans inside the
+    boundary: only the boundary span with its
     [cache.hit]/[cache.miss]/[cache.store] counters remains. *)
 val stage_names : string list
 

@@ -24,11 +24,6 @@ let specs =
       doc = "Drop the decoupled-mode scoreboard (the Table 4 ablation row).";
     };
     {
-      name = "sim-engine";
-      arg = Some "ENGINE";
-      doc = "RTL simulation engine: compiled (default) or interp (the reference interpreter).";
-    };
-    {
       name = "emit";
       arg = Some "BACKEND";
       doc = "HDL emission backend: sv (SystemVerilog, default) or v2001 (Verilog-2001 subset).";
@@ -71,13 +66,7 @@ let specs =
   ]
 
 type t = {
-  scheduler : Sched_build.scheduler;
-  delay : Delay_model.spec;
-  cycle_time : float option;
-  hazard_handling : bool;
-  sim_engine : Rtl.Engine.kind;
-  emit_backend : Rtl.Backend.kind;
-  narrow : bool;
+  knobs : Flow.knobs;
   jobs : int;
   cache_enabled : bool;
   cache_capacity : int option;
@@ -88,13 +77,7 @@ type t = {
 
 let default =
   {
-    scheduler = Sched_build.Ilp;
-    delay = Delay_model.Default;
-    cycle_time = None;
-    hazard_handling = true;
-    sim_engine = Rtl.Engine.Compiled;
-    emit_backend = Rtl.Backend.Sv;
-    narrow = false;
+    knobs = Flow.default_knobs;
     jobs = 1;
     cache_enabled = true;
     cache_capacity = None;
@@ -105,36 +88,34 @@ let default =
 
 let err fmt = Printf.ksprintf (fun m -> Error m) fmt
 
+let knob t f = Ok { t with knobs = f t.knobs }
+
 let set t name value =
   match (name, value) with
-  | "scheduler", Some "ilp" -> Ok { t with scheduler = Sched_build.Ilp }
-  | "scheduler", Some "asap" -> Ok { t with scheduler = Sched_build.Asap }
+  | "scheduler", Some "ilp" -> knob t (fun k -> { k with k_scheduler = Sched_build.Ilp })
+  | "scheduler", Some "asap" -> knob t (fun k -> { k with k_scheduler = Sched_build.Asap })
   | "scheduler", Some v -> err "--scheduler expects 'ilp' or 'asap', got '%s'" v
-  | "delay", Some "default" -> Ok { t with delay = Delay_model.Default }
-  | "delay", Some "physical" -> Ok { t with delay = Delay_model.Physical }
+  | "delay", Some "default" -> knob t (fun k -> { k with k_delay = Delay_model.Default })
+  | "delay", Some "physical" -> knob t (fun k -> { k with k_delay = Delay_model.Physical })
   | "delay", Some v when String.length v > 8 && String.sub v 0 8 = "uniform:" -> (
       let ns = String.sub v 8 (String.length v - 8) in
       match float_of_string_opt ns with
-      | Some f when f > 0.0 -> Ok { t with delay = Delay_model.Uniform f }
+      | Some f when f > 0.0 -> knob t (fun k -> { k with k_delay = Delay_model.Uniform f })
       | _ -> err "--delay uniform:NS expects a positive number of ns, got '%s'" ns)
   | "delay", Some v -> err "--delay expects 'default', 'physical' or 'uniform:NS', got '%s'" v
   | "cycle-time", Some v -> (
       match float_of_string_opt v with
-      | Some f when f > 0.0 -> Ok { t with cycle_time = Some f }
+      | Some f when f > 0.0 -> knob t (fun k -> { k with k_cycle_time = Some f })
       | _ -> err "--cycle-time expects a positive number of ns, got '%s'" v)
-  | "no-hazard-handling", None -> Ok { t with hazard_handling = false }
-  | "sim-engine", Some v -> (
+  | "no-hazard-handling", None -> knob t (fun k -> { k with k_hazard_handling = false })
+  | "emit", Some v -> (
       (* Rtl.Choice supplies the did-you-mean hint; front ends map this
          to the structured E0913 diagnostic via [error_code]. *)
-      match Rtl.Engine.kind_of_string v with
-      | Ok k -> Ok { t with sim_engine = k }
-      | Error m -> err "--sim-engine: %s" m)
-  | "emit", Some v -> (
       match Rtl.Backend.of_string v with
-      | Ok k -> Ok { t with emit_backend = k }
+      | Ok b -> knob t (fun k -> { k with k_backend = b })
       | Error m -> err "--emit: %s" m)
-  | "narrow", Some "on" -> Ok { t with narrow = true }
-  | "narrow", Some "off" -> Ok { t with narrow = false }
+  | "narrow", Some "on" -> knob t (fun k -> { k with k_narrow = true })
+  | "narrow", Some "off" -> knob t (fun k -> { k with k_narrow = false })
   | "narrow", Some v -> err "--narrow expects 'on' or 'off', got '%s'" v
   | "jobs", Some v -> (
       match int_of_string_opt v with
@@ -152,8 +133,14 @@ let set t name value =
       match int_of_string_opt v with
       | Some n when n >= 0 -> Ok { t with store_budget_mb = Some n }
       | _ -> err "--store-budget-mb expects a non-negative integer, got '%s'" v)
-  | name, Some _ -> err "--%s does not take a value" name
-  | name, None -> err "--%s requires a value" name
+  | name, v -> (
+      (* an unknown name (a misspelt serve knob) is named as such, with a
+         did-you-mean hint, before any complaint about its value *)
+      let names = List.map (fun s -> (s.name, ())) specs in
+      match Rtl.Choice.parse ~what:"knob" ~choices:names name with
+      | Error m -> Error m
+      | Ok () when v = None -> err "--%s requires a value" name
+      | Ok () -> err "--%s does not take a value" name)
 
 let find_spec name = List.find_opt (fun s -> s.name = name) specs
 
@@ -191,23 +178,10 @@ let parse t args =
   in
   go t [] args
 
-let knobs t =
-  {
-    Flow.k_scheduler = t.scheduler;
-    k_delay = t.delay;
-    k_cycle_time = t.cycle_time;
-    k_hazard_handling = t.hazard_handling;
-    k_sim_engine = t.sim_engine;
-    k_backend = t.emit_backend;
-    k_narrow = t.narrow;
-  }
-
 (* Flags whose rejections are structured diagnostics rather than plain
-   usage errors: unknown engine/backend names are E0913 (same shape as
-   the E0912 unknown-core diagnostic, with did-you-mean suggestions). *)
-let error_code = function
-  | "sim-engine" | "emit" -> Some "E0913"
-  | _ -> None
+   usage errors: unknown backend names are E0913 (same shape as the
+   E0912 unknown-core diagnostic, with did-you-mean suggestions). *)
+let error_code = function "emit" -> Some "E0913" | _ -> None
 
 let disk t =
   Option.map
@@ -221,4 +195,4 @@ let session t =
 
 let request ?session:s ?obs t =
   let session = match s with Some s -> s | None -> session t in
-  Flow.Request.make ~knobs:(knobs t) ~session ?obs ~jobs:t.jobs ~verify_each:t.verify_each ()
+  Flow.Request.make ~knobs:t.knobs ~session ?obs ~jobs:t.jobs ~verify_each:t.verify_each ()

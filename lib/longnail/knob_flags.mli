@@ -10,7 +10,6 @@
     --delay MODEL           default, physical, or uniform:NS
     --cycle-time NS         target cycle time (default: the core's period)
     --no-hazard-handling    drop the decoupled-mode scoreboard
-    --sim-engine ENGINE     compiled (default) or interp
     --emit BACKEND          sv (SystemVerilog, default) or v2001
     --narrow MODE           analysis-driven width narrowing: on or off (default)
     --jobs N                worker domains for batch compiles (default 1)
@@ -26,15 +25,11 @@ type spec = { name : string; arg : string option; doc : string }
 
 val specs : spec list
 
-(** Accumulated settings (start from {!default}, fold {!set}). *)
+(** Accumulated settings (start from {!default}, fold {!set}): the
+    artifact-changing knobs as one {!Flow.knobs} record, plus the
+    compile driver's cache and parallelism controls. *)
 type t = {
-  scheduler : Sched_build.scheduler;
-  delay : Delay_model.spec;
-  cycle_time : float option;
-  hazard_handling : bool;
-  sim_engine : Rtl.Engine.kind;
-  emit_backend : Rtl.Backend.kind;
-  narrow : bool;
+  knobs : Flow.knobs;
   jobs : int;
   cache_enabled : bool;
   cache_capacity : int option;
@@ -47,7 +42,9 @@ val default : t
 
 val set : t -> string -> string option -> (t, string) result
 (** [set t name value] applies one flag (name without the leading
-    [--]); [Error] carries a user-facing usage message. *)
+    [--]); [Error] carries a user-facing usage message. A name outside
+    {!specs} answers "unknown knob 'NAME' (available: ...)" with a
+    did-you-mean hint. *)
 
 val parse : t -> string list -> (t * string list, string) result
 (** Consume every recognized [--name VALUE] / [--name=VALUE] / bare
@@ -56,13 +53,11 @@ val parse : t -> string list -> (t * string list, string) result
     (including unknown [--] flags) are left for the caller's own parser;
     a recognized flag with a missing or malformed value is an [Error]. *)
 
-val knobs : t -> Flow.knobs
-
 val error_code : string -> string option
 (** [error_code name] is the structured diagnostic code for rejections
-    of flag [name], when it has one: [--sim-engine] and [--emit] map to
-    E0913 ("unknown simulation engine or emission backend", with
-    did-you-mean suggestions); other flags are plain usage errors. *)
+    of flag [name], when it has one: [--emit] maps to E0913 ("unknown
+    emission backend", with did-you-mean suggestions); other flags are
+    plain usage errors. *)
 
 val disk : t -> Cache.Disk.t option
 (** The persistent store named by [--store DIR] (opened with the

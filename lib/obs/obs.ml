@@ -151,21 +151,6 @@ let validate sp =
 
 (* ---- JSON rendering ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Floats must stay JSON-parseable: no nan/inf, no "1." trailing dot. *)
 let json_float f =
   if not (Float.is_finite f) then "0"
@@ -176,17 +161,17 @@ let json_float f =
 let metric_to_json = function
   | M_int i -> string_of_int i
   | M_float f -> json_float f
-  | M_str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | M_str s -> Printf.sprintf "\"%s\"" (Diag.json_escape s)
 
 let rec span_to_json_buf b sp =
   Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"name\":\"%s\"" (json_escape sp.sp_name));
+  Buffer.add_string b (Printf.sprintf "\"name\":\"%s\"" (Diag.json_escape sp.sp_name));
   Buffer.add_string b (Printf.sprintf ",\"elapsed_ms\":%s" (json_float (sp.sp_elapsed_ns /. 1e6)));
   Buffer.add_string b ",\"metrics\":{";
   List.iteri
     (fun i (k, m) ->
       if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (json_escape k) (metric_to_json m)))
+      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Diag.json_escape k) (metric_to_json m)))
     (metrics sp);
   Buffer.add_string b "},\"children\":[";
   List.iteri

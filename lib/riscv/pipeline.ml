@@ -76,14 +76,14 @@ type t = {
   depth : int;
 }
 
-let create ?(engine = Rtl.Engine.Compiled) (compiled : Longnail.Flow.compiled) =
+let create (compiled : Longnail.Flow.compiled) =
   let core = compiled.Longnail.Flow.core in
   if core.Scaiev.Datasheet.is_fsm then
     raise (Pipeline_error "the structural pipeline models pipelined cores only");
   let sims, always_units =
     List.fold_left
       (fun (sims, always) (f : Longnail.Flow.compiled_functionality) ->
-        let sim = Rtl.Engine.create ~kind:engine f.cf_hw.Longnail.Hwgen.netlist in
+        let sim = Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist in
         match f.cf_kind with
         | `Instruction -> ((f.cf_name, sim) :: sims, always)
         | `Always -> (sims, (f, sim) :: always))

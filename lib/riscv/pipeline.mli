@@ -69,7 +69,7 @@ type t = {
   mutable halted : bool;
   depth : int;
 }
-val create : ?engine:Rtl.Engine.kind -> Longnail.Flow.compiled -> t
+val create : Longnail.Flow.compiled -> t
 val read_gpr : t -> int -> int
 val write_gpr : t -> int -> int -> unit
 val write_pc : t -> int -> unit

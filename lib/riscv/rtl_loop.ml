@@ -17,16 +17,14 @@ exception Rtl_loop_error of string
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;  (* architectural state *)
-  engine : Rtl.Engine.kind;  (* simulation engine for the RTL modules *)
   mutable instret : int;
   mutable halted : bool;
 }
 
-let create ?(engine = Rtl.Engine.Compiled) (compiled : Longnail.Flow.compiled) =
+let create (compiled : Longnail.Flow.compiled) =
   {
     compiled;
     st = Interp.create compiled.Longnail.Flow.unit_;
-    engine;
     instret = 0;
     halted = false;
   }
@@ -87,7 +85,7 @@ let tick_always t =
   List.iter
     (fun (f : Longnail.Flow.compiled_functionality) ->
       if f.cf_kind = `Always then begin
-        let resp = Longnail.Cosim.run ~engine:t.engine f (stimulus_of t ()) in
+        let resp = Longnail.Cosim.run f (stimulus_of t ()) in
         apply_response t resp ~fallthrough_pc:None
       end)
     t.compiled.Longnail.Flow.funcs
@@ -118,10 +116,7 @@ let step t =
             (* custom instruction: through the RTL *)
             let rs1 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs1") in
             let rs2 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs2") in
-            let resp =
-              Longnail.Cosim.run ~engine:t.engine f
-                (stimulus_of t ~instr_word:word ?rs1 ?rs2 ())
-            in
+            let resp = Longnail.Cosim.run f (stimulus_of t ~instr_word:word ?rs1 ?rs2 ()) in
             apply_response t ?rd:(field_value ti word "rd") resp
               ~fallthrough_pc:(Some ((pc + 4) land 0xFFFFFFFF));
             true

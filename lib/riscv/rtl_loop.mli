@@ -15,15 +15,14 @@ exception Rtl_loop_error of string
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;
-  engine : Rtl.Engine.kind;
   mutable instret : int;
   mutable halted : bool;
 }
 
-val create : ?engine:Rtl.Engine.kind -> Longnail.Flow.compiled -> t
-(** [create ?engine compiled] prepares a run; every ISAX and always-block
-    executes through the chosen RTL simulation engine (compiled by
-    default). *)
+val create : Longnail.Flow.compiled -> t
+(** [create compiled] prepares a run; every ISAX and always-block
+    executes through the compiled RTL simulation engine. *)
+
 val tu : t -> Coredsl.Tast.tunit
 val read_pc : t -> int
 val write_pc : t -> int -> unit

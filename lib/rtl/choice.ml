@@ -1,7 +1,8 @@
 (* Closed-name-set parsing with did-you-mean suggestions, shared by the
-   engine and backend selectors (and anything else with a small fixed
-   vocabulary). Mirrors the suggestion shape of Core_registry.resolve so
-   "unknown core" and "unknown engine/backend" read the same way. *)
+   backend selector and the knob-name check (and anything else with a
+   small fixed vocabulary). Mirrors the suggestion shape of
+   Core_registry.resolve so "unknown core", "unknown emission backend"
+   and "unknown knob" read the same way. *)
 
 let suggest ~names s =
   let budget = max 2 (String.length s / 3) in

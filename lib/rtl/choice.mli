@@ -1,5 +1,5 @@
 (** Closed-name-set parsing with did-you-mean suggestions, shared by
-    {!Engine.kind_of_string} and {!Backend.of_string}. Error messages
+    {!Backend.of_string} and the knob-name check of [Knob_flags.set]. Error messages
     follow the same "unknown X 'y' (available: ...); did you mean ...?"
     shape as the core registry's resolver. *)
 

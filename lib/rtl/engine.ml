@@ -1,20 +1,14 @@
 (* The common simulation-engine interface: the reference interpreter
    ({!Sim}) and the compiled engine ({!Compiled}) behind one type, so
    every RTL-in-the-loop consumer (cosimulation, fuzzing, the core grids,
-   VCD tracing) is engine-agnostic and can cross-check engines. *)
+   VCD tracing) is engine-agnostic and tests can cross-check engines. *)
 
 type kind = Interp | Compiled
-
-let kind_to_string = function Interp -> "interp" | Compiled -> "compiled"
-let all_kinds = [ ("interp", Interp); ("compiled", Compiled) ]
-let kind_names = List.map fst all_kinds
-
-let kind_of_string s = Choice.parse ~what:"simulation engine" ~choices:all_kinds s
 
 type t = I of Sim.t | C of Compiled.t
 
 (* The compiled engine is the default everywhere; the interpreter is the
-   reference implementation kept for cross-checks. *)
+   reference implementation, reached only by cross-engine tests. *)
 let create ?(kind = Compiled) m =
   match kind with Interp -> I (Sim.create m) | Compiled -> C (Compiled.create m)
 

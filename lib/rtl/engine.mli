@@ -1,21 +1,10 @@
-(** Common interface over the RTL simulation engines: the two-phase
-    interpreter ({!Sim}, the reference) and the compiled engine
-    ({!Compiled}, the default fast path). Consumers hold an {!t} and
-    never see which engine runs underneath; cross-engine tests create
-    one of each and assert bit-identical traces. *)
+(** Common interface over the RTL simulation engines: the compiled
+    engine ({!Compiled}, the one every consumer runs) and the two-phase
+    interpreter ({!Sim}), kept only as a test oracle. Consumers hold an
+    {!t} and never see which engine runs underneath; cross-engine tests
+    create one of each and assert bit-identical traces. *)
 
 type kind = Interp | Compiled
-
-val kind_to_string : kind -> string
-
-(** All engines as [(name, kind)], for choice parsing and docs. *)
-val all_kinds : (string * kind) list
-
-val kind_names : string list
-
-(** Parse an engine name; errors carry did-you-mean suggestions in the
-    standard registry shape (see {!Choice.parse}). *)
-val kind_of_string : string -> (kind, string) result
 
 type t = I of Sim.t | C of Compiled.t
 

@@ -175,21 +175,7 @@ module Json = struct
     | v -> Ok v
     | exception Parse_error (msg, p) -> Error (Printf.sprintf "%s at byte %d" msg p)
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+  let escape = Diag.json_escape
 
   let quote s = "\"" ^ escape s ^ "\""
 
@@ -325,9 +311,11 @@ let core_error ~id = function
    configuration and are rejected over the wire.
 
    Errors are [(code option, message)]: most rejections are plain
-   malformed requests (E0910), but flags with their own diagnostic code
-   ([Knob_flags.error_code] — unknown --sim-engine / --emit names) keep
-   it, so the client sees the same structured E0913 as the CLI. *)
+   malformed requests (E0910) — an unknown knob name among them, answered
+   by [Knob_flags.set] with the available names and a did-you-mean hint —
+   but flags with their own diagnostic code ([Knob_flags.error_code] —
+   unknown --emit backend names) keep it, so the client sees the same
+   structured E0913 as the CLI. *)
 let apply_knobs j =
   let set kf k v =
     match Longnail.Knob_flags.set kf k v with

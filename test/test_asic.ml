@@ -138,7 +138,8 @@ let test_hazard_handling_ablation () =
   let without =
     Asic.Flow.run ~isax_name:"sqrt_decoupled"
       (Longnail.Flow.compile
-         ~request:(Longnail.Flow.Request.make ~hazard_handling:false ())
+         ~request:
+           (Longnail.Flow.Request.make ~knobs:(Longnail.Flow.knobs ~hazard_handling:false ()) ())
          core tu)
   in
   check_bool "hazard handling costs area" true

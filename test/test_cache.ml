@@ -255,8 +255,8 @@ let test_cached_equals_uncached_everywhere () =
         (Scaiev.Core_registry.datasheets ()))
     Isax.Registry.all
 
-(* knob granularity: the hazard-handling ablation shares every
-   per-functionality artifact and only re-runs the adapter *)
+(* knob granularity: the hazard-handling ablation shares every schedule
+   and netlist and only re-runs emission and the adapter *)
 let test_session_hazard_shares_funcs () =
   let session = Longnail.Flow.create_session () in
   let tu = Isax.Registry.compile_by_name "sqrt_decoupled" in
@@ -264,7 +264,10 @@ let test_session_hazard_shares_funcs () =
   let c1 = Longnail.Flow.compile ~request:(Longnail.Flow.Request.make ~session ()) core tu in
   let c2 =
     Longnail.Flow.compile
-      ~request:(Longnail.Flow.Request.make ~session ~hazard_handling:false ())
+      ~request:
+        (Longnail.Flow.Request.make ~session
+           ~knobs:(Longnail.Flow.knobs ~hazard_handling:false ())
+           ())
       core tu
   in
   check_bool "distinct targets" true (c1 != c2);
@@ -273,8 +276,10 @@ let test_session_hazard_shares_funcs () =
   let sched = List.assoc "sched" stats in
   check_bool "sched artifacts shared" true (sched.Cache.Store.hits > 0);
   List.iter2
-    (fun (a : Longnail.Flow.compiled_functionality) b ->
-      check_bool (a.Longnail.Flow.cf_name ^ " functionality shared") true (a == b))
+    (fun (a : Longnail.Flow.compiled_functionality) (b : Longnail.Flow.compiled_functionality) ->
+      check_bool (a.cf_name ^ " schedule and netlist shared") true
+        (a.cf_built == b.cf_built && a.cf_hw == b.cf_hw);
+      Alcotest.(check string) (a.cf_name ^ " same HDL") a.cf_sv b.cf_sv)
     c1.funcs c2.funcs
 
 (* distinct knobs must not collide *)
@@ -282,43 +287,37 @@ let test_session_knob_isolation () =
   let session = Longnail.Flow.create_session () in
   let tu = Isax.Registry.compile_by_name "dotprod" in
   let core = Scaiev.Datasheet.vexriscv in
-  let req k = Longnail.Flow.Request.make ~session ?scheduler:k () in
-  let a = Longnail.Flow.compile ~request:(req (Some Longnail.Sched_build.Ilp)) core tu in
-  let b = Longnail.Flow.compile ~request:(req (Some Longnail.Sched_build.Asap)) core tu in
-  check_bool "different schedulers, different artifacts" true (a != b);
-  let c =
-    Longnail.Flow.compile
-      ~request:(Longnail.Flow.Request.make ~session ~cycle_time:7.0 ())
-      core tu
+  let req knobs = Longnail.Flow.Request.make ~session ~knobs () in
+  let a =
+    Longnail.Flow.compile ~request:(req (Longnail.Flow.knobs ~scheduler:Longnail.Sched_build.Ilp ())) core tu
   in
+  let b =
+    Longnail.Flow.compile ~request:(req (Longnail.Flow.knobs ~scheduler:Longnail.Sched_build.Asap ())) core tu
+  in
+  check_bool "different schedulers, different artifacts" true (a != b);
+  let c = Longnail.Flow.compile ~request:(req (Longnail.Flow.knobs ~cycle_time:7.0 ())) core tu in
   check_bool "different cycle time, different artifact" true (a != c && b != c)
 
-(* the simulation-engine and emission-backend knobs are cache keys too:
-   switching either must produce fresh artifacts, never replay the other
-   configuration's *)
-let test_session_engine_backend_isolation () =
+(* the emission backend is a target-key knob: a switch gets a fresh
+   target with the other dialect's text, but re-emits only — schedules
+   and netlists come from the sched store, and the Verilog-2001 text is
+   exactly the backend run over the first compile's netlists *)
+let test_session_backend_switch_emits_only () =
   let session = Longnail.Flow.create_session () in
   let tu = Isax.Registry.compile_by_name "sqrt_decoupled" in
   let core = Scaiev.Datasheet.vexriscv in
-  let a = Longnail.Flow.compile ~request:(Longnail.Flow.Request.make ~session ()) core tu in
-  let b =
+  let sv = Longnail.Flow.compile ~request:(Longnail.Flow.Request.make ~session ()) core tu in
+  let obs = Obs.create ~name:"v2001" () in
+  let v =
     Longnail.Flow.compile
       ~request:
-        (Longnail.Flow.Request.make ~session
-           ~knobs:(Longnail.Flow.knobs ~sim_engine:Rtl.Engine.Interp ())
-           ())
-      core tu
-  in
-  let c =
-    Longnail.Flow.compile
-      ~request:
-        (Longnail.Flow.Request.make ~session
+        (Longnail.Flow.Request.make ~session ~obs
            ~knobs:(Longnail.Flow.knobs ~backend:Rtl.Backend.V2001 ())
            ())
       core tu
   in
-  check_bool "engine keyed" true (a != b);
-  check_bool "backend keyed" true (a != c && b != c);
+  Obs.finish obs;
+  check_bool "distinct compiled target" true (sv != v);
   let text (t : Longnail.Flow.compiled) =
     String.concat "" (List.map (fun (f : Longnail.Flow.compiled_functionality) -> f.cf_sv) t.funcs)
   in
@@ -327,10 +326,29 @@ let test_session_engine_backend_isolation () =
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
     go 0
   in
-  check_bool "sv registers use always_ff" true (contains (text a) "always_ff");
-  check_bool "v2001 registers avoid always_ff" true (not (contains (text c) "always_ff"));
+  check_bool "sv registers use always_ff" true (contains (text sv) "always_ff");
+  check_bool "v2001 registers avoid always_ff" true (not (contains (text v) "always_ff"));
   check_bool "v2001 registers use plain always" true
-    (contains (text c) "always @(posedge clk)")
+    (contains (text v) "always @(posedge clk)");
+  let root = Obs.root obs in
+  let n_funcs = List.length sv.funcs in
+  check_bool "has functionalities" true (n_funcs > 0);
+  check_int "no schedule spans" 0 (List.length (Obs.find_spans root "schedule"));
+  check_int "no hwgen spans" 0 (List.length (Obs.find_spans root "hwgen"));
+  let boundaries = Obs.find_spans root "sched_artifact" in
+  check_int "one sched boundary per functionality" n_funcs (List.length boundaries);
+  List.iter
+    (fun sp -> check_int "sched_artifact hit" 1 (Option.value (Obs.get_int sp "cache.hit") ~default:0))
+    boundaries;
+  check_int "one emit per functionality" n_funcs (List.length (Obs.find_spans root "sv_emit"));
+  List.iter2
+    (fun (a : Longnail.Flow.compiled_functionality) (b : Longnail.Flow.compiled_functionality) ->
+      check_bool (a.cf_name ^ " netlist shared") true (a.cf_hw == b.cf_hw);
+      Alcotest.(check string)
+        (a.cf_name ^ " v2001 text")
+        (Rtl.Backend.emit Rtl.Backend.V2001 a.cf_hw.Longnail.Hwgen.netlist)
+        b.cf_sv)
+    sv.funcs v.funcs
 
 let test_compile_many_shares () =
   let session = Longnail.Flow.create_session () in
@@ -578,8 +596,8 @@ let () =
           Alcotest.test_case "hazard ablation shares funcs" `Quick
             test_session_hazard_shares_funcs;
           Alcotest.test_case "knob isolation" `Quick test_session_knob_isolation;
-          Alcotest.test_case "engine/backend knob isolation" `Quick
-            test_session_engine_backend_isolation;
+          Alcotest.test_case "backend switch emits only" `Quick
+            test_session_backend_switch_emits_only;
           Alcotest.test_case "compile_many shares" `Quick test_compile_many_shares;
           Alcotest.test_case "frontend memo" `Quick test_frontend_memo;
         ] );

@@ -39,6 +39,51 @@ let test_all_isaxes_all_cores () =
         (Scaiev.Core_registry.datasheets ()))
     Isax.Registry.all
 
+(* The reference interpreter as the oracle of the compiled engine at the
+   functionality level: every generated ISAX module answers one stimulus
+   (the default one plus fixed operands) identically on both engines,
+   cycle count included. *)
+let test_cosim_cross_engine () =
+  let show (r : Longnail.Cosim.response) =
+    let bv = Bitvec.to_hex_string in
+    let opt f = function None -> "-" | Some x -> f x in
+    let valid (v, ok) = Printf.sprintf "%s/%b" (bv v) ok in
+    String.concat "; "
+      ([
+         "rd " ^ opt valid r.rd_write;
+         "pc " ^ opt valid r.pc_write;
+         "mem " ^ opt (fun (a, v, ok) -> Printf.sprintf "%d:%s" a (valid (v, ok))) r.mem_write;
+         "load " ^ opt (fun (a, ok) -> Printf.sprintf "%d/%b" a ok) r.mem_read_request;
+         "cycles " ^ string_of_int r.cycles;
+       ]
+      @ List.map
+          (fun (w : Longnail.Cosim.custreg_write) ->
+            Printf.sprintf "%s[%s] %s" w.cw_reg (opt string_of_int w.cw_index)
+              (valid (w.cw_data, w.cw_valid)))
+          r.custreg_writes)
+  in
+  let core = Scaiev.Datasheet.vexriscv in
+  let stim =
+    {
+      Longnail.Cosim.default_stimulus with
+      instr_word = Some (bv 0x00A5_8533);
+      rs1 = Some (bv 0x1234_5678);
+      rs2 = Some (bv 0x0BAD_F00D);
+      pc = Some (bv 0x100);
+    }
+  in
+  List.iter
+    (fun (e : Isax.Registry.entry) ->
+      let c = Longnail.Flow.compile core (Isax.Registry.compile e) in
+      List.iter
+        (fun (f : Longnail.Flow.compiled_functionality) ->
+          check_str
+            (Printf.sprintf "%s/%s interp = compiled" e.name f.cf_name)
+            (show (Longnail.Cosim.run f stim))
+            (show (Longnail.Cosim.run ~engine:Rtl.Engine.Interp f stim)))
+        c.Longnail.Flow.funcs)
+    Isax.Registry.all
+
 (* ---- mode selection (Section 4.3 / Table 4 narrative) ---- *)
 
 let mode_of c name =
@@ -252,7 +297,7 @@ let test_ablation_ilp_vs_asap () =
   (* the ILP scheduler yields no more pipeline register bits than ASAP *)
   let tu = Isax.Registry.compile_by_name "sqrt_tightly" in
   let core = Scaiev.Datasheet.vexriscv in
-  let req sch = Longnail.Flow.Request.make ~scheduler:sch () in
+  let req sch = Longnail.Flow.Request.make ~knobs:(Longnail.Flow.knobs ~scheduler:sch ()) () in
   let ilp = Longnail.Flow.compile ~request:(req Longnail.Sched_build.Ilp) core tu in
   let asap = Longnail.Flow.compile ~request:(req Longnail.Sched_build.Asap) core tu in
   let bits c =
@@ -272,7 +317,10 @@ let test_ablation_physical_delays () =
   let uni = Longnail.Flow.compile core tu in
   let phys =
     Longnail.Flow.compile
-      ~request:(Longnail.Flow.Request.make ~delay:Longnail.Delay_model.Physical ())
+      ~request:
+        (Longnail.Flow.Request.make
+           ~knobs:(Longnail.Flow.knobs ~delay:Longnail.Delay_model.Physical ())
+           ())
       core tu
   in
   let max_stage c =
@@ -310,8 +358,10 @@ InstructionSet T extends RV32I {
     ignore
       (Longnail.Flow.compile
          ~request:
-           (Longnail.Flow.Request.make ~cycle_time:0.9
-              ~delay:Longnail.Delay_model.Physical ())
+           (Longnail.Flow.Request.make
+              ~knobs:
+                (Longnail.Flow.knobs ~cycle_time:0.9 ~delay:Longnail.Delay_model.Physical ())
+              ())
          Scaiev.Datasheet.orca tu);
     Alcotest.fail "expected infeasible schedule"
   with Diag.Fatal (d :: _) ->
@@ -606,6 +656,7 @@ let () =
           Alcotest.test_case "sqrt both variants" `Slow test_cosim_sqrt_both;
           Alcotest.test_case "autoinc store" `Quick test_cosim_autoinc_store;
           Alcotest.test_case "zol always-block" `Quick test_cosim_zol_always;
+          Alcotest.test_case "interp oracle = compiled engine" `Quick test_cosim_cross_engine;
         ] );
       ( "negative",
         [

@@ -228,15 +228,6 @@ let check_e0902 what f =
 let test_request_conflicts () =
   let tu = Isax.Registry.compile_by_name "dotprod" in
   let core = Scaiev.Datasheet.vexriscv in
-  let knobs = Longnail.Flow.default_knobs in
-  check_e0902 "knobs + scheduler" (fun () ->
-      Longnail.Flow.Request.make ~knobs ~scheduler:Longnail.Sched_build.Asap ());
-  check_e0902 "knobs + delay" (fun () ->
-      Longnail.Flow.Request.make ~knobs ~delay:Longnail.Delay_model.Physical ());
-  check_e0902 "knobs + cycle_time" (fun () ->
-      Longnail.Flow.Request.make ~knobs ~cycle_time:3.5 ());
-  check_e0902 "knobs + hazard_handling" (fun () ->
-      Longnail.Flow.Request.make ~knobs ~hazard_handling:false ());
   check_e0902 "jobs < 1" (fun () -> Longnail.Flow.Request.make ~jobs:0 ());
   check_e0902 "sweep + request session" (fun () ->
       Longnail.Dse.explore
@@ -244,15 +235,13 @@ let test_request_conflicts () =
         ~request:(Longnail.Flow.Request.make ~session:(Longnail.Flow.create_session ()) ())
         ~measure:(fun _ -> (0.0, 0.0))
         core tu);
-  (* legal combinations stay legal: individual knob shorthands compose
-     with session/obs/jobs, and a full knobs record alone is fine *)
+  (* legal combinations stay legal: a knobs record composes with
+     session/obs/jobs *)
   let session = Longnail.Flow.create_session () in
   let obs = Obs.create () in
+  let knobs = Longnail.Flow.knobs ~scheduler:Longnail.Sched_build.Ilp () in
   ignore
-    (Longnail.Flow.compile
-       ~request:
-         (Longnail.Flow.Request.make ~scheduler:Longnail.Sched_build.Ilp ~session ~obs ())
-       core tu);
+    (Longnail.Flow.compile ~request:(Longnail.Flow.Request.make ~knobs ~session ~obs ()) core tu);
   ignore
     (Longnail.Flow.compile
        ~request:(Longnail.Flow.Request.make ~knobs ~session ~obs ~jobs:2 ())

@@ -422,8 +422,10 @@ InstructionSet T extends RV32I {
     ignore
       (Longnail.Flow.compile
          ~request:
-           (Longnail.Flow.Request.make ~cycle_time:0.9
-              ~delay:Longnail.Delay_model.Physical ())
+           (Longnail.Flow.Request.make
+              ~knobs:
+                (Longnail.Flow.knobs ~cycle_time:0.9 ~delay:Longnail.Delay_model.Physical ())
+              ())
          Scaiev.Datasheet.orca tu);
     Alcotest.fail "expected infeasible schedule"
   with Diag.Fatal (d :: _) ->

@@ -319,11 +319,9 @@ let test_wide_register_accumulate () =
           (Bn.to_string got))
     engines
 
-let test_engine_kind_parse () =
-  check_bool "interp" true (Engine.kind_of_string "interp" = Ok Engine.Interp);
-  check_bool "compiled" true (Engine.kind_of_string "compiled" = Ok Engine.Compiled);
-  (match Engine.kind_of_string "interpp" with
-  | Error m -> check_bool "did-you-mean interp" true (contains m "did you mean 'interp'")
+let test_backend_name_parse () =
+  (match Backend.of_string "v201" with
+  | Error m -> check_bool "did-you-mean v2001" true (contains m "did you mean 'v2001'")
   | Ok _ -> Alcotest.fail "expected error");
   check_bool "backend sv" true (Backend.of_string "sv" = Ok Backend.Sv);
   check_bool "backend v2001" true (Backend.of_string "v2001" = Ok Backend.V2001);
@@ -490,7 +488,6 @@ let () =
             test_cross_engine_vcd_isax;
           Alcotest.test_case "62/63/64/65-bit arithmetic" `Quick test_wide_boundary_arith;
           Alcotest.test_case "65-bit register accumulate" `Quick test_wide_register_accumulate;
-          Alcotest.test_case "engine/backend name parsing" `Quick test_engine_kind_parse;
         ] );
       ( "sv",
         [
@@ -500,6 +497,7 @@ let () =
       ( "v2001",
         [
           Alcotest.test_case "counter emission" `Quick test_v2001_emission;
+          Alcotest.test_case "backend name parsing" `Quick test_backend_name_parse;
           Alcotest.test_case "lint catches SV keywords" `Quick test_v2001_lint_catches_sv;
           Alcotest.test_case "generated ISAX module" `Quick test_v2001_generated_isax;
         ] );

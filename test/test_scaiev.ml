@@ -263,7 +263,8 @@ let test_generator_decoupled_scoreboard () =
   check_bool "scoreboard present" true (c.Longnail.Flow.adapter.Scaiev.Generator.scoreboard_bits > 0);
   let c2 =
     Longnail.Flow.compile
-      ~request:(Longnail.Flow.Request.make ~hazard_handling:false ())
+      ~request:
+        (Longnail.Flow.Request.make ~knobs:(Longnail.Flow.knobs ~hazard_handling:false ()) ())
       Scaiev.Datasheet.vexriscv tu
   in
   check_int "no scoreboard without hazard handling" 0

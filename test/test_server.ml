@@ -160,6 +160,44 @@ let test_unknown_core_is_e0912 () =
   let j = one_line (Server.handle_line srv {|{"op":"ping"}|}) in
   check_bool "still alive" true (Json.get_bool (Json.member "ok" j) = Some true)
 
+(* an unknown or retired knob name is named as such (not blamed on its
+   value), with a did-you-mean hint, in one E0910 done event *)
+let test_unknown_knob_is_e0910 () =
+  let srv = make_server () in
+  let contains hay needle =
+    let nl = String.length needle and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (knobs, name, hint) ->
+      let line =
+        Printf.sprintf {|{"op":"compile","isax":"dotprod","core":"vexriscv","knobs":%s}|} knobs
+      in
+      let j = one_line (Server.handle_line srv line) in
+      check_bool (line ^ " is a done event") true
+        (Json.get_string (Json.member "event" j) = Some "done");
+      check_bool "not ok" true (Json.get_bool (Json.member "ok" j) = Some false);
+      Alcotest.(check (list string)) line [ "E0910" ] (diag_codes j);
+      let msg =
+        match Json.member "diagnostics" (Json.member "diag" j) with
+        | Json.Arr (d :: _) -> Option.value (Json.get_string (Json.member "message" d)) ~default:""
+        | _ -> ""
+      in
+      check_bool (line ^ " names the knob") true
+        (contains msg (Printf.sprintf "unknown knob '%s' (available: " name));
+      Option.iter
+        (fun h -> check_bool (line ^ " suggests " ^ h) true (contains msg h))
+        hint;
+      (* the daemon still answers afterwards *)
+      let j = one_line (Server.handle_line srv {|{"op":"ping"}|}) in
+      check_bool "still alive" true (Json.get_bool (Json.member "ok" j) = Some true))
+    [
+      ({|{"sheduler":"asap"}|}, "sheduler", Some "did you mean 'scheduler'?");
+      ({|{"narow":true}|}, "narow", Some "did you mean 'narrow'?");
+      ({|{"sim-engine":"interp"}|}, "sim-engine", None);
+    ]
+
 let test_compile_inline () =
   let srv = make_server () in
   let lines =
@@ -328,6 +366,7 @@ let () =
           Alcotest.test_case "malformed is E0910" `Quick test_malformed_is_e0910;
           Alcotest.test_case "bad requests" `Quick test_unknown_op_and_missing_fields;
           Alcotest.test_case "unknown core is E0912" `Quick test_unknown_core_is_e0912;
+          Alcotest.test_case "unknown knob is E0910" `Quick test_unknown_knob_is_e0910;
           Alcotest.test_case "compile batch" `Quick test_compile_inline;
           Alcotest.test_case "diagnostics on the wire" `Quick
             test_compile_diagnostics_on_wire;
