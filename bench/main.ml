@@ -278,7 +278,9 @@ let perf () =
    and write one JSON document with per-stage wall times and IR-size
    metrics — the baseline every later compile-time PR is judged against.
    The span trees are validated (no empty or non-finite metrics) before
-   anything is written, so a corrupted run exits nonzero and CI fails. *)
+   anything is written, so a corrupted run exits nonzero and CI fails.
+   Each [*_json] section below returns its top-level fields of that one
+   [Json.t] document. *)
 
 let profile_one ?(verify_each = false) (core : Scaiev.Datasheet.t) (e : Isax.Registry.entry) =
   let obs = Obs.create ~name:"compile" () in
@@ -353,22 +355,25 @@ let dse_sweep_json ?(assert_warm = false) () =
     Printf.eprintf "dse-warm assertion: %d/%d warm resolves, %.2fx sweep speedup\n%!"
       sst.Lp.Instance.is_warm_hits sst.Lp.Instance.is_resolves speedup
   end;
-  let solver_json =
-    Printf.sprintf
-      "\"solver\":{\"instances\":%d,\"resolves\":%d,\"warm_hits\":%d,\"warm_misses\":%d,\"bf_rounds\":%d}"
-      (Longnail.Flow.session_solver_count ss.Longnail.Dse.ss_flow)
-      sst.Lp.Instance.is_resolves sst.Lp.Instance.is_warm_hits
-      (sst.Lp.Instance.is_resolves - sst.Lp.Instance.is_warm_hits)
-      sst.Lp.Instance.is_bf_rounds
+  let solver =
+    Json.Obj
+      [
+        ("instances", Json.int (Longnail.Flow.session_solver_count ss.Longnail.Dse.ss_flow));
+        ("resolves", Json.int sst.Lp.Instance.is_resolves);
+        ("warm_hits", Json.int sst.Lp.Instance.is_warm_hits);
+        ("warm_misses", Json.int (sst.Lp.Instance.is_resolves - sst.Lp.Instance.is_warm_hits));
+        ("bf_rounds", Json.int sst.Lp.Instance.is_bf_rounds);
+      ]
   in
-  let stats_json stats =
-    String.concat ","
-      (List.map
-         (fun (name, (st : Cache.Store.stats)) ->
-           Printf.sprintf
-             "\"%s\":{\"hits\":%d,\"misses\":%d,\"stores\":%d,\"evictions\":%d}" name st.hits
-             st.misses st.stores st.evictions)
-         stats)
+  let store_stats (name, (st : Cache.Store.stats)) =
+    ( name,
+      Json.Obj
+        [
+          ("hits", Json.int st.hits);
+          ("misses", Json.int st.misses);
+          ("stores", Json.int st.stores);
+          ("evictions", Json.int st.evictions);
+        ] )
   in
   let cache_stats =
     Longnail.Flow.session_stats ss.Longnail.Dse.ss_flow
@@ -377,10 +382,22 @@ let dse_sweep_json ?(assert_warm = false) () =
           Cache.Store.stats ss.Longnail.Dse.ss_measure );
       ]
   in
-  Printf.sprintf
-    "\"cache\":{%s},%s,\"dse_sweep\":{\"isax\":\"%s\",\"core\":\"%s\",\"points\":%d,\"pareto_points\":%d,\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"warm_speedup\":%.2f,\"solver_warm_hits\":%d}"
-    (stats_json cache_stats) solver_json isax core.Scaiev.Datasheet.core_name
-    (List.length cold) pareto cold_ms warm_ms speedup sst.Lp.Instance.is_warm_hits
+  [
+    ("cache", Json.Obj (List.map store_stats cache_stats));
+    ("solver", solver);
+    ( "dse_sweep",
+      Json.Obj
+        [
+          ("isax", Json.Str isax);
+          ("core", Json.Str core.Scaiev.Datasheet.core_name);
+          ("points", Json.int (List.length cold));
+          ("pareto_points", Json.int pareto);
+          ("cold_ms", Json.Num cold_ms);
+          ("warm_ms", Json.Num warm_ms);
+          ("warm_speedup", Json.Num speedup);
+          ("solver_warm_hits", Json.int sst.Lp.Instance.is_warm_hits);
+        ] );
+  ]
 
 (* Parallel-vs-sequential equivalence: compile the full bundled
    ISAX x core grid once at jobs=1 and once at the requested job count,
@@ -419,9 +436,19 @@ let par_json ~jobs ?(verify_each = false) ~assert_equal () =
       "internal: parallel compile (jobs=%d) produced different artifact bytes than the \
        sequential run" jobs;
   let speedup = seq_ms /. Float.max par_ms 1e-6 in
-  Printf.sprintf
-    "\"par\":{\"jobs\":%d,\"host_cores\":%d,\"targets\":%d,\"seq_ms\":%.3f,\"par_ms\":%.3f,\"speedup\":%.2f,\"bytes_equal\":%b}"
-    jobs (Par.available_workers ()) (List.length targets) seq_ms par_ms speedup bytes_equal
+  [
+    ( "par",
+      Json.Obj
+        [
+          ("jobs", Json.int jobs);
+          ("host_cores", Json.int (Par.available_workers ()));
+          ("targets", Json.int (List.length targets));
+          ("seq_ms", Json.Num seq_ms);
+          ("par_ms", Json.Num par_ms);
+          ("speedup", Json.Num speedup);
+          ("bytes_equal", Json.Bool bytes_equal);
+        ] );
+  ]
 
 (* Cross-process warm compile via the on-disk artifact store, simulated
    by two fresh in-memory sessions sharing one store directory: the
@@ -479,15 +506,30 @@ let disk_cache_json () =
       "internal: disk-warm speedup %.2fx < 2x (cold %.1f ms, warm %.1f ms)" speedup cold_ms
       warm_ms;
   rm dir;
-  let stats_json (st : Cache.Disk.stats) =
-    Printf.sprintf
-      "{\"hits\":%d,\"misses\":%d,\"stores\":%d,\"evictions\":%d,\"corrupt\":%d,\"bytes\":%d}"
-      st.hits st.misses st.stores st.evictions st.corrupt st.bytes
+  let disk_stats (st : Cache.Disk.stats) =
+    Json.Obj
+      [
+        ("hits", Json.int st.hits);
+        ("misses", Json.int st.misses);
+        ("stores", Json.int st.stores);
+        ("evictions", Json.int st.evictions);
+        ("corrupt", Json.int st.corrupt);
+        ("bytes", Json.int st.bytes);
+      ]
   in
-  Printf.sprintf
-    "\"disk_cache\":{\"targets\":%d,\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"warm_speedup\":%.2f,\"bytes_equal\":%b,\"cold\":%s,\"warm\":%s}"
-    (List.length targets) cold_ms warm_ms speedup bytes_equal (stats_json cold_st)
-    (stats_json warm_st)
+  [
+    ( "disk_cache",
+      Json.Obj
+        [
+          ("targets", Json.int (List.length targets));
+          ("cold_ms", Json.Num cold_ms);
+          ("warm_ms", Json.Num warm_ms);
+          ("warm_speedup", Json.Num speedup);
+          ("bytes_equal", Json.Bool bytes_equal);
+          ("cold", disk_stats cold_st);
+          ("warm", disk_stats warm_st);
+        ] );
+  ]
 
 (* Serve-daemon throughput: run the daemon on a spawned domain against a
    temp socket, sweep every bundled ISAX through one client twice (cold
@@ -503,12 +545,19 @@ let serve_json () =
   let srv = Server.create ~session:(Longnail.Flow.create_session ()) ~socket () in
   let daemon = Domain.spawn (fun () -> Server.serve srv) in
   let req id isax =
-    Printf.sprintf {|{"id":%d,"op":"compile","isax":"%s","core":"vexriscv"}|} id isax
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.int id);
+           ("op", Json.Str "compile");
+           ("isax", Json.Str isax);
+           ("core", Json.Str "vexriscv");
+         ])
   in
   let isaxes = List.map (fun (e : Isax.Registry.entry) -> e.name) Isax.Registry.all in
   let ok_done events =
     match List.rev events with
-    | last :: _ -> Server.Json.get_bool (Server.Json.member "ok" last) = Some true
+    | last :: _ -> Json.get_bool (Json.member "ok" last) = Some true
     | [] -> false
   in
   let sweep c tag =
@@ -546,7 +595,7 @@ let serve_json () =
     Diag.fatalf ~code:"E0901" "internal: a concurrent serve client failed";
   let c = Server.Client.connect socket in
   (match Server.Client.request c {|{"op":|} with
-  | [ j ] when Server.Json.get_bool (Server.Json.member "ok" j) = Some false -> ()
+  | [ j ] when Json.get_bool (Json.member "ok" j) = Some false -> ()
   | _ ->
       Diag.fatalf ~code:"E0901"
         "internal: a malformed request did not produce a single error done event");
@@ -556,11 +605,20 @@ let serve_json () =
   Domain.join daemon;
   let n = List.length isaxes in
   let rps ms reqs = float_of_int reqs /. Float.max (ms /. 1000.0) 1e-9 in
-  Printf.sprintf
-    "\"serve\":{\"targets\":%d,\"clients\":%d,\"cold_ms\":%.3f,\"warm_ms\":%.3f,\"warm_rps\":%.1f,\"concurrent_ms\":%.3f,\"concurrent_rps\":%.1f,\"requests\":%d}"
-    n n_clients cold_ms warm_ms (rps warm_ms n) concurrent_ms
-    (rps concurrent_ms (n_clients * n))
-    (Server.requests_served srv)
+  [
+    ( "serve",
+      Json.Obj
+        [
+          ("targets", Json.int n);
+          ("clients", Json.int n_clients);
+          ("cold_ms", Json.Num cold_ms);
+          ("warm_ms", Json.Num warm_ms);
+          ("warm_rps", Json.Num (rps warm_ms n));
+          ("concurrent_ms", Json.Num concurrent_ms);
+          ("concurrent_rps", Json.Num (rps concurrent_ms (n_clients * n)));
+          ("requests", Json.int (Server.requests_served srv));
+        ] );
+  ]
 
 (* Static-analysis timing: run the W1xxx linter over every bundled ISAX
    and report per-unit wall time and warning counts. The total count is
@@ -578,13 +636,18 @@ let lint_json () =
   in
   let total = List.fold_left (fun n (_, w, _) -> n + w) 0 entries in
   let total_ms = List.fold_left (fun t (_, _, ms) -> t +. ms) 0.0 entries in
-  Printf.sprintf "\"lint\":{\"units\":[%s],\"warnings\":%d,\"total_ms\":%.3f}"
-    (String.concat ","
-       (List.map
-          (fun (name, w, ms) ->
-            Printf.sprintf "{\"isax\":\"%s\",\"warnings\":%d,\"ms\":%.3f}" name w ms)
-          entries))
-    total total_ms
+  let unit (name, w, ms) =
+    Json.Obj [ ("isax", Json.Str name); ("warnings", Json.int w); ("ms", Json.Num ms) ]
+  in
+  [
+    ( "lint",
+      Json.Obj
+        [
+          ("units", Json.Arr (List.map unit entries));
+          ("warnings", Json.int total);
+          ("total_ms", Json.Num total_ms);
+        ] );
+  ]
 
 (* Analysis-driven width narrowing: per-ISAX rewrite statistics plus the
    pipeline-register delta the narrowed datapath buys when scheduled on
@@ -663,19 +726,31 @@ let narrow_json ~assert_narrow () =
       entries
   end;
   let total f = List.fold_left (fun acc (_, st, _, _, _) -> acc + f st) 0 entries in
-  Printf.sprintf
-    "\"narrow\":{\"units\":[%s],\"ops_rewritten\":%d,\"bits_removed\":%d,\"tv_validations\":%d}"
-    (String.concat ","
-       (List.map
-          (fun (name, (st : Analysis.Narrow.stats), bits_off, bits_on, ms) ->
-            Printf.sprintf
-              "{\"isax\":\"%s\",\"ops_rewritten\":%d,\"bits_removed\":%d,\"compares_folded\":%d,\"selects_removed\":%d,\"tv_validations\":%d,\"tv_vectors\":%d,\"pipe_reg_bits_off\":%d,\"pipe_reg_bits_on\":%d,\"ms\":%.3f}"
-              name st.ns_ops_rewritten st.ns_bits_removed st.ns_compares_folded
-              st.ns_selects_removed st.ns_tv_validations st.ns_tv_vectors bits_off bits_on ms)
-          entries))
-    (total (fun st -> st.Analysis.Narrow.ns_ops_rewritten))
-    (total (fun st -> st.Analysis.Narrow.ns_bits_removed))
-    (total (fun st -> st.Analysis.Narrow.ns_tv_validations))
+  let unit (name, (st : Analysis.Narrow.stats), bits_off, bits_on, ms) =
+    Json.Obj
+      [
+        ("isax", Json.Str name);
+        ("ops_rewritten", Json.int st.ns_ops_rewritten);
+        ("bits_removed", Json.int st.ns_bits_removed);
+        ("compares_folded", Json.int st.ns_compares_folded);
+        ("selects_removed", Json.int st.ns_selects_removed);
+        ("tv_validations", Json.int st.ns_tv_validations);
+        ("tv_vectors", Json.int st.ns_tv_vectors);
+        ("pipe_reg_bits_off", Json.int bits_off);
+        ("pipe_reg_bits_on", Json.int bits_on);
+        ("ms", Json.Num ms);
+      ]
+  in
+  [
+    ( "narrow",
+      Json.Obj
+        [
+          ("units", Json.Arr (List.map unit entries));
+          ("ops_rewritten", Json.int (total (fun st -> st.Analysis.Narrow.ns_ops_rewritten)));
+          ("bits_removed", Json.int (total (fun st -> st.Analysis.Narrow.ns_bits_removed)));
+          ("tv_validations", Json.int (total (fun st -> st.Analysis.Narrow.ns_tv_validations)));
+        ] );
+  ]
 
 (* Simulation-engine comparison: run the same generated module for many
    driven cycles on the reference interpreter and on the compiled engine,
@@ -736,11 +811,19 @@ let rtl_sim_json ~assert_sim_equal () =
          (%.0f vs %.0f cycles/sec); the contract is >= 10x"
         speedup compiled_cps interp_cps
   end;
-  Printf.sprintf
-    "\"rtl_sim\":{\"module\":\"%s\",\"nodes\":%d,\"trace_cycles\":%d,\"interp_cycles_per_sec\":%.1f,\"compiled_cycles_per_sec\":%.1f,\"speedup\":%.2f,\"traces_equal\":%b}"
-    m.Rtl.Netlist.mod_name
-    (List.length m.Rtl.Netlist.nodes)
-    trace_cycles interp_cps compiled_cps speedup equal
+  [
+    ( "rtl_sim",
+      Json.Obj
+        [
+          ("module", Json.Str m.Rtl.Netlist.mod_name);
+          ("nodes", Json.int (List.length m.Rtl.Netlist.nodes));
+          ("trace_cycles", Json.int trace_cycles);
+          ("interp_cycles_per_sec", Json.Num interp_cps);
+          ("compiled_cycles_per_sec", Json.Num compiled_cps);
+          ("speedup", Json.Num speedup);
+          ("traces_equal", Json.Bool equal);
+        ] );
+  ]
 
 let perf_json ~jobs ?(verify_each = false) ~assert_par_equal ?(assert_sim_equal = false)
     ?(assert_dse_warm = false) ?(assert_narrow = false) ~json_path ~schema_path () =
@@ -784,27 +867,18 @@ let perf_json ~jobs ?(verify_each = false) ~assert_par_equal ?(assert_sim_equal 
   let narrowing_json = narrow_json ~assert_narrow () in
   Printf.eprintf "comparing RTL simulation engines...\n%!";
   let sim_json = rtl_sim_json ~assert_sim_equal () in
-  let b = Buffer.create (64 * 1024) in
-  Buffer.add_string b "{\"schema_version\":1,";
-  Buffer.add_string b "\"tool\":\"bench/main.exe perf --json\",";
-  Buffer.add_string b (sweep_json ^ ",");
-  Buffer.add_string b (parallel_json ^ ",");
-  Buffer.add_string b (disk_json ^ ",");
-  Buffer.add_string b (serving_json ^ ",");
-  Buffer.add_string b (linting_json ^ ",");
-  Buffer.add_string b (narrowing_json ^ ",");
-  Buffer.add_string b (sim_json ^ ",");
-  Buffer.add_string b "\"targets\":[";
-  List.iteri
-    (fun i (isax, core, sp) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b
-        (Printf.sprintf "{\"isax\":\"%s\",\"core\":\"%s\",\"profile\":%s}" isax core
-           (Obs.to_json sp)))
-    results;
-  Buffer.add_string b "]}";
+  let target (isax, core, sp) =
+    Json.Obj [ ("isax", Json.Str isax); ("core", Json.Str core); ("profile", Obs.json sp) ]
+  in
+  let doc =
+    Json.Obj
+      ([ ("schema_version", Json.int 1); ("tool", Json.Str "bench/main.exe perf --json") ]
+      @ sweep_json @ parallel_json @ disk_json @ serving_json @ linting_json @ narrowing_json
+      @ sim_json
+      @ [ ("targets", Json.Arr (List.map target results)) ])
+  in
   let oc = open_out_bin json_path in
-  Buffer.output_buffer oc b;
+  output_string oc (Json.to_string doc);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s (%d targets, %d schema entries)\n" json_path (List.length results)

@@ -678,9 +678,9 @@ let client_cmd =
        exit code (1 = the daemon reported diagnostics) *)
     let do_one line =
       let events = Server.Client.request c line in
-      List.iter (fun j -> print_endline (Server.Json.to_string j)) events;
+      List.iter (fun j -> print_endline (Json.to_string j)) events;
       match List.rev events with
-      | last :: _ -> Server.Json.get_bool (Server.Json.member "ok" last) = Some true
+      | last :: _ -> Json.get_bool (Json.member "ok" last) = Some true
       | [] -> false
     in
     let ok =

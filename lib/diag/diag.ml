@@ -238,61 +238,35 @@ let to_string d = Format.asprintf "%a" render_text d
 
 (* ---- JSON rendering ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json ds =
+  let span s =
+    Json.Obj
+      [
+        ("file", Json.Str s.sp_file);
+        ("line", Json.int s.sp_line);
+        ("col", Json.int s.sp_col);
+        ("end_line", Json.int s.sp_end_line);
+        ("end_col", Json.int s.sp_end_col);
+      ]
+  in
+  let diag d =
+    Json.Obj
+      [
+        ("severity", Json.Str (severity_to_string d.severity));
+        ("code", Json.Str d.code);
+        ("message", Json.Str d.message);
+        ("span", match d.span with Some s when span_is_valid s -> span s | _ -> Json.Null);
+        ( "labels",
+          Json.Arr
+            (List.map
+               (fun l -> Json.Obj [ ("span", span l.lb_span); ("text", Json.Str l.lb_text) ])
+               d.labels) );
+        ("notes", Json.Arr (List.map (fun n -> Json.Str n) d.notes));
+      ]
+  in
+  Json.Obj [ ("diagnostics", Json.Arr (List.map diag ds)) ]
 
-let json_of_span s =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"end_line":%d,"end_col":%d}|}
-    (json_escape s.sp_file) s.sp_line s.sp_col s.sp_end_line s.sp_end_col
-
-let json_of_diag d =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf {|{"severity":"%s","code":"%s","message":"%s"|}
-       (severity_to_string d.severity) (json_escape d.code) (json_escape d.message));
-  (match d.span with
-  | Some s when span_is_valid s -> Buffer.add_string buf (",\"span\":" ^ json_of_span s)
-  | _ -> Buffer.add_string buf ",\"span\":null");
-  Buffer.add_string buf ",\"labels\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|{"span":%s,"text":"%s"}|} (json_of_span l.lb_span)
-           (json_escape l.lb_text)))
-    d.labels;
-  Buffer.add_string buf "],\"notes\":[";
-  List.iteri
-    (fun i n ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf {|"%s"|} (json_escape n)))
-    d.notes;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
-let to_json ds =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf {|{"diagnostics":[|};
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (json_of_diag d))
-    ds;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let to_json ds = Json.to_string (json ds)
 
 (* ---- did-you-mean support ---- *)
 

@@ -128,16 +128,12 @@ val render_all : Format.formatter -> t list -> unit
 val to_string : t -> string
 (** [render_text] into a string. *)
 
-val to_json : t list -> string
+val json : t list -> Json.t
 (** [{"diagnostics":[...]}] with stable field names; see
     docs/DIAGNOSTICS.md for the schema. *)
 
-val json_escape : string -> string
-(** The body of a JSON string literal: quote, backslash, newline, tab
-    and carriage return get their short escapes, other control
-    characters [\u00XX]; every other byte passes through. The one
-    escaper behind every JSON writer (diagnostics, profiles, the serve
-    protocol). *)
+val to_json : t list -> string
+(** [Json.to_string (json ds)]. *)
 
 val levenshtein : string -> string -> int
 (** Edit distance (insertions, deletions, substitutions), the metric

@@ -100,12 +100,14 @@ let set t name value =
   | "delay", Some v when String.length v > 8 && String.sub v 0 8 = "uniform:" -> (
       let ns = String.sub v 8 (String.length v - 8) in
       match float_of_string_opt ns with
-      | Some f when f > 0.0 -> knob t (fun k -> { k with k_delay = Delay_model.Uniform f })
+      | Some f when Float.is_finite f && f > 0.0 ->
+          knob t (fun k -> { k with k_delay = Delay_model.Uniform f })
       | _ -> err "--delay uniform:NS expects a positive number of ns, got '%s'" ns)
   | "delay", Some v -> err "--delay expects 'default', 'physical' or 'uniform:NS', got '%s'" v
   | "cycle-time", Some v -> (
       match float_of_string_opt v with
-      | Some f when f > 0.0 -> knob t (fun k -> { k with k_cycle_time = Some f })
+      | Some f when Float.is_finite f && f > 0.0 ->
+          knob t (fun k -> { k with k_cycle_time = Some f })
       | _ -> err "--cycle-time expects a positive number of ns, got '%s'" v)
   | "no-hazard-handling", None -> knob t (fun k -> { k with k_hazard_handling = false })
   | "emit", Some v -> (

@@ -151,40 +151,23 @@ let validate sp =
 
 (* ---- JSON rendering ---- *)
 
-(* Floats must stay JSON-parseable: no nan/inf, no "1." trailing dot. *)
-let json_float f =
-  if not (Float.is_finite f) then "0"
-  else
-    let s = Printf.sprintf "%.6f" f in
-    s
+(* Floats go through the one Json number rule: a non-finite value
+   renders as 0, so the output always parses. *)
+let rec json sp =
+  let metric = function
+    | M_int i -> Json.int i
+    | M_float f -> Json.Num f
+    | M_str s -> Json.Str s
+  in
+  Json.Obj
+    [
+      ("name", Json.Str sp.sp_name);
+      ("elapsed_ms", Json.Num (sp.sp_elapsed_ns /. 1e6));
+      ("metrics", Json.Obj (List.map (fun (k, m) -> (k, metric m)) (metrics sp)));
+      ("children", Json.Arr (List.map json (children sp)));
+    ]
 
-let metric_to_json = function
-  | M_int i -> string_of_int i
-  | M_float f -> json_float f
-  | M_str s -> Printf.sprintf "\"%s\"" (Diag.json_escape s)
-
-let rec span_to_json_buf b sp =
-  Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"name\":\"%s\"" (Diag.json_escape sp.sp_name));
-  Buffer.add_string b (Printf.sprintf ",\"elapsed_ms\":%s" (json_float (sp.sp_elapsed_ns /. 1e6)));
-  Buffer.add_string b ",\"metrics\":{";
-  List.iteri
-    (fun i (k, m) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Diag.json_escape k) (metric_to_json m)))
-    (metrics sp);
-  Buffer.add_string b "},\"children\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",";
-      span_to_json_buf b c)
-    (children sp);
-  Buffer.add_string b "]}"
-
-let to_json sp =
-  let b = Buffer.create 1024 in
-  span_to_json_buf b sp;
-  Buffer.contents b
+let to_json sp = Json.to_string (json sp)
 
 (* ---- pretty rendering (the CLI `--profile` tree) ---- *)
 

@@ -91,9 +91,14 @@ val validate : span -> unit
 
 (** {2 Rendering} *)
 
-val to_json : span -> string
+val json : span -> Json.t
 (** Machine-readable rendering:
-    [{"name":..,"elapsed_ms":..,"metrics":{..},"children":[..]}]. *)
+    [{"name":..,"elapsed_ms":..,"metrics":{..},"children":[..]}].
+    Floats follow {!Json.number_to_string}; a non-finite one renders as
+    [0]. *)
+
+val to_json : span -> string
+(** [Json.to_string (json sp)]. *)
 
 val pp : Format.formatter -> span -> unit
 val to_pretty : span -> string

@@ -6,209 +6,7 @@
    request's worker domains (Flow.Request.jobs), so two requests never
    race on the shared session from the dispatch side. *)
 
-(* ---------------------------------------------------------------- *)
-(* JSON                                                             *)
-(* ---------------------------------------------------------------- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string * int
-
-  let utf8_add buf code =
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (msg, !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal lit v =
-      let l = String.length lit in
-      if !pos + l <= n && String.sub s !pos l = lit then begin
-        pos := !pos + l;
-        v
-      end
-      else fail (Printf.sprintf "invalid literal (expected '%s')" lit)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents buf
-        | '\\' ->
-            (if !pos >= n then fail "unterminated escape";
-             let e = s.[!pos] in
-             advance ();
-             match e with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | '/' -> Buffer.add_char buf '/'
-             | 'b' -> Buffer.add_char buf '\b'
-             | 'f' -> Buffer.add_char buf '\012'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 'r' -> Buffer.add_char buf '\r'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'u' -> (
-                 if !pos + 4 > n then fail "truncated \\u escape";
-                 let hex = String.sub s !pos 4 in
-                 pos := !pos + 4;
-                 match int_of_string_opt ("0x" ^ hex) with
-                 | Some code -> utf8_add buf code
-                 | None -> fail "invalid \\u escape")
-             | _ -> fail "invalid escape character");
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match float_of_string_opt tok with
-      | Some f -> Num f
-      | None -> fail (Printf.sprintf "invalid number '%s'" tok)
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  Obj (List.rev ((k, v) :: acc))
-              | _ -> fail "expected ',' or '}'"
-            in
-            members []
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  elems (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  Arr (List.rev (v :: acc))
-              | _ -> fail "expected ',' or ']'"
-            in
-            elems []
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing bytes after the JSON value";
-      v
-    with
-    | v -> Ok v
-    | exception Parse_error (msg, p) -> Error (Printf.sprintf "%s at byte %d" msg p)
-
-  let escape = Diag.json_escape
-
-  let quote s = "\"" ^ escape s ^ "\""
-
-  let number_to_string f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.17g" f
-
-  let rec to_string = function
-    | Null -> "null"
-    | Bool b -> if b then "true" else "false"
-    | Num f -> number_to_string f
-    | Str s -> quote s
-    | Arr l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
-    | Obj l ->
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> quote k ^ ":" ^ to_string v) l)
-        ^ "}"
-
-  let member k = function
-    | Obj l -> ( match List.assoc_opt k l with Some v -> v | None -> Null)
-    | _ -> Null
-
-  let get_string = function Str s -> Some s | _ -> None
-
-  let get_int = function
-    | Num f when Float.is_integer f && Float.abs f < 1e15 -> Some (int_of_float f)
-    | _ -> None
-
-  let get_float = function Num f -> Some f | _ -> None
-  let get_bool = function Bool b -> Some b | _ -> None
-  let get_list = function Arr l -> Some l | _ -> None
-end
+module Json = Json
 
 (* ---------------------------------------------------------------- *)
 (* Daemon state                                                     *)
@@ -275,26 +73,23 @@ let create ?(jobs = 1) ~session ~socket () =
 (* Response assembly                                                *)
 (* ---------------------------------------------------------------- *)
 
-(* Response lines are assembled as raw JSON text so pre-rendered
-   fragments (Diag.to_json, Obs.to_json) embed without a re-parse. *)
+(* Every response line is one Json.t: diagnostics and profiles embed
+   as values (Diag.json, Obs.json) and [handle_line] renders each line
+   once. *)
 
-let quote = Json.quote
+(* a response line: the echoed request id, the event kind, the verdict,
+   then the op-specific fields *)
+let event ~id kind ~ok fields =
+  Json.Obj (("id", id) :: ("event", Json.Str kind) :: ("ok", Json.Bool ok) :: fields)
 
-let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> quote k ^ ":" ^ v) fields) ^ "}"
+let done_error ~id ds = event ~id "done" ~ok:false [ ("diag", Diag.json ds) ]
 
-let arr items = "[" ^ String.concat "," items ^ "]"
-let float_json f = Printf.sprintf "%.6g" f
-
-let done_error ~id ds =
-  obj [ ("id", id); ("event", quote "done"); ("ok", "false"); ("diag", Diag.to_json ds) ]
-
-let bad_request ?(id = "null") msg = done_error ~id [ Diag.make ~code:"E0910" msg ]
+let bad_request ?(id = Json.Null) msg = done_error ~id [ Diag.make ~code:"E0910" msg ]
 
 (* unknown core name in a compile/dse request: structurally well-formed,
    but the name resolves to no registered core (E0912, with the
    registry's suggestion list in the message) *)
-let unknown_core ?(id = "null") msg = done_error ~id [ Diag.make ~code:"E0912" msg ]
+let unknown_core ?(id = Json.Null) msg = done_error ~id [ Diag.make ~code:"E0912" msg ]
 
 let core_error ~id = function
   | `Malformed m -> bad_request ~id m
@@ -463,56 +258,50 @@ let resolve_unit t req =
 
 let handle_ping id =
   [
-    obj
+    event ~id "done" ~ok:true
       [
-        ("id", id);
-        ("event", quote "done");
-        ("ok", "true");
-        ("op", quote "ping");
-        ("protocol", string_of_int protocol_version);
-        ("pid", string_of_int (Unix.getpid ()));
+        ("op", Json.Str "ping");
+        ("protocol", Json.int protocol_version);
+        ("pid", Json.int (Unix.getpid ()));
       ];
   ]
 
 let handle_stats t id =
   let disk =
     match Longnail.Flow.session_disk t.s_session with
-    | None -> "null"
+    | None -> Json.Null
     | Some d ->
         let st = Cache.Disk.stats d in
-        obj
+        Json.Obj
           [
-            ("dir", quote (Cache.Disk.dir d));
-            ("entries", string_of_int (Cache.Disk.length d));
-            ("hits", string_of_int st.Cache.Disk.hits);
-            ("misses", string_of_int st.Cache.Disk.misses);
-            ("stores", string_of_int st.Cache.Disk.stores);
-            ("evictions", string_of_int st.Cache.Disk.evictions);
-            ("corrupt", string_of_int st.Cache.Disk.corrupt);
-            ("bytes", string_of_int st.Cache.Disk.bytes);
+            ("dir", Json.Str (Cache.Disk.dir d));
+            ("entries", Json.int (Cache.Disk.length d));
+            ("hits", Json.int st.Cache.Disk.hits);
+            ("misses", Json.int st.Cache.Disk.misses);
+            ("stores", Json.int st.Cache.Disk.stores);
+            ("evictions", Json.int st.Cache.Disk.evictions);
+            ("corrupt", Json.int st.Cache.Disk.corrupt);
+            ("bytes", Json.int st.Cache.Disk.bytes);
           ]
   in
   [
-    obj
+    event ~id "done" ~ok:true
       [
-        ("id", id);
-        ("event", quote "done");
-        ("ok", "true");
-        ("op", quote "stats");
-        ("uptime_s", float_json (Unix.gettimeofday () -. t.s_started));
-        ("requests", string_of_int t.s_requests);
+        ("op", Json.Str "stats");
+        ("uptime_s", Json.Num (Unix.gettimeofday () -. t.s_started));
+        ("requests", Json.int t.s_requests);
         ("disk", disk);
       ];
   ]
 
 let func_json (f : Longnail.Flow.output_func) =
-  obj
+  Json.Obj
     [
-      ("name", quote f.Longnail.Flow.of_name);
-      ("kind", quote f.of_kind);
-      ("mode", quote f.of_mode);
-      ("max_stage", string_of_int f.of_max_stage);
-      ("sv", quote f.of_sv);
+      ("name", Json.Str f.Longnail.Flow.of_name);
+      ("kind", Json.Str f.of_kind);
+      ("mode", Json.Str f.of_mode);
+      ("max_stage", Json.int f.of_max_stage);
+      ("sv", Json.Str f.of_sv);
     ]
 
 (* Batch-first with per-target isolation: the batch shares the warmed IR
@@ -564,41 +353,29 @@ let handle_compile t id req =
                     List.map
                       (function
                         | Ok (o : Longnail.Flow.outputs) ->
-                            obj
+                            event ~id "target" ~ok:true
                               [
-                                ("id", id);
-                                ("event", quote "target");
-                                ("ok", "true");
-                                ("core", quote o.Longnail.Flow.o_core);
-                                ("funcs", arr (List.map func_json o.o_funcs));
-                                ("yaml", quote o.o_yaml);
+                                ("core", Json.Str o.Longnail.Flow.o_core);
+                                ("funcs", Json.Arr (List.map func_json o.o_funcs));
+                                ("yaml", Json.Str o.o_yaml);
                               ]
                         | Error (core_name, ds) ->
-                            obj
-                              [
-                                ("id", id);
-                                ("event", quote "target");
-                                ("ok", "false");
-                                ("core", quote core_name);
-                                ("diag", Diag.to_json ds);
-                              ])
+                            event ~id "target" ~ok:false
+                              [ ("core", Json.Str core_name); ("diag", Diag.json ds) ])
                       results
                   in
                   let failed = List.length (List.filter Result.is_error results) in
                   let profile_fields =
                     match obs with
                     | None -> []
-                    | Some o -> [ ("profile", Obs.to_json (Obs.root o)) ]
+                    | Some o -> [ ("profile", Obs.json (Obs.root o)) ]
                   in
                   let done_ev =
-                    obj
+                    event ~id "done" ~ok:(failed = 0)
                       ([
-                         ("id", id);
-                         ("event", quote "done");
-                         ("ok", string_of_bool (failed = 0));
-                         ("op", quote "compile");
-                         ("targets", string_of_int (List.length results));
-                         ("failed", string_of_int failed);
+                         ("op", Json.Str "compile");
+                         ("targets", Json.int (List.length results));
+                         ("failed", Json.int failed);
                        ]
                       @ profile_fields)
                   in
@@ -615,33 +392,30 @@ let handle_lint t id req =
       let ds = if werror then Analysis.Lint.promote ds else ds in
       let ok = not (List.exists (fun (d : Diag.t) -> d.severity = Diag.Error) ds) in
       [
-        obj
+        event ~id "done" ~ok
           [
-            ("id", id);
-            ("event", quote "done");
-            ("ok", string_of_bool ok);
-            ("op", quote "lint");
-            ("findings", string_of_int (List.length ds));
-            ("diag", Diag.to_json ds);
+            ("op", Json.Str "lint");
+            ("findings", Json.int (List.length ds));
+            ("diag", Diag.json ds);
           ];
       ]
 
 let point_json (p : Longnail.Dse.point) =
-  obj
+  Json.Obj
     [
-      ("label", quote p.Longnail.Dse.dp_label);
+      ("label", Json.Str p.Longnail.Dse.dp_label);
       ( "scheduler",
-        quote
+        Json.Str
           (match p.dp_scheduler with
           | Longnail.Sched_build.Ilp -> "ilp"
           | Longnail.Sched_build.Asap -> "asap") );
-      ("cycle_factor", float_json p.dp_cycle_factor);
-      ("physical", string_of_bool p.dp_physical);
-      ("area_pct", float_json p.dp_area_pct);
-      ("freq_mhz", float_json p.dp_freq_mhz);
-      ("latency", string_of_int p.dp_latency);
-      ("pipe_bits", string_of_int p.dp_pipe_bits);
-      ("pareto", string_of_bool p.dp_pareto);
+      ("cycle_factor", Json.Num p.dp_cycle_factor);
+      ("physical", Json.Bool p.dp_physical);
+      ("area_pct", Json.Num p.dp_area_pct);
+      ("freq_mhz", Json.Num p.dp_freq_mhz);
+      ("latency", Json.int p.dp_latency);
+      ("pipe_bits", Json.int p.dp_pipe_bits);
+      ("pareto", Json.Bool p.dp_pareto);
     ]
 
 let handle_dse t id req =
@@ -668,14 +442,11 @@ let handle_dse t id req =
                   in
                   let points = Longnail.Dse.explore ~request ~measure core tu in
                   [
-                    obj
+                    event ~id "done" ~ok:true
                       [
-                        ("id", id);
-                        ("event", quote "done");
-                        ("ok", "true");
-                        ("op", quote "dse");
-                        ("core", quote core.Scaiev.Datasheet.core_name);
-                        ("points", arr (List.map point_json points));
+                        ("op", Json.Str "dse");
+                        ("core", Json.Str core.Scaiev.Datasheet.core_name);
+                        ("points", Json.Arr (List.map point_json points));
                       ];
                   ])
           | Ok _ -> [ bad_request ~id "\"op\":\"dse\" takes exactly one core" ]))
@@ -689,10 +460,12 @@ let handle_line t line =
   if line = "" then []
   else begin
     t.s_requests <- t.s_requests + 1;
+    List.map Json.to_string
+    @@
     match Json.parse line with
     | Error m -> [ bad_request (Printf.sprintf "malformed request JSON: %s" m) ]
     | Ok req -> (
-        let id = Json.to_string (Json.member "id" req) in
+        let id = Json.member "id" req in
         match Json.get_string (Json.member "op" req) with
         | None -> [ bad_request ~id "request needs an \"op\" string" ]
         | Some op -> (
@@ -719,15 +492,7 @@ let handle_line t line =
             | "dse" -> run (fun () -> handle_dse t id req)
             | "shutdown" ->
                 Atomic.set t.s_stop true;
-                [
-                  obj
-                    [
-                      ("id", id);
-                      ("event", quote "done");
-                      ("ok", "true");
-                      ("op", quote "shutdown");
-                    ];
-                ]
+                [ event ~id "done" ~ok:true [ ("op", Json.Str "shutdown") ] ]
             | op ->
                 [
                   bad_request ~id

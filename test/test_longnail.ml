@@ -634,6 +634,26 @@ let test_bitrev_is_pure_wiring () =
     true
     (rep.Asic.Synth.comb_area_um2 < 30.0)
 
+(* --cycle-time (and --delay uniform:NS) must be a finite positive
+   number: "inf" parses as a float but names no clock *)
+let test_cycle_time_finite () =
+  let kf = Longnail.Knob_flags.default in
+  let rejected name v =
+    match Longnail.Knob_flags.set kf name (Some v) with
+    | Ok _ -> Alcotest.failf "--%s %s unexpectedly accepted" name v
+    | Error m -> check_bool (m ^ " says positive number") true (contains m "expects a positive number")
+  in
+  List.iter (rejected "cycle-time") [ "inf"; "-inf"; "infinity"; "nan"; "1e999"; "0"; "-2" ];
+  List.iter (fun v -> rejected "delay" ("uniform:" ^ v)) [ "inf"; "1e999" ];
+  (match Longnail.Knob_flags.set kf "cycle-time" (Some "3.5") with
+  | Ok t -> check_bool "finite accepted" true (t.knobs.k_cycle_time = Some 3.5)
+  | Error m -> Alcotest.fail m);
+  (* the argv front end (bench, CLI bridge) reports the same error *)
+  check_bool "parse rejects --cycle-time inf" true
+    (Result.is_error (Longnail.Knob_flags.parse kf [ "--cycle-time"; "inf" ]));
+  check_bool "parse rejects --cycle-time=inf" true
+    (Result.is_error (Longnail.Knob_flags.parse kf [ "--cycle-time=inf" ]))
+
 let () =
   Alcotest.run "longnail"
     [
@@ -683,4 +703,5 @@ let () =
           Alcotest.test_case "ilp vs asap registers" `Quick test_ablation_ilp_vs_asap;
           Alcotest.test_case "physical delay model" `Quick test_ablation_physical_delays;
         ] );
+      ("knobs", [ Alcotest.test_case "cycle-time must be finite" `Quick test_cycle_time_finite ]);
     ]

@@ -98,7 +98,25 @@ let test_json_rendering () =
         (d, ok && d >= 0))
       (0, true) j
   in
-  check_bool "balanced" true (fst bal = 0 && snd bal)
+  check_bool "balanced" true (fst bal = 0 && snd bal);
+  (* and it parses with the shared codec, carrying each span's exact
+     elapsed time (full precision, not a fixed number of decimals) *)
+  let root = Obs.root s in
+  let elapsed_ms sp = Some (sp.Obs.sp_elapsed_ns /. 1e6) in
+  match Json.parse j with
+  | Error m -> Alcotest.failf "Obs.to_json output does not parse: %s" m
+  | Ok v -> (
+      check_bool "elapsed_ms exact" true
+        (Json.get_float (Json.member "elapsed_ms" v) = elapsed_ms root);
+      match Json.member "children" v with
+      | Json.Arr [ c ] ->
+          check_bool "child elapsed_ms exact" true
+            (Json.get_float (Json.member "elapsed_ms" c)
+            = elapsed_ms (List.hd (Obs.children root)));
+          check_bool "string metric decoded" true
+            (Json.get_string (Json.member "note" (Json.member "metrics" c))
+            = Some "a \"quoted\"\nline")
+      | _ -> Alcotest.fail "expected one child span")
 
 let test_json_no_nonfinite () =
   (* the JSON renderer never emits nan/inf tokens: non-finite floats

@@ -1,5 +1,5 @@
-(* Tests for the longnail serve daemon (lib/server): the JSON codec,
-   the protocol step (Server.handle_line, no sockets), and full
+(* Tests for the longnail serve daemon (lib/server): the shared JSON
+   codec (lib/json) it speaks, the protocol step (Server.handle_line, no sockets), and full
    client/server round trips over a real Unix socket — including the
    docs/SERVE.md guarantees that diagnostics ride the wire and that a
    malformed request or failing compile never kills the daemon. *)
@@ -7,8 +7,6 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
-
-module Json = Server.Json
 
 (* ---- the JSON codec ---- *)
 
@@ -43,23 +41,134 @@ let test_json_numbers () =
   check_bool "exponent" true (Json.get_float (parse_ok "2e3") = Some 2000.0);
   check_str "int renders bare" "3" (Json.number_to_string 3.0);
   check_bool "int roundtrips through render" true
-    (Json.get_int (parse_ok (Json.number_to_string 123.0)) = Some 123)
+    (Json.get_int (parse_ok (Json.number_to_string 123.0)) = Some 123);
+  (* the one number rule: shortest of %.15g/%.16g/%.17g that round-trips,
+     and a non-finite value renders as 0 *)
+  List.iter
+    (fun (f, want) -> check_str want want (Json.number_to_string f))
+    [
+      (-7.0, "-7");
+      (123456789012345.0, "123456789012345");
+      (0.1, "0.1");
+      (1e-7, "1e-07");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (1e300, "1e+300");
+      (Float.nan, "0");
+      (Float.infinity, "0");
+      (Float.neg_infinity, "0");
+    ];
+  check_bool "largest finite parses" true
+    (Json.get_float (parse_ok "1.7976931348623157e308") = Some Float.max_float);
+  (* a number that overflows to infinity is a parse error at its offset *)
+  List.iter
+    (fun (src, want) ->
+      match Json.parse src with
+      | Ok _ -> Alcotest.failf "parse %S unexpectedly succeeded" src
+      | Error m -> check_str src want m)
+    [
+      ({|{"id":1e999,"op":"ping"}|}, "number '1e999' is out of range at byte 6");
+      ("[0,-1e999]", "number '-1e999' is out of range at byte 3");
+    ]
 
 let test_json_escapes () =
-  let j = parse_ok {|"tab\there A end"|} in
+  let j = parse_ok {|"tab\there \u0041 end"|} in
   check_bool "escapes decoded" true (Json.get_string j = Some "tab\there A end");
   (* control characters in emitted strings must re-parse *)
-  let s = Json.quote "a\nb\tc\"d\\e\x01f" in
-  check_bool "re-parses" true (Json.get_string (parse_ok s) = Some "a\nb\tc\"d\\e\x01f")
+  let s = Json.to_string (Json.Str "a\nb\tc\"d\\e\x01f") in
+  check_str "escaped form" {|"a\nb\tc\"d\\e\u0001f"|} s;
+  check_bool "re-parses" true (Json.get_string (parse_ok s) = Some "a\nb\tc\"d\\e\x01f");
+  (* \u escapes: upper- and lower-case hex, 2- and 3-byte UTF-8, and a
+     surrogate pair as one 4-byte character (not two CESU-8 halves) *)
+  List.iter
+    (fun (src, want) -> check_str src want (Option.get (Json.get_string (parse_ok src))))
+    [
+      ({|"\u00e9\u00E9"|}, "\xc3\xa9\xc3\xa9");
+      ({|"\u20ac"|}, "\xe2\x82\xac");
+      ({|"\uD83D\uDE00"|}, "\xf0\x9f\x98\x80");
+      ({|"x\ud83d\ude00y"|}, "x\xf0\x9f\x98\x80y");
+      ({|"\uDBFF\uDFFF"|}, "\xf4\x8f\xbf\xbf");
+    ]
 
 let test_json_rejects () =
-  let bad = [ "{"; "[1,"; {|{"a"}|}; "tru"; ""; "1 2"; {|"unterminated|} ] in
+  let bad =
+    [
+      "{";
+      "[1,";
+      {|{"a"}|};
+      "tru";
+      "";
+      "1 2";
+      {|"unterminated|};
+      (* \u needs exactly four hex digits *)
+      {|"\u00_4"|};
+      {|"\u+123"|};
+      {|"\u12"|};
+      {|"\u12g4"|};
+      (* lone or mismatched surrogates *)
+      {|"\uDE00"|};
+      {|"\uD83D"|};
+      {|"\uD83Dx"|};
+      {|"\uD83D\u0041"|};
+      {|"\uD83D\uD83D"|};
+    ]
+  in
   List.iter
     (fun s ->
       match Json.parse s with
       | Ok _ -> Alcotest.failf "parse %S unexpectedly succeeded" s
       | Error _ -> ())
     bad
+
+(* parse (to_string v) = Ok v over generated values: finite floats of
+   every magnitude, strings over every control byte plus quote,
+   backslash and multi-byte UTF-8, nested arrays and objects *)
+let prop_json_roundtrip =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        float_range (-1e6) 1e6;
+        map (fun f -> f *. 1e-300) (float_range (-1.0) 1.0);
+        map (fun f -> f *. 1e300) (float_range (-1.0) 1.0);
+        oneofl [ 0.1; 1e15; 2.0 ** 53.0; Float.max_float; -.Float.min_float; 5e-324 ];
+      ]
+  in
+  let piece =
+    oneof
+      [
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+        oneofl [ "\""; "\\"; "/"; "a"; "Z"; " "; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\x7f" ];
+      ]
+  in
+  let str = map (String.concat "") (list_size (int_range 0 12) piece) in
+  let value =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              pure Json.Null;
+              map (fun b -> Json.Bool b) bool;
+              map (fun f -> Json.Num f) num;
+              map (fun s -> Json.Str s) str;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          oneof
+            [
+              leaf;
+              map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (depth - 1)));
+              map
+                (fun l -> Json.Obj l)
+                (list_size (int_range 0 4) (pair str (self (depth - 1))));
+            ])
+      3
+  in
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string value)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
 
 let test_json_member () =
   let j = parse_ok {|{"op":"ping","n":3}|} in
@@ -97,12 +206,18 @@ let test_ping () =
 
 let test_malformed_is_e0910 () =
   let srv = make_server () in
-  let j = one_line (Server.handle_line srv {|{"op":|}) in
-  check_bool "not ok" true (Json.get_bool (Json.member "ok" j) = Some false);
-  Alcotest.(check (list string)) "E0910" [ "E0910" ] (diag_codes j);
-  (* the daemon still answers afterwards: per-request isolation *)
-  let j = one_line (Server.handle_line srv {|{"op":"ping"}|}) in
-  check_bool "still alive" true (Json.get_bool (Json.member "ok" j) = Some true)
+  (* an id that overflows to infinity is malformed too: its reply echoes
+     "id":null and parses again, never an "inf" token *)
+  List.iter
+    (fun line ->
+      let j = one_line (Server.handle_line srv line) in
+      check_bool "not ok" true (Json.get_bool (Json.member "ok" j) = Some false);
+      check_bool "id is null" true (Json.member "id" j = Json.Null);
+      Alcotest.(check (list string)) line [ "E0910" ] (diag_codes j);
+      (* the daemon still answers afterwards: per-request isolation *)
+      let j = one_line (Server.handle_line srv {|{"op":"ping"}|}) in
+      check_bool "still alive" true (Json.get_bool (Json.member "ok" j) = Some true))
+    [ {|{"op":|}; {|{"id":1e999,"op":"ping"}|}; {|{"id":-1e999,"op":"ping"}|} ]
 
 let test_unknown_op_and_missing_fields () =
   let srv = make_server () in
@@ -116,7 +231,14 @@ let test_unknown_op_and_missing_fields () =
   expect_e0910 {|{"op":"compile","isax":"dotprod","core":"vexriscv","jobs":0}|};
   expect_e0910 {|{"op":"compile","isax":"dotprod","core":"vexriscv","knobs":{"scheduler":"bogus"}}|};
   (* cache/store control is daemon-side configuration *)
-  expect_e0910 {|{"op":"compile","isax":"dotprod","core":"vexriscv","knobs":{"store":"/tmp/x"}}|}
+  expect_e0910 {|{"op":"compile","isax":"dotprod","core":"vexriscv","knobs":{"store":"/tmp/x"}}|};
+  (* a cycle time must be finite, over the wire as on the CLI *)
+  List.iter
+    (fun v ->
+      expect_e0910
+        (Printf.sprintf
+           {|{"op":"compile","isax":"dotprod","core":"vexriscv","knobs":{"cycle-time":%s}}|} v))
+    [ {|"inf"|}; {|"-inf"|}; {|"nan"|}; "1e999" ]
 
 (* unknown core names are not generic malformed-request failures: they
    get the dedicated E0912 code, and the message carries the registry's
@@ -260,6 +382,76 @@ let test_lint_op () =
   check_bool "ok" true (Json.get_bool (Json.member "ok" j) = Some true);
   check_bool "findings counted" true (Json.get_int (Json.member "findings" j) <> None)
 
+(* every response line the daemon writes must parse with the same codec *)
+let test_every_reply_parses () =
+  let srv = make_server () in
+  (* a load + multiply chain into PC misses the WrPC window at a tight
+     cycle time: per-target E0401 events *)
+  let infeasible =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Num 3.0);
+           ("op", Json.Str "compile");
+           ( "text",
+             Json.Str
+               {|import "RV32I.core_desc"
+InstructionSet T extends RV32I {
+  instructions {
+    LONGJMP {
+      encoding: imm[11:0] :: rs1[4:0] :: 3'b111 :: 5'b00000 :: 7'b1111011;
+      behavior: {
+        unsigned<32> a = MEM[X[rs1]+3:X[rs1]];
+        unsigned<32> b = MEM2;
+        PC = (unsigned<32>)(a * a * b * b);
+      }
+    }
+  }
+  architectural_state { register unsigned<32> MEM2; }
+}|}
+           );
+           ("target", Json.Str "T");
+           ("cores", Json.Arr [ Json.Str "vexriscv"; Json.Str "orca" ]);
+           ("knobs", Json.Obj [ ("cycle-time", Json.Num 0.9); ("delay", Json.Str "physical") ]);
+         ])
+  in
+  let corpus =
+    [
+      {|{"id":1,"op":"ping"}|};
+      {|{"id":"s","op":"stats"}|};
+      {|{"id":[1,{"k":null}],"op":"compile","isax":"dotprod","core":"vexriscv","profile":true}|};
+      infeasible;
+      {|{"id":7,"op":"compile","text":"InstructionSet X {","target":"X","core":"vexriscv"}|};
+      {|{"id":4,"op":"lint","isax":"sbox"}|};
+      {|{"id":5,"op":"dse","isax":"dotprod","core":"vexriscv"}|};
+      {|{"op":|};
+      {|{"id":6,"op":"compile","isax":"dotprod","core":"vexriscv","knobs":{"sheduler":"asap"}}|};
+      {|{"id":1e999,"op":"ping"}|};
+      {|{"id":"\u00e9\uD83D\uDE00\u0001","op":"nope"}|};
+    ]
+  in
+  let failed_targets = ref 0 in
+  List.iter
+    (fun req ->
+      let lines = Server.handle_line srv req in
+      check_bool (req ^ " answers") true (lines <> []);
+      List.iter
+        (fun l ->
+          match Json.parse l with
+          | Ok j ->
+              check_str (req ^ " re-renders identically") l (Json.to_string j);
+              if
+                Json.get_string (Json.member "event" j) = Some "target"
+                && Json.get_bool (Json.member "ok" j) = Some false
+              then incr failed_targets
+          | Error m -> Alcotest.failf "reply to %s does not parse (%s): %s" req m l)
+        lines;
+      let last = parse_ok (List.nth lines (List.length lines - 1)) in
+      check_bool (req ^ " ends with done") true
+        (Json.get_string (Json.member "event" last) = Some "done"))
+    corpus;
+  check_bool "the corpus holds failing targets" true (!failed_targets > 0)
+
 (* ---- client/server round trips over a real socket ---- *)
 
 let with_daemon f =
@@ -359,6 +551,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
           Alcotest.test_case "member access" `Quick test_json_member;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "protocol",
         [
@@ -371,6 +564,7 @@ let () =
           Alcotest.test_case "diagnostics on the wire" `Quick
             test_compile_diagnostics_on_wire;
           Alcotest.test_case "lint" `Quick test_lint_op;
+          Alcotest.test_case "every reply parses" `Quick test_every_reply_parses;
         ] );
       ( "socket",
         [
