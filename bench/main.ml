@@ -318,7 +318,7 @@ let profile_one ?(verify_each = false) (core : Scaiev.Datasheet.t) (e : Isax.Reg
    the full grid, the warm pass must replay every point (including the
    ASIC measurement) from cache — the acceptance gate for the
    content-addressed sessions. *)
-let dse_sweep_json ?(assert_warm = false) () =
+let dse_sweep_json () =
   let isax = "dotprod" and core = Scaiev.Datasheet.vexriscv in
   let tu = Isax.Registry.compile_by_name isax in
   let measure c =
@@ -341,30 +341,7 @@ let dse_sweep_json ?(assert_warm = false) () =
     Diag.fatalf ~code:"E0901"
       "internal: warm DSE sweep speedup %.2fx < 2x (cold %.1f ms, warm %.1f ms)" speedup
       cold_ms warm_ms;
-  (* the persistent solver instances behind the sweep: the cold grid is
-     evaluated largest cycle factor first, so every later grid point
-     warm-starts its re-schedule from the previous least element *)
-  let sst = Longnail.Flow.session_solver_stats ss.Longnail.Dse.ss_flow in
   let pareto = List.length (List.filter (fun (p : Longnail.Dse.point) -> p.dp_pareto) cold) in
-  if assert_warm then begin
-    if sst.Lp.Instance.is_warm_hits = 0 then
-      Diag.fatalf ~code:"E0901"
-        "internal: --assert-dse-warm: the sweep's solver instances recorded no warm hits \
-         (%d resolves)"
-        sst.Lp.Instance.is_resolves;
-    Printf.eprintf "dse-warm assertion: %d/%d warm resolves, %.2fx sweep speedup\n%!"
-      sst.Lp.Instance.is_warm_hits sst.Lp.Instance.is_resolves speedup
-  end;
-  let solver =
-    Json.Obj
-      [
-        ("instances", Json.int (Longnail.Flow.session_solver_count ss.Longnail.Dse.ss_flow));
-        ("resolves", Json.int sst.Lp.Instance.is_resolves);
-        ("warm_hits", Json.int sst.Lp.Instance.is_warm_hits);
-        ("warm_misses", Json.int (sst.Lp.Instance.is_resolves - sst.Lp.Instance.is_warm_hits));
-        ("bf_rounds", Json.int sst.Lp.Instance.is_bf_rounds);
-      ]
-  in
   let store_stats (name, (st : Cache.Store.stats)) =
     ( name,
       Json.Obj
@@ -384,7 +361,6 @@ let dse_sweep_json ?(assert_warm = false) () =
   in
   [
     ("cache", Json.Obj (List.map store_stats cache_stats));
-    ("solver", solver);
     ( "dse_sweep",
       Json.Obj
         [
@@ -395,7 +371,6 @@ let dse_sweep_json ?(assert_warm = false) () =
           ("cold_ms", Json.Num cold_ms);
           ("warm_ms", Json.Num warm_ms);
           ("warm_speedup", Json.Num speedup);
-          ("solver_warm_hits", Json.int sst.Lp.Instance.is_warm_hits);
         ] );
   ]
 
@@ -826,7 +801,7 @@ let rtl_sim_json ~assert_sim_equal () =
   ]
 
 let perf_json ~jobs ?(verify_each = false) ~assert_par_equal ?(assert_sim_equal = false)
-    ?(assert_dse_warm = false) ?(assert_narrow = false) ~json_path ~schema_path () =
+    ?(assert_narrow = false) ~json_path ~schema_path () =
   let results =
     List.concat_map
       (fun (core : Scaiev.Datasheet.t) ->
@@ -854,7 +829,7 @@ let perf_json ~jobs ?(verify_each = false) ~assert_par_equal ?(assert_sim_equal 
     | [] -> assert false
   in
   Printf.eprintf "running warm-vs-cold DSE sweep...\n%!";
-  let sweep_json = dse_sweep_json ~assert_warm:assert_dse_warm () in
+  let sweep_json = dse_sweep_json () in
   Printf.eprintf "running parallel-vs-sequential grid (jobs=%d)...\n%!" jobs;
   let parallel_json = par_json ~jobs ~verify_each ~assert_equal:assert_par_equal () in
   Printf.eprintf "running cold-vs-warm disk store...\n%!";
@@ -1122,13 +1097,25 @@ let usage_error fmt =
     (fun m ->
       Printf.eprintf
         "bench: %s\navailable targets: %s\nflags: --json FILE --schema FILE (with the 'perf' target), --repeat N,\n\
-        \       --assert-cache-hits, --assert-par-equal, --assert-sim-equal, --assert-dse-warm,\n\
+        \       --assert-cache-hits, --assert-par-equal, --assert-sim-equal,\n\
         \       --assert-narrow,\n\
         \       plus the shared knob flags (--jobs N, --scheduler KIND, ...)\n"
         m
         (String.concat " " (List.map fst all_targets));
       exit 2)
     fmt
+
+(* the bench's own flags, after the shared knob flags are stripped *)
+type bench_flags = {
+  targets : string list;
+  json : string option;
+  schema : string option;
+  repeat : int;
+  assert_hits : bool;
+  assert_par : bool;
+  assert_sim : bool;
+  assert_narrow : bool;
+}
 
 let main () =
   (* the shared knob/cache/parallelism flags (one table with the CLI —
@@ -1146,48 +1133,29 @@ let main () =
     | Ok r -> r
     | Error m -> usage_error "%s" m
   in
-  let rec parse
-      (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
-      = function
-    | [] ->
-        ( List.rev targets, json, schema, repeat, assert_hits, assert_par, assert_sim,
-          assert_dse, assert_nw )
-    | "--json" :: path :: rest ->
-        parse
-          (targets, Some path, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
-          rest
-    | "--schema" :: path :: rest ->
-        parse
-          (targets, json, Some path, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
-          rest
+  let rec parse f = function
+    | [] -> { f with targets = List.rev f.targets }
+    | "--json" :: path :: rest -> parse { f with json = Some path } rest
+    | "--schema" :: path :: rest -> parse { f with schema = Some path } rest
     | "--repeat" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some k when k >= 1 ->
-            parse
-              (targets, json, schema, k, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
-              rest
+        | Some k when k >= 1 -> parse { f with repeat = k } rest
         | _ -> usage_error "--repeat expects an integer >= 1, got '%s'" n)
-    | "--assert-cache-hits" :: rest ->
-        parse (targets, json, schema, repeat, true, assert_par, assert_sim, assert_dse, assert_nw) rest
-    | "--assert-par-equal" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, true, assert_sim, assert_dse, assert_nw) rest
-    | "--assert-sim-equal" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, assert_par, true, assert_dse, assert_nw) rest
-    | "--assert-dse-warm" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, true, assert_nw) rest
-    | "--assert-narrow" :: rest ->
-        parse (targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, true) rest
+    | "--assert-cache-hits" :: rest -> parse { f with assert_hits = true } rest
+    | "--assert-par-equal" :: rest -> parse { f with assert_par = true } rest
+    | "--assert-sim-equal" :: rest -> parse { f with assert_sim = true } rest
+    | "--assert-narrow" :: rest -> parse { f with assert_narrow = true } rest
     | ("--json" | "--schema" | "--repeat") :: [] -> usage_error "missing flag argument"
     | a :: _ when String.length a >= 2 && String.sub a 0 2 = "--" ->
         usage_error "unknown flag '%s'" a
-    | a :: rest ->
-        parse
-          (a :: targets, json, schema, repeat, assert_hits, assert_par, assert_sim, assert_dse, assert_nw)
-          rest
+    | a :: rest -> parse { f with targets = a :: f.targets } rest
   in
-  let names, json, schema, repeat, assert_hits, assert_par_equal, assert_sim_equal,
-      assert_dse_warm, assert_narrow =
-    parse ([], None, None, 1, false, false, false, false, false) rest
+  let { targets = names; json; schema; repeat; assert_hits; assert_par = assert_par_equal;
+        assert_sim = assert_sim_equal; assert_narrow } =
+    parse
+      { targets = []; json = None; schema = None; repeat = 1; assert_hits = false;
+        assert_par = false; assert_sim = false; assert_narrow = false }
+      rest
   in
   List.iter
     (fun n -> if not (List.mem_assoc n all_targets) then usage_error "unknown target '%s'" n)
@@ -1209,7 +1177,7 @@ let main () =
           | "perf", Some json_path ->
               perf_json ~jobs:kf.Longnail.Knob_flags.jobs
                 ~verify_each:kf.Longnail.Knob_flags.verify_each ~assert_par_equal
-                ~assert_sim_equal ~assert_dse_warm ~assert_narrow ~json_path
+                ~assert_sim_equal ~assert_narrow ~json_path
                 ~schema_path:schema ()
           | _ -> (List.assoc n all_targets) ())
         names);

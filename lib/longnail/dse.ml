@@ -69,14 +69,7 @@ let config_label (factor, scheduler, physical) =
    worker domains: the shared IR artifacts are warmed once on the
    calling domain, each point runs the sched->hwgen tail in a task, and
    results are collected by index, so the point list (and the Pareto
-   marking over it) is identical to a sequential sweep.
-
-   Sequential sweeps evaluate the cycle factors largest-first: shrinking
-   the target period only adds chain breakers, i.e. only tightens the
-   difference system, which is exactly the monotone precondition under
-   which the session's persistent solver instances warm-start
-   (docs/SCHEDULING.md). Results are collected by original grid index, so
-   the returned point list is independent of the evaluation order. *)
+   marking over it) is identical to a sequential sweep. *)
 let explore ?(cycle_factors = [ 0.75; 1.0; 1.5; 2.0 ]) ?sweep ?request
     ~(measure : Flow.compiled -> float * float) (core : Scaiev.Datasheet.t)
     (tu : Coredsl.Tast.tunit) : point list =
@@ -144,16 +137,9 @@ let explore ?(cycle_factors = [ 0.75; 1.0; 1.5; 2.0 ]) ?sweep ?request
           }
   in
   let indexed = List.mapi (fun i config -> (i, config)) configs in
-  (* warm-friendly evaluation order: cycle factor descending (stable on
-     the rest of the grid) — each step only tightens the system *)
-  let by_warmth =
-    List.stable_sort
-      (fun (_, (fa, _, _)) (_, (fb, _, _)) -> compare (fb : float) fa)
-      indexed
-  in
   let slots = Array.make (List.length configs) None in
   (if jobs <= 1 then
-     List.iter (fun (i, config) -> slots.(i) <- eval_point ?obs config) by_warmth
+     List.iter (fun (i, config) -> slots.(i) <- eval_point ?obs config) indexed
    else begin
      (* warm the shared frontend/IR artifacts on this domain, then fan
         the per-point sched->hwgen tails out over the worker pool *)
@@ -171,7 +157,7 @@ let explore ?(cycle_factors = [ 0.75; 1.0; 1.5; 2.0 ]) ?sweep ?request
        Option.iter Obs.finish tobs;
        ((i, p), Option.map Obs.root tobs)
      in
-     let results = Par.run ~jobs (List.map task by_warmth) in
+     let results = Par.run ~jobs (List.map task indexed) in
      (match pobs with
      | None -> ()
      | Some p -> List.iter (fun (_, sp) -> Option.iter (Obs.attach p) sp) results);

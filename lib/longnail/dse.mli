@@ -57,11 +57,6 @@ val explore :
     scope and — when no [?sweep] is given — the flow session to wrap in a
     fresh sweep session. Passing [?sweep] together with a request that
     carries its own session raises E0902. With [jobs > 1] the grid fans
-    out over worker domains after warming the shared IR artifacts.
-
-    Grid points are {e evaluated} largest cycle factor first, so the
-    session's persistent solver instances see a monotonically tightening
-    difference system and warm-start every subsequent ILP re-schedule
-    (docs/SCHEDULING.md); results are {e collected} by grid index, so the
-    returned point list is identical regardless of evaluation order or
-    job count. *)
+    out over worker domains after warming the shared IR artifacts;
+    results are collected by grid index, so the returned point list is
+    identical for every job count. *)

@@ -46,15 +46,6 @@ let diag_of_stage_exn = function
       Some (Diag.make ~code:"E0901" ("internal: IR verification failed: " ^ m))
   | Analysis.Verifier.Verify_error d | Analysis.Netcheck.Netcheck_error d -> Some d
   | Sched.Problem.Problem_error m -> Some (Diag.make ~code:"E0901" ("internal: " ^ m))
-  | Lp.Simplex.Iteration_limit budget ->
-      Some
-        (Diag.make ~code:"E0904"
-           (Printf.sprintf "solver iteration budget exhausted (%d pivots)" budget)
-           ~notes:
-             [
-               "the scheduling ILP did not converge within the simplex pivot budget; this \
-                indicates a degenerate or pathologically large constraint system";
-             ])
   | _ -> None
 
 (* Run [f], converting any stage exception into a fatal diagnostic that
@@ -191,15 +182,6 @@ type session = {
   s_fp_lock : Mutex.t;
   mutable s_unit_fps : (Coredsl.Tast.tunit * Cache.Fp.t) list;
   mutable s_core_fps : (Scaiev.Datasheet.t * Cache.Fp.t) list;
-  (* persistent ILP solver instances, keyed by functionality IR x core
-     (knob-independent: knobs move only the numbers — chain breakers,
-     windows — which is exactly what {!Lp.Instance} re-solves warm). A DSE
-     sweep therefore holds one solver per functionality and every grid
-     point after the first warm-starts from the previous least element.
-     Guarded by [s_solver_lock]; each instance additionally serializes its
-     own re-solves, so concurrent domains are safe. *)
-  s_solver_lock : Mutex.t;
-  mutable s_solvers : (string * Sched.Ilp_scheduler.Incremental.t) list;
 }
 
 let create_session ?capacity ?(enabled = true) ?disk () =
@@ -213,33 +195,11 @@ let create_session ?capacity ?(enabled = true) ?disk () =
     s_fp_lock = Mutex.create ();
     s_unit_fps = [];
     s_core_fps = [];
-    s_solver_lock = Mutex.create ();
-    s_solvers = [];
   }
 
-(* Fetch (or create on first use) the persistent solver for one
-   functionality x core; [create] builds it from the first scheduling
-   problem seen under the key. *)
-let session_solver s ~key ~create =
-  Mutex.protect s.s_solver_lock (fun () ->
-      match List.assoc_opt key s.s_solvers with
-      | Some inc -> inc
-      | None ->
-          let inc = create () in
-          s.s_solvers <- (key, inc) :: s.s_solvers;
-          inc)
-
-(* Aggregate warm-start counters over every solver instance the session
-   holds — the [solver] section of [bench perf --json]. *)
-let session_solver_stats s : Lp.Instance.stats =
-  Mutex.protect s.s_solver_lock (fun () ->
-      List.fold_left
-        (fun acc (_, inc) ->
-          Lp.Instance.add_stats acc (Sched.Ilp_scheduler.Incremental.stats inc))
-        Lp.Instance.zero_stats s.s_solvers)
-
-let session_solver_count s =
-  Mutex.protect s.s_solver_lock (fun () -> List.length s.s_solvers)
+(* read by the benchmark's layer probe; every schedule is one cold
+   solve, so there are no counters to report *)
+let session_solver_stats (_ : session) = Lp.Instance.zero_stats
 
 let session_disk s = s.s_disk
 
@@ -401,7 +361,7 @@ let build_func_ir ?(verify_each = false) ?(narrow = false) (tu : Coredsl.Tast.tu
   in
   { fi_hlir = hlir; fi_lil = lil }
 
-let build_func_hw ?solver_for (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) k ~name
+let build_func_hw (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) k ~name
     ~kind obs (fir : func_ir) : func_hw =
   let delay_model = delay_model_for core k in
   let cycle_time = k.k_cycle_time in
@@ -417,32 +377,9 @@ let build_func_hw ?solver_for (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tun
         let vars, constraints = Sched.Ilp_scheduler.ilp_size p in
         Obs.metric_int_opt sobs "ilp_vars" vars;
         Obs.metric_int_opt sobs "ilp_constraints" constraints;
-        (* the persistent solver only serves the ILP scheduler *)
-        let solver =
-          match (scheduler, solver_for) with
-          | Sched_build.Ilp, Some get -> Some (get p)
-          | _ -> None
-        in
-        let before =
-          match solver with
-          | Some inc -> Sched.Ilp_scheduler.Incremental.stats inc
-          | None -> Lp.Instance.zero_stats
-        in
-        let feasible = Sched_build.schedule ~scheduler ?solver built in
-        (* Always the same metric name set on the ILP path, warm or cold —
-           profiling span shapes must not depend on solver state. *)
-        (match solver with
-        | None -> ()
-        | Some inc ->
-            let a = Sched.Ilp_scheduler.Incremental.stats inc in
-            let d f = f a - f before in
-            Obs.metric_str_opt sobs "solver.class"
-              (Lp.Instance.klass_name (Sched.Ilp_scheduler.Incremental.classify inc));
-            Obs.metric_int_opt sobs "solver.resolves" (d (fun s -> s.Lp.Instance.is_resolves));
-            Obs.metric_int_opt sobs "solver.warm_hits"
-              (d (fun s -> s.Lp.Instance.is_warm_hits));
-            Obs.metric_int_opt sobs "solver.bf_rounds"
-              (d (fun s -> s.Lp.Instance.is_bf_rounds)));
+        let rounds = ref 0 in
+        let feasible = Sched_build.schedule ~scheduler ~rounds built in
+        if scheduler = Sched_build.Ilp then Obs.metric_int_opt sobs "solver.bf_rounds" !rounds;
         Obs.metric_int_opt sobs "feasible" (if feasible then 1 else 0);
         if not feasible then begin
           (* name the operation that overshoots its interface window, so the
@@ -507,22 +444,10 @@ let compile_functionality_in session k ?obs ?(verify_each = false)
       (ir_key session tu ~narrow:k.k_narrow ~kind ~name)
       (fun () -> build_func_ir ~verify_each ~narrow:k.k_narrow tu sobs fn)
   in
-  (* the persistent solver is keyed per functionality x core but *not* per
-     knobs: the knobs only move rhs/bounds, which is what resolves warm.
-     Narrowing changes the IR the problem is built from, so it rides in
-     via [ir_key]. *)
-  let solver_for p =
-    session_solver session
-      ~key:
-        (Printf.sprintf "%s/%s"
-           (ir_key session tu ~narrow:k.k_narrow ~kind ~name)
-           (core_fp session core))
-      ~create:(fun () -> Sched.Ilp_scheduler.Incremental.create p)
-  in
   let fh =
     Obs.span_opt obs "sched_artifact" @@ fun sobs ->
     Cache.Store.find_or_add session.s_func ?obs:sobs (func_key session k core tu ~kind ~name)
-      (fun () -> build_func_hw ~solver_for core tu k ~name ~kind sobs fir)
+      (fun () -> build_func_hw core tu k ~name ~kind sobs fir)
   in
   (* emission is the last step over the cached netlist, so a backend
      switch costs one emit and never re-schedules *)

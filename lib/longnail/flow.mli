@@ -32,8 +32,7 @@
     {!Scaiev.Generator.Generate_error}) are converted at the stage
     boundary, with a note naming the functionality being compiled;
     stringly internal errors (IR/problem verification) are wrapped as
-    E0901, and a blown simplex pivot budget
-    ({!Lp.Simplex.Iteration_limit}) as E0904. *)
+    E0901. *)
 val diag_of_stage_exn : exn -> Diag.t option
 
 val with_stage_diags : string -> (unit -> 'a) -> 'a
@@ -148,13 +147,9 @@ val session_stats : session -> (string * Cache.Store.stats) list
     mutex-guarded. *)
 
 val session_solver_stats : session -> Lp.Instance.stats
-(** Aggregate warm-start counters over the session's persistent ILP
-    solver instances (one per functionality x core, created on first
-    schedule and kept across knob changes — see docs/SCHEDULING.md).
-    Feeds the [solver] section of [bench perf --json]. *)
-
-val session_solver_count : session -> int
-(** Number of persistent solver instances the session currently holds. *)
+(** Always {!Lp.Instance.zero_stats}: a stub kept for the benchmark's
+    layer probe, since every schedule is one cold solve and no solver
+    state outlives it. *)
 
 (** {1 Compile requests}
 

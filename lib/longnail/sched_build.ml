@@ -97,22 +97,11 @@ let build (core : Scaiev.Datasheet.t) ?(delay_model = Delay_model.default) ?cycl
 (* schedule with the ILP (default) or ASAP scheduler *)
 type scheduler = Ilp | Asap
 
-(* [solver] is a persistent incremental instance from an earlier build of
-   the same graph (a DSE sweep re-scheduling under different knobs): when
-   it is structurally compatible the re-schedule warm-starts from the
-   previous grid point; otherwise — or for the ASAP scheduler — it is
-   ignored and the one-shot path runs as before. Both paths produce
-   identical schedules. *)
-let schedule ?(scheduler = Ilp) ?solver (bt : built) =
+(* [rounds] accumulates the ILP solve's Bellman-Ford sweeps. *)
+let schedule ?(scheduler = Ilp) ?rounds (bt : built) =
   match scheduler with
   | Ilp -> (
-      let outcome =
-        match solver with
-        | Some inc when Sched.Ilp_scheduler.Incremental.compatible inc bt.problem ->
-            Sched.Ilp_scheduler.Incremental.schedule inc bt.problem
-        | _ -> Sched.Ilp_scheduler.schedule bt.problem
-      in
-      match outcome with
+      match Sched.Ilp_scheduler.schedule ?rounds bt.problem with
       | Sched.Ilp_scheduler.Scheduled -> true
       | Sched.Ilp_scheduler.Infeasible -> false)
   | Asap -> (

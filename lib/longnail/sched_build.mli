@@ -29,12 +29,9 @@ val build :
   ?cycle_time:float -> Ir.Mir.graph -> built
 type scheduler = Ilp | Asap
 
-val schedule :
-  ?scheduler:scheduler -> ?solver:Sched.Ilp_scheduler.Incremental.t -> built -> bool
-(** Solve the problem in place. With [solver] (a persistent incremental
-    instance from an earlier build of the same graph) a structurally
-    compatible ILP re-schedule warm-starts from the previous solution;
-    otherwise the one-shot path runs. Both produce identical schedules. *)
+val schedule : ?scheduler:scheduler -> ?rounds:int ref -> built -> bool
+(** Solve the problem in place; [false] when it is infeasible. [rounds]
+    accumulates the ILP solve's Bellman-Ford relaxation sweeps. *)
 
 (** For an infeasible problem: the operation whose ASAP lower bound
     (longest dependence path, ignoring [latest] windows) most overshoots

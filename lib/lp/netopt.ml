@@ -114,19 +114,11 @@ end
 
 (* ---- ASAP via Bellman-Ford longest paths ----
 
-   With [init] the relaxation warm-starts from [max init lower]: as long
-   as that point is componentwise below the minimal solution (true when
-   [init] is the ASAP result of a system this one only tightens), the
-   result is exactly the same minimal element a cold run computes, in
-   fewer sweeps. [rounds] accumulates the sweep count. *)
+   [rounds] accumulates the sweep count. *)
 
-let asap ?init ?rounds (s : system) =
+let asap ?rounds (s : system) =
   let n = Array.length s.lower in
-  let t =
-    match init with
-    | None -> Array.copy s.lower
-    | Some prev -> Array.mapi (fun i lo -> max lo prev.(i)) s.lower
-  in
+  let t = Array.copy s.lower in
   let changed = ref true and sweeps = ref 0 and ok = ref true in
   while !changed && !ok do
     changed := false;
@@ -149,9 +141,8 @@ let asap ?init ?rounds (s : system) =
 (* ---- steepest-ascent phase ----
 
    Shift-by-closed-set ascent from the minimal element [t] (mutated in
-   place). Kept apart from [asap] so a warm caller can feed a warm-started
-   ASAP result through the identical ascent — making warm and cold solves
-   not just equal-objective but equal-valued. *)
+   place). With no negative cost no set improves, and [t] is returned
+   unchanged after one min-cut. *)
 
 let ascend (s : system) t =
   let n = Array.length t and edges = s.edges and upper = s.upper and cost = s.cost in
@@ -207,6 +198,11 @@ let ascend (s : system) t =
     end
   done;
   t
+
+let solve ?rounds s =
+  match asap ?rounds s with
+  | None -> `Infeasible
+  | Some least -> ( match ascend s least with t -> `Optimal t | exception Unbounded -> `Unbounded)
 
 (* objective value of a solution *)
 let objective ~cost t =

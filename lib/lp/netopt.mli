@@ -36,24 +36,17 @@ type system = {
   cost : int array;
 }
 
-exception Unbounded
-
-val asap : ?init:int array -> ?rounds:int ref -> system -> int array option
+val asap : ?rounds:int ref -> system -> int array option
 (** The componentwise-minimal feasible point (Bellman-Ford longest
     paths); [cost] is ignored. [None] when the system is infeasible
     (positive cycle, or the least point breaks an upper bound, in which
-    case every point does). With [init] the relaxation warm-starts from
-    [max init lower]; the result is identical to a cold run whenever that
-    start is below the minimal solution — in particular when [init] is
-    the ASAP result of a system this one only tightens. [rounds]
-    accumulates relaxation sweeps. *)
+    case every point does). [rounds] accumulates relaxation sweeps. *)
 
-val ascend : system -> int array -> int array
-(** The steepest-ascent phase, from a minimal element produced by
-    {!asap} (mutated in place and returned). Deterministic: equal inputs
-    give equal outputs, so a warm-started {!asap} feeding this yields
-    byte-identical schedules to a cold solve. With no negative cost the
-    minimal element is already optimal and is returned unchanged. Raises
-    {!Unbounded}. *)
+val solve :
+  ?rounds:int ref -> system -> [ `Optimal of int array | `Infeasible | `Unbounded ]
+(** {!asap}, then min-cut steepest ascent from the least element.
+    Deterministic: equal systems give equal value vectors. With no
+    negative cost the least element is already optimal and is returned
+    as is. [rounds] accumulates {!asap}'s relaxation sweeps. *)
 
 val objective : cost:int array -> int array -> int

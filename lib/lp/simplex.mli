@@ -19,8 +19,7 @@ type outcome =
 exception Iteration_limit of int
 (** Raised (carrying the budget) when a single solve exceeds its pivot
     budget. Bland's rule rules out cycling, so this only fires on
-    pathologically large instances; the flow maps it to the structured
-    E0904 diagnostic instead of appearing to hang. *)
+    pathologically large instances. *)
 
 val default_budget : int
 

@@ -10,10 +10,10 @@
    (C4) integrality / non-negativity
    (C5) t_i + latency_i + 1 <= t_j        for every chain-breaking edge
 
-   The paper solves this with Cbc via OR-Tools. Here the default backend
-   solves the equivalent difference system ({!Problem.difference_system})
-   exactly; [build_ilp] plus the branch-and-bound solver from lib/lp is
-   the cross-check oracle. *)
+   The paper solves this with Cbc via OR-Tools. Here [schedule] solves
+   the equivalent difference system ({!Problem.difference_system})
+   exactly; [build_ilp] plus the branch-and-bound solver from lib/lp
+   ([schedule_exact]) is the cross-check oracle. *)
 
 type outcome = Scheduled | Infeasible
 
@@ -78,7 +78,7 @@ let build_ilp p =
 
 (* Solve the Figure 7 ILP via the generic branch-and-bound MILP solver.
    Exact but slow on large graphs; used for small instances and as the
-   cross-check oracle for the network backend. *)
+   cross-check oracle for [schedule]. *)
 let schedule_exact (p : Problem.t) : outcome =
   Problem.check_input p;
   let lp, t = build_ilp p in
@@ -89,75 +89,16 @@ let schedule_exact (p : Problem.t) : outcome =
       Problem.compute_start_time_in_cycle p;
       Scheduled
 
-(* Write a solved start-time vector back into [p]. *)
-let store (p : Problem.t) = function
+(* The production path: one cold solve of {!Problem.difference_system}
+   with the lattice/min-cut solver in {!Lp.Netopt}. *)
+let schedule ?rounds (p : Problem.t) : outcome =
+  Problem.check_input p;
+  match Lp.Netopt.solve ?rounds (Problem.difference_system p) with
   | `Infeasible | `Unbounded -> Infeasible
   | `Optimal t ->
       Array.blit t 0 p.Problem.start_time 0 (Array.length t);
       Problem.compute_start_time_in_cycle p;
       Scheduled
-
-type backend = Exact | Netflow
-
-(* The default backend solves {!Problem.difference_system} on a fresh
-   {!Lp.Instance}: the lattice/min-cut solver in {!Lp.Netopt}. *)
-let schedule ?(backend = Netflow) (p : Problem.t) : outcome =
-  match backend with
-  | Exact -> schedule_exact p
-  | Netflow ->
-      Problem.check_input p;
-      store p (Lp.Instance.resolve (Lp.Instance.create (Problem.difference_system p)))
-
-(* ---- persistent incremental scheduler ----------------------------------
-
-   One {!Lp.Instance} per dependence-graph structure, kept alive across the
-   re-schedules of a DSE sweep. Between grid points only the numbers of
-   {!Problem.difference_system} move — a chain-breaker flip is one edge
-   weight, a window change one variable's bounds — and [resolve]
-   warm-starts from the previous grid point. The instance computes the
-   same schedule a fresh one would, so this path is schedule-for-schedule
-   identical to [schedule ~backend:Netflow]. *)
-
-module Incremental = struct
-  type t = {
-    n : int;
-    deps : (int * int) list;  (* (src, dst) per dependence, in order *)
-    inst : Lp.Instance.t;
-    lock : Mutex.t;
-  }
-
-  let shape_of (p : Problem.t) =
-    ( Array.length p.Problem.operations,
-      List.map (fun (d : Problem.dependence) -> (d.dep_src, d.dep_dst)) p.Problem.dependences
-    )
-
-  let create (p : Problem.t) : t =
-    Problem.check_input p;
-    let n, deps = shape_of p in
-    let inst = Lp.Instance.create (Problem.difference_system p) in
-    { n; deps; inst; lock = Mutex.create () }
-
-  (* Same dependence-graph structure? (Latencies, windows and the breaker
-     set are data and may differ; operation count and edge list may not.) *)
-  let compatible inc (p : Problem.t) = shape_of p = (inc.n, inc.deps)
-
-  let schedule inc (p : Problem.t) : outcome =
-    Problem.check_input p;
-    if not (compatible inc p) then
-      Problem.problem_error "Ilp_scheduler.Incremental: dependence graph changed shape";
-    let s = Problem.difference_system p in
-    Mutex.protect inc.lock (fun () ->
-        Array.iteri
-          (fun e (ed : Lp.Netopt.edge) -> Lp.Instance.update_weight inc.inst e ed.e_w)
-          s.edges;
-        Array.iteri
-          (fun v lower -> Lp.Instance.update_bounds inc.inst v ~lower ~upper:s.upper.(v))
-          s.lower;
-        store p (Lp.Instance.resolve inc.inst))
-
-  let stats inc = Lp.Instance.stats inc.inst
-  let classify inc = Lp.Instance.classify inc.inst
-end
 
 (* Textual dump of the generated ILP (Figure 7 instance). *)
 let ilp_text p =

@@ -57,8 +57,8 @@ val difference_system : t -> Lp.Netopt.system
 (** The Figure 7 ILP with the lifetime variables eliminated: one edge per
     dependence, weighted [latency], or [latency + 1] when the edge is a
     chain breaker; the [earliest]/[latest] windows as bounds; node costs
-    [1 + indegree - outdegree]. The ILP backend, {!Ilp_scheduler.Incremental},
-    the ASAP scheduler and infeasibility diagnosis all solve this system. *)
+    [1 + indegree - outdegree]. The ILP scheduler, the ASAP scheduler and
+    infeasibility diagnosis all solve this system. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

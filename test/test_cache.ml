@@ -298,6 +298,45 @@ let test_session_knob_isolation () =
   let c = Longnail.Flow.compile ~request:(req (Longnail.Flow.knobs ~cycle_time:7.0 ())) core tu in
   check_bool "different cycle time, different artifact" true (a != c && b != c)
 
+(* A long-lived session (the serve daemon's) must stay bounded: once the
+   capacity-2 stores and the 32-entry fingerprint memos are full, further
+   fresh sources replace entries instead of adding them. Sparkle variants
+   differ only in their round constant. *)
+let test_session_bounded () =
+  let sparkle = Isax.Registry.find_exn "sparkle" in
+  let variant k =
+    let needle = "0xb7e15162" and src = sparkle.source in
+    let nl = String.length needle and sl = String.length src in
+    let b = Buffer.create sl in
+    let rec go i =
+      if i + nl > sl then Buffer.add_substring b src i (sl - i)
+      else if String.sub src i nl = needle then begin
+        Buffer.add_string b (Printf.sprintf "0x%08x" k);
+        go (i + nl)
+      end
+      else begin
+        Buffer.add_char b src.[i];
+        go (i + 1)
+      end
+    in
+    go 0;
+    Buffer.contents b
+  in
+  let session = Longnail.Flow.create_session ~capacity:2 () in
+  let request = Longnail.Flow.Request.make ~session () in
+  let words = Array.make 81 0 in
+  for k = 1 to 80 do
+    let tu =
+      Coredsl.compile ~provider:Isax.Registry.provider ~target:sparkle.target (variant k)
+    in
+    ignore (Longnail.Flow.compile_request request Scaiev.Datasheet.vexriscv tu);
+    words.(k) <- Obj.reachable_words (Obj.repr session)
+  done;
+  check_bool
+    (Printf.sprintf "session words after 80 sources (%d) <= after 40 (%d)" words.(80) words.(40))
+    true
+    (words.(80) <= words.(40))
+
 (* the emission backend is a target-key knob: a switch gets a fresh
    target with the other dialect's text, but re-emits only — schedules
    and netlists come from the sched store, and the Verilog-2001 text is
@@ -600,5 +639,6 @@ let () =
             test_session_backend_switch_emits_only;
           Alcotest.test_case "compile_many shares" `Quick test_compile_many_shares;
           Alcotest.test_case "frontend memo" `Quick test_frontend_memo;
+          Alcotest.test_case "long-lived session stays bounded" `Quick test_session_bounded;
         ] );
     ]

@@ -193,15 +193,12 @@ let test_difference_positive_cycle () =
   check_bool "positive cycle infeasible" true
     (Netopt.asap (diff_system 2 [ (0, 1, 1); (1, 0, 1) ]) = None)
 
-(* ---- persistent instances (warm-start API) ---- *)
-
-module I = Lp.Instance
+(* ---- Netopt.solve against the MILP oracle ---- *)
 
 (* a scheduling-shaped integer program: difference rows t_dst - t_src >= w
    over [sp_n] variables, plus per-variable bounds and integer costs. The
-   arrays are the mutable data an incremental sweep moves; [build_problem]
-   rebuilds a fresh one-shot problem from the current numbers so every
-   warm resolve can be checked against a genuinely cold solve. *)
+   arrays are the data a perturbation chain moves; [build_problem] builds
+   the same numbers as a one-shot MILP for the simplex/B&B oracle. *)
 type ispec = {
   sp_n : int;
   sp_deps : (int * int) list;  (* (dst, src), row order *)
@@ -228,9 +225,7 @@ let build_problem spec =
        (Array.to_list (Array.mapi (fun i c -> (c, vs.(i))) spec.sp_cost)));
   p
 
-let cold_solve spec = Lp.solve (build_problem spec)
-
-(* the same numbers as a difference system, the instance's input *)
+(* the same numbers as a difference system, {!Netopt.solve}'s input *)
 let system_of spec : Netopt.system =
   {
     edges =
@@ -242,84 +237,22 @@ let system_of spec : Netopt.system =
     cost = Array.copy spec.sp_cost;
   }
 
-(* push the spec's current numbers into the instance *)
-let sync_instance inst spec =
-  List.iteri (fun r _ -> I.update_weight inst r spec.sp_w.(r)) spec.sp_deps;
-  Array.iteri
-    (fun v lower -> I.update_bounds inst v ~lower ~upper:spec.sp_upper.(v))
-    spec.sp_lower
-
 let show = function
   | `Optimal _ -> "optimal"
   | `Infeasible -> "infeasible"
   | `Unbounded -> "unbounded"
 
-(* [warm] from a long-lived instance, [fresh] from a new instance on the
-   same numbers, [oracle] from the simplex/B&B MILP solver: the two
-   instance answers must be identical, and optimal for the oracle *)
-let outcome_matches name spec ~warm ~fresh ~oracle =
-  (warm = fresh
-  || QCheck.Test.fail_reportf "%s: warm %s differs from fresh %s" name (show warm) (show fresh))
-  &&
-  match (warm, oracle) with
+(* [Netopt.solve] must agree with the simplex/B&B MILP oracle on
+   feasibility and boundedness, and reach its optimal objective *)
+let solve_matches_oracle name spec =
+  match (Netopt.solve (system_of spec), Lp.solve (build_problem spec)) with
   | `Optimal sol, `Optimal (sb : Lp.solution) ->
       let obj = Netopt.objective ~cost:spec.sp_cost sol in
       Rat.equal (rat obj) sb.Lp.objective
-      || QCheck.Test.fail_reportf "%s: warm obj %d <> oracle obj %s" name obj
+      || QCheck.Test.fail_reportf "%s: obj %d <> oracle obj %s" name obj
            (Rat.to_string sb.Lp.objective)
   | `Infeasible, `Infeasible | `Unbounded, `Unbounded -> true
-  | _ -> QCheck.Test.fail_reportf "%s: warm %s, oracle %s" name (show warm) (show oracle)
-
-let test_instance_classification () =
-  let diff =
-    { sp_n = 3; sp_deps = [ (1, 0); (2, 1) ]; sp_w = [| 1; 1 |];
-      sp_lower = [| 0; 0; 0 |]; sp_upper = [| None; None; None |]; sp_cost = [| 1; 1; 1 |] }
-  in
-  check_str "pure difference system" "difference"
-    (I.klass_name (I.classify (I.create (system_of diff))));
-  let netflow = { diff with sp_cost = [| 1; -2; 1 |]; sp_upper = [| Some 9; Some 9; Some 9 |] } in
-  check_str "negative costs go to netflow" "netflow"
-    (I.klass_name (I.classify (I.create (system_of netflow))))
-
-let test_instance_update_guards () =
-  let spec =
-    { sp_n = 2; sp_deps = [ (1, 0) ]; sp_w = [| 1 |]; sp_lower = [| 0; 0 |];
-      sp_upper = [| None; None |]; sp_cost = [| 1; 1 |] }
-  in
-  let inst = I.create (system_of spec) in
-  check_int "edge count" 1 (I.nedges inst);
-  (match I.update_weight inst 3 1 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument for edge out of range");
-  match I.update_bounds inst 7 ~lower:0 ~upper:None with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument for bounds var out of range"
-
-let test_instance_warm_counters () =
-  (* a monotone-tightening chain stays on the fast path and warm-starts
-     every resolve after the first *)
-  let spec =
-    { sp_n = 3; sp_deps = [ (1, 0); (2, 1) ]; sp_w = [| 1; 1 |]; sp_lower = [| 0; 0; 0 |];
-      sp_upper = [| None; None; None |]; sp_cost = [| 1; 1; 1 |] }
-  in
-  let inst = I.create (system_of spec) in
-  ignore (I.resolve inst);
-  I.update_weight inst 0 2;
-  ignore (I.resolve inst);
-  I.update_bounds inst 1 ~lower:4 ~upper:None;
-  (match I.resolve inst with
-  | `Optimal sol ->
-      check_int "t1 pushed to 4" 4 sol.(1);
-      check_int "t2 follows" 5 sol.(2)
-  | _ -> Alcotest.fail "expected optimal");
-  let st = I.stats inst in
-  check_int "three resolves" 3 st.I.is_resolves;
-  check_int "two warm hits, one cold start" 2 st.I.is_warm_hits;
-  check_bool "relaxation sweeps counted" true (st.I.is_bf_rounds >= 3);
-  (* loosening a weight forces a cold start *)
-  I.update_weight inst 1 0;
-  ignore (I.resolve inst);
-  check_int "no warm hit on loosening" 2 (I.stats inst).I.is_warm_hits
+  | got, oracle -> QCheck.Test.fail_reportf "%s: %s, oracle %s" name (show got) (show oracle)
 
 let test_simplex_budget_exhausted () =
   let obj = [| rat 1; rat 1 |] in
@@ -374,7 +307,7 @@ let prop_difference_minimality =
 
 (* random scheduling-shaped spec: a DAG of difference rows (dst > src, so
    the initial system is always feasible) plus a perturbation chain that
-   only tightens — exactly the shape an incremental DSE sweep produces *)
+   only tightens, as shrinking a DSE sweep's cycle time does *)
 let gen_diff_chain =
   QCheck.Gen.(
     int_range 3 6 >>= fun n ->
@@ -410,31 +343,18 @@ let apply_perturb spec = function
   | `Low (v, d) -> spec.sp_lower.(v) <- spec.sp_lower.(v) + d
   | `Up (v, u) -> spec.sp_upper.(v) <- u
 
+(* every step of the chain is checked as an independent system *)
 let run_chain (spec, perturbs) =
-  let inst = I.create (system_of spec) in
-  let step name =
-    sync_instance inst spec;
-    let warm = I.resolve inst in
-    outcome_matches name spec ~warm ~fresh:(I.resolve (I.create (system_of spec)))
-      ~oracle:(cold_solve spec)
-  in
-  let ok0 = step "initial" in
-  ok0
+  solve_matches_oracle "initial" spec
   && List.for_all
        (fun pert ->
          apply_perturb spec pert;
-         step "after perturbation")
+         solve_matches_oracle "after perturbation" spec)
        perturbs
 
-let prop_instance_warm_equals_cold =
-  QCheck.Test.make ~name:"warm resolve == cold solve on tightening chains" ~count:60
-    (QCheck.make gen_diff_chain) (fun ((spec, _) as chain) ->
-      let inst = I.create (system_of spec) in
-      I.classify inst = I.Difference && run_chain chain)
-
 (* same shape but with negative costs, finite-or-absent uppers and
-   loosening updates too: resolves must track the cold solver through
-   optimal -> infeasible -> optimal -> unbounded transitions *)
+   loosening updates too: the chain passes through optimal, infeasible
+   and unbounded systems *)
 let gen_transition_chain =
   QCheck.Gen.(
     int_range 3 5 >>= fun n ->
@@ -448,8 +368,7 @@ let gen_transition_chain =
     list_size (int_range 2 7)
       (oneof
          [
-           (* weights and lowers move both ways: a loosening step must
-              not warm-start from a least element above the new one *)
+           (* weights and lowers move both ways *)
            (int_range 0 (ndeps - 1) >>= fun r ->
             int_range (-3) 3 >>= fun d -> return (`Rhs (r, d)));
            (int_range 0 (n - 1) >>= fun v ->
@@ -474,10 +393,10 @@ let gen_transition_chain =
         },
         perturbs ))
 
-let prop_instance_transitions =
-  QCheck.Test.make
-    ~name:"resolve tracks cold solver through infeasible/unbounded transitions" ~count:60
-    (QCheck.make gen_transition_chain) run_chain
+let prop_solve_matches_oracle =
+  QCheck.Test.make ~name:"netopt solve == MILP oracle on chain steps" ~count:60
+    (QCheck.make (QCheck.Gen.pair gen_diff_chain gen_transition_chain))
+    (fun (tightening, transitions) -> run_chain tightening && run_chain transitions)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -485,8 +404,7 @@ let qcheck_cases =
       prop_rat_field;
       prop_rat_floor_le;
       prop_difference_minimality;
-      prop_instance_warm_equals_cold;
-      prop_instance_transitions;
+      prop_solve_matches_oracle;
     ]
 
 let () =
@@ -519,12 +437,6 @@ let () =
           Alcotest.test_case "matches ILP result" `Quick test_difference_matches_ilp;
           Alcotest.test_case "upper bound infeasible" `Quick test_difference_infeasible_upper;
           Alcotest.test_case "positive cycle" `Quick test_difference_positive_cycle;
-        ] );
-      ( "instance",
-        [
-          Alcotest.test_case "classification" `Quick test_instance_classification;
-          Alcotest.test_case "update guards" `Quick test_instance_update_guards;
-          Alcotest.test_case "warm counters" `Quick test_instance_warm_counters;
         ] );
       ("properties", qcheck_cases);
     ]
