@@ -1045,6 +1045,7 @@ let micro () =
       rs2 = Some b;
     }
   in
+  let engine = Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist in
   let st = Coredsl.Interp.create tu_dotp in
   let word =
     Coredsl.Interp.encode dotp
@@ -1062,8 +1063,12 @@ let micro () =
         (Staged.stage (fun () -> Coredsl.Interp.exec_instr st dotp ~instr_word:word));
       Test.make ~name:"longnail compile dotprod (full flow)"
         (Staged.stage (fun () -> ignore (Longnail.Flow.compile core tu_dotp)));
+      Test.make ~name:"interp decode"
+        (Staged.stage (fun () -> ignore (Coredsl.Interp.decode st word)));
       Test.make ~name:"rtl cosim DOTP (one instruction)"
         (Staged.stage (fun () -> ignore (Longnail.Cosim.run f sim_stim)));
+      Test.make ~name:"rtl cosim DOTP (reused engine)"
+        (Staged.stage (fun () -> ignore (Longnail.Cosim.run_on engine f sim_stim)));
     ]
   in
   let benchmark test =

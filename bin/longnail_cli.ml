@@ -443,7 +443,11 @@ let run_cmd =
      (* no bare [Failure] handler here: anything unexpected must escape to
         the top-level internal-error handler (exit 3), not masquerade as a
         user error *)
-     with Riscv.Asm.Asm_error m -> Diag.fatalf ~code:"E0601" "%s" m)
+     with
+     | Riscv.Asm.Asm_error m -> Diag.fatalf ~code:"E0601" "%s" m
+     | Riscv.Machine.Out_of_fuel budget ->
+         Diag.fatalf ~code:"E0602" "program did not halt within %d %s" budget
+           (match engine with `Pipeline -> "cycles" | `Cost | `Rtl_loop -> "instructions"))
   in
   let doc = "Run an assembly program on an (optionally ISAX-extended) core model." in
   Cmd.v (Cmd.info "run" ~doc)

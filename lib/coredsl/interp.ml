@@ -13,17 +13,49 @@ exception Runtime_error of loc * string
 
 let runtime_error loc fmt = Format.kasprintf (fun m -> raise (Runtime_error (loc, m))) fmt
 
-(* A write performed during execution, for tracing and co-simulation. *)
-type event =
-  | Wr_reg of string * Bitvec.t
-  | Wr_regfile of string * int * Bitvec.t
-  | Wr_mem of string * int * Bitvec.t  (* single element *)
+(* ---- decode table ---- *)
+
+(* Encodings and words up to this width decode through native-int tables;
+   wider ones keep the linear [matches] scan. *)
+let table_width = Sys.int_size - 1
+
+(* The instructions whose encodings share a width and a fixed-bit mask,
+   keyed by their fixed bits. Each entry keeps its index in [tinstrs] so
+   a probe over every group can return the earliest match, as
+   [List.find_opt] would. *)
+type group = { g_width : int; g_mask : int; g_table : (int, int * tinstr) Hashtbl.t }
+
+type decoder = { groups : group array; wide : tinstr list }
+
+let make_decoder (tinstrs : tinstr list) =
+  let groups = ref [] and wide = ref [] in
+  List.iteri
+    (fun i ti ->
+      if ti.enc_width > table_width then wide := ti :: !wide
+      else begin
+        let mask = Bitvec.to_int ti.mask in
+        let g =
+          match List.find_opt (fun g -> g.g_width = ti.enc_width && g.g_mask = mask) !groups with
+          | Some g -> g
+          | None ->
+              let g = { g_width = ti.enc_width; g_mask = mask; g_table = Hashtbl.create 16 } in
+              groups := g :: !groups;
+              g
+        in
+        let key = Bitvec.to_int ti.match_bits in
+        (* an earlier instruction with the same fixed bits wins *)
+        if not (Hashtbl.mem g.g_table key) then Hashtbl.add g.g_table key (i, ti)
+      end)
+    tinstrs;
+  { groups = Array.of_list (List.rev !groups); wide = List.rev !wide }
 
 type state = {
   unit_ : tunit;
   regs : (string, Bitvec.t array) Hashtbl.t;
   mems : (string, (int, Bitvec.t) Hashtbl.t) Hashtbl.t;
-  mutable trace : event list;  (* newest first *)
+  decoder : decoder;
+  pc_reg : Bitvec.t array option;  (* the [is_pc] register, if any *)
+  mutable pc_written : bool;  (* the last [exec_instr] wrote the PC *)
 }
 
 let create (tu : tunit) =
@@ -44,7 +76,12 @@ let create (tu : tunit) =
   List.iter
     (fun (s : Elaborate.addr_space) -> Hashtbl.replace mems s.sname (Hashtbl.create 64))
     tu.elab.spaces;
-  { unit_ = tu; regs; mems; trace = [] }
+  let pc_reg =
+    List.find_map
+      (fun (r : Elaborate.reg) -> if r.is_pc then Hashtbl.find_opt regs r.rname else None)
+      tu.elab.regs
+  in
+  { unit_ = tu; regs; mems; decoder = make_decoder tu.tinstrs; pc_reg; pc_written = false }
 
 (* ---- state accessors ---- *)
 
@@ -57,9 +94,8 @@ let read_reg st name = (reg_array st name).(0)
 
 let write_reg st name v =
   let a = reg_array st name in
-  let v = Bitvec.cast (Bitvec.typ a.(0)) v in
-  a.(0) <- v;
-  st.trace <- Wr_reg (name, v) :: st.trace
+  a.(0) <- Bitvec.cast (Bitvec.typ a.(0)) v;
+  match st.pc_reg with Some pc when pc == a -> st.pc_written <- true | _ -> ()
 
 let read_regfile st name idx =
   let a = reg_array st name in
@@ -71,9 +107,7 @@ let write_regfile st name idx v =
   let a = reg_array st name in
   if idx < 0 || idx >= Array.length a then
     runtime_error no_loc "index %d out of range for register file %s" idx name;
-  let v = Bitvec.cast (Bitvec.typ a.(0)) v in
-  a.(idx) <- v;
-  st.trace <- Wr_regfile (name, idx, v) :: st.trace
+  a.(idx) <- Bitvec.cast (Bitvec.typ a.(0)) v
 
 let space_info st name =
   match Elaborate.find_space st.unit_.elab name with
@@ -93,21 +127,11 @@ let read_mem_elem st name addr =
 
 let write_mem_elem st name addr v =
   let s = space_info st name in
-  let v = Bitvec.cast s.elem_ty v in
-  Hashtbl.replace (mem_table st name) addr v;
-  st.trace <- Wr_mem (name, addr, v) :: st.trace
+  Hashtbl.replace (mem_table st name) addr (Bitvec.cast s.elem_ty v)
 
 (* little-endian multi-element read: element at [addr + elems - 1] is MSB *)
 let read_mem st name addr elems =
-  let rec go k acc =
-    if k >= elems then acc
-    else begin
-      let e = read_mem_elem st name (addr + k) in
-      go (k + 1) (match acc with None -> Some e | Some hi -> Some (Bitvec.concat e hi))
-    end
-  in
-  (* build by concatenating from MSB side: element addr+elems-1 :: ... :: addr *)
-  ignore go;
+  (* concatenate from the MSB side: element addr+elems-1 :: ... :: addr *)
   let v = ref (read_mem_elem st name (addr + elems - 1)) in
   for k = elems - 2 downto 0 do
     v := Bitvec.concat !v (read_mem_elem st name (addr + k))
@@ -268,8 +292,10 @@ let matches (ti : tinstr) (instr_word : Bitvec.t) =
   Bitvec.width instr_word = ti.enc_width
   && Bitvec.equal_value (Bitvec.logand instr_word ti.mask) ti.match_bits
 
-(* Execute one instruction's behavior for a concrete instruction word. *)
+(* Execute one instruction's behavior for a concrete instruction word;
+   afterwards [st.pc_written] tells whether the behavior wrote the PC. *)
 let exec_instr st (ti : tinstr) ~(instr_word : Bitvec.t) =
+  st.pc_written <- false;
   let fields = List.map (fun f -> (f.fld_name, decode_field instr_word f)) ti.fields in
   let fr = { locals = Hashtbl.create 8; fields } in
   exec_stmts st fr ti.ti_behavior
@@ -279,9 +305,29 @@ let exec_always st (ta : talways) =
   let fr = { locals = Hashtbl.create 8; fields = [] } in
   exec_stmts st fr ta.ta_body
 
-(* Find the unique instruction matching a word, if any. *)
+(* The first instruction in [tinstrs] order whose encoding matches a word,
+   if any: the lowest-index hit over every decode-table group. *)
 let decode st (instr_word : Bitvec.t) =
-  List.find_opt (fun ti -> matches ti instr_word) st.unit_.tinstrs
+  let d = st.decoder in
+  let width = Bitvec.width instr_word in
+  if width > table_width then List.find_opt (fun ti -> matches ti instr_word) d.wide
+  else begin
+    let bits =
+      if Bitvec.is_signed instr_word then Bn.to_int_exn (Bitvec.pattern instr_word)
+      else Bitvec.to_int instr_word
+    in
+    let best = ref None and best_index = ref max_int in
+    for k = 0 to Array.length d.groups - 1 do
+      let g = d.groups.(k) in
+      if g.g_width = width then
+        match Hashtbl.find_opt g.g_table (bits land g.g_mask) with
+        | Some (i, ti) when i < !best_index ->
+            best_index := i;
+            best := Some ti
+        | _ -> ()
+    done;
+    !best
+  end
 
 (* Encode an instruction word from field values (inverse of decode_field);
    used by tests and the assembler for custom instructions. *)

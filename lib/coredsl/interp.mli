@@ -9,16 +9,21 @@ module Bn = Bitvec.Bn
 exception Runtime_error of Ast.loc * string
 val runtime_error :
   Ast.loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-type event =
-    Wr_reg of string * Bitvec.t
-  | Wr_regfile of string * int * Bitvec.t
-  | Wr_mem of string * int * Bitvec.t
+
+(** The decode table {!create} builds: one hash table per distinct
+    (encoding width, fixed-bit mask) group of the unit's instructions. *)
+type decoder
+
 type state = {
   unit_ : Tast.tunit;
   regs : (string, Bitvec.t array) Hashtbl.t;
   mems : (string, (int, Bitvec.t) Hashtbl.t) Hashtbl.t;
-  mutable trace : event list;
+  decoder : decoder;
+  pc_reg : Bitvec.t array option;  (** the [is_pc] register, if any *)
+  mutable pc_written : bool;
+      (** whether the last {!exec_instr} wrote the PC register *)
 }
+
 val create : Tast.tunit -> state
 val reg_array : state -> string -> Bitvec.t array
 val read_reg : state -> string -> Bitvec.t
@@ -49,8 +54,18 @@ val call_function :
   state -> Tast.tfunc -> Bitvec.t list -> Bitvec.t option
 val decode_field : Bitvec.t -> Tast.field_info -> Bitvec.t
 val matches : Tast.tinstr -> Bitvec.t -> bool
+
+(** Execute one instruction's behavior; clears and then sets
+    [pc_written]. *)
 val exec_instr :
   state -> Tast.tinstr -> instr_word:Bitvec.t -> unit
+
 val exec_always : state -> Tast.talways -> unit
+
+(** The first instruction of [tunit.tinstrs] whose encoding {!matches}
+    the word, found through the decode table: the same answer as a
+    linear [List.find_opt], including its first-match priority when
+    encodings overlap. *)
 val decode : state -> Bitvec.t -> Tast.tinstr option
+
 val encode : Tast.tinstr -> (string * Bitvec.t) list -> Bitvec.t

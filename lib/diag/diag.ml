@@ -100,6 +100,7 @@ let all_codes =
     ("E0522", "netlist: undefined signal");
     ("E0530", "translation validation failed: optimized IR is not equivalent");
     ("E0601", "assembly error");
+    ("E0602", "program did not halt within the instruction budget");
     ("E0901", "internal error");
     ("E0902", "conflicting compile options");
     ("E0903", "lowering invariant violation");
@@ -138,6 +139,13 @@ let explain_notes = function
          optimized graph disagreed with the original on a concrete input vector";
         "the message names the pass and the counterexample assignment";
         "see docs/NARROWING.md for the validation protocol";
+      ]
+  | "E0602" ->
+      [
+        "a program halts at EBREAK; a loop that never exits, or a branch or jump to its \
+         own address (the `j .` spin), runs until the budget ends";
+        "each engine has a fixed budget, counted in instructions (cost, rtl-loop) or \
+         cycles (pipeline); the message names it";
       ]
   | "E0902" -> [ "the compile request mixed options that cannot be combined" ]
   | "W1004" -> [ "the interval analysis proved the condition constant on every path" ]

@@ -43,16 +43,18 @@ type response = {
 
 exception Cosim_error of string
 
-(* Run one instruction (or one always-block evaluation) through the module.
-   Inputs are applied in the stage recorded in each binding; outputs are
-   sampled in theirs. All stall inputs are held low. The compiled engine
-   is the default; [~engine:Rtl.Engine.Interp] cross-checks against the
-   reference interpreter. *)
-let run ?(engine = Rtl.Engine.Compiled) (f : Flow.compiled_functionality)
-    (stim : stimulus) : response =
+(* Run one instruction (or one always-block evaluation) through the module
+   on [sim], an engine built for its netlist, after resetting it: every
+   run starts from the state a fresh engine has. Inputs are applied in
+   the stage recorded in each binding; outputs are sampled in theirs. All
+   stall inputs are held low. *)
+let run_on (sim : Rtl.Engine.t) (f : Flow.compiled_functionality) (stim : stimulus) :
+    response =
   let hw = f.cf_hw in
   let m = hw.Hwgen.netlist in
-  let sim = Rtl.Engine.create ~kind:engine m in
+  if Rtl.Engine.netlist sim != m then
+    raise (Cosim_error (Printf.sprintf "engine was not built for %s's netlist" f.cf_name));
+  Rtl.Engine.reset sim;
   let u w = Bitvec.unsigned_ty w in
   (* hold stall inputs low *)
   List.iter
@@ -187,3 +189,9 @@ let run ?(engine = Rtl.Engine.Compiled) (f : Flow.compiled_functionality)
     mem_read_request = !mem_read_request;
     cycles = max_cycle - min_stage + 1;
   }
+
+(* One-shot run on a fresh engine: compiled by default;
+   [~engine:Rtl.Engine.Interp] cross-checks against the reference
+   interpreter. *)
+let run ?engine (f : Flow.compiled_functionality) stim =
+  run_on (Rtl.Engine.create ?kind:engine f.cf_hw.Hwgen.netlist) f stim

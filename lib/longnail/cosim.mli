@@ -32,9 +32,15 @@ type response = {
 }
 exception Cosim_error of string
 
+val run_on : Rtl.Engine.t -> Flow.compiled_functionality -> stimulus -> response
+(** [run_on engine f stim] runs one instruction (or always-block
+    evaluation) through [f]'s module on [engine], which must have been
+    created for [f]'s netlist ({!Cosim_error} otherwise). The engine is
+    {!Rtl.Engine.reset} first, so the response equals that of a fresh
+    engine; callers that run a module many times build its engine once. *)
+
 val run :
   ?engine:Rtl.Engine.kind -> Flow.compiled_functionality -> stimulus -> response
-(** Run one instruction (or always-block evaluation) through the module
-    on the chosen simulation engine (compiled by default; pass
-    [~engine:Rtl.Engine.Interp] to cross-check the reference
-    interpreter). *)
+(** [run ?engine f stim] is [run_on] on a fresh engine of the chosen kind
+    (compiled by default; pass [~engine:Rtl.Engine.Interp] to cross-check
+    the reference interpreter). *)

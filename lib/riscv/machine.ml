@@ -14,6 +14,10 @@ module Tast = Coredsl.Tast
 
 exception Machine_error of string
 
+(* A program did not reach EBREAK within its budget (the payload); shared
+   by the three program engines: Machine, Pipeline and Rtl_loop. *)
+exception Out_of_fuel of int
+
 type timing = {
   t_core : string;
   fsm_base : int;  (* base cycles per instruction (1 for pipelined cores) *)
@@ -120,9 +124,7 @@ let load_program m ?(base = 0) words =
   List.iteri
     (fun i w -> Interp.write_mem m.st "MEM" (base + (4 * i)) 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) w))
     words;
-  write_pc m base;
-  (* loading the program is setup, not execution: clear the trace *)
-  m.st.Interp.trace <- []
+  write_pc m base
 
 let store_word m addr v = Interp.write_mem m.st "MEM" addr 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) v)
 let load_word m addr = Bitvec.to_int (Interp.read_mem m.st "MEM" addr 4)
@@ -140,10 +142,8 @@ let step m =
   else begin
     (* always-blocks evaluate continuously; a PC redirect by an
        always-block (e.g. ZOL) replaces the fetch without penalty *)
-    let pc0 = read_pc m in
     List.iter (fun ta -> Interp.exec_always m.st ta) m.tu.talways;
     let pc = read_pc m in
-    ignore pc0;
     let word = Interp.read_mem m.st "MEM" pc 4 in
     match Interp.decode m.st word with
     | None ->
@@ -168,8 +168,9 @@ let step m =
           if !stall_until > m.cycles then m.cycles <- !stall_until;
           (* execute architecturally *)
           Interp.exec_instr m.st ti ~instr_word:word;
-          let pc_after = read_pc m in
-          let redirected = pc_after <> pc in
+          (* a taken control transfer writes the PC, possibly with its
+             own address (the `j .` spin); anything else falls through *)
+          let redirected = m.st.Interp.pc_written in
           if not redirected then write_pc m ((pc + 4) land 0xFFFFFFFF);
           (* timing *)
           let cost = ref m.timing.fsm_base in
@@ -199,7 +200,7 @@ let step m =
 
 (* run until halt or the fuel is exhausted; returns consumed cycle count *)
 let run ?(fuel = 1_000_000) m =
-  let rec go fuel = if fuel <= 0 then raise (Machine_error "out of fuel") else if step m then go (fuel - 1) else () in
+  let rec go n = if n <= 0 then raise (Out_of_fuel fuel) else if step m then go (n - 1) else () in
   go fuel;
   m.cycles
 

@@ -12,6 +12,12 @@
 module Interp = Coredsl.Interp
 module Tast = Coredsl.Tast
 exception Machine_error of string
+
+(** Raised by {!run}, {!Pipeline.run} and {!Rtl_loop.run} when the
+    program has not halted (reached EBREAK or an undecodable word) within
+    the budget, which is the payload: instructions for {!run} and
+    {!Rtl_loop.run}, cycles for {!Pipeline.run}. *)
+exception Out_of_fuel of int
 type timing = {
   t_core : string;
   fsm_base : int;
@@ -64,4 +70,6 @@ val mem_instr_names : string list
 val field_value : Tast.tinstr -> Bitvec.t -> string -> int option
 val step : t -> bool
 val run : ?fuel:int -> t -> int
+(** Step until the program halts and return the cycle count; raises
+    {!Out_of_fuel} after [fuel] instructions without halting. *)
 val isax_encoder : Tast.tunit -> Asm.custom_encoder

@@ -111,8 +111,7 @@ let write_pc t v = (Interp.reg_array t.st "PC").(0) <- bv v
 let load_program t ?(base = 0) words =
   List.iteri (fun i w -> Interp.write_mem t.st "MEM" (base + (4 * i)) 4 (bv w)) words;
   t.fetch_pc <- base;
-  write_pc t base;
-  t.st.Interp.trace <- []
+  write_pc t base
 
 let store_word t addr v = Interp.write_mem t.st "MEM" addr 4 (bv v)
 
@@ -363,11 +362,9 @@ let base_execute t (s : slot) =
         (Bitvec.to_int (Interp.read_mem t.st "MEM" ((addr land lnot 3) + 4) 4))
   | _ -> ());
   (try Iss.step_word iss s.s_word with Iss.Unknown_instruction _ -> ());
-  (match field_value s.s_ti s.s_word "rd" with
+  match field_value s.s_ti s.s_word "rd" with
   | Some rd when rd <> 0 -> s.s_result <- Some (Iss.read_reg iss rd)
-  | _ -> s.s_result <- Some 0);
-  (* branch/jump redirect resolves here *)
-  if iss.Iss.pc <> (s.s_pc + 4) land 0xFFFFFFFF then Some iss.Iss.pc else None
+  | _ -> s.s_result <- Some 0
 
 (* commit the oldest instruction architecturally, in order *)
 let commit t (s : slot) =
@@ -440,7 +437,7 @@ let step t =
           s.s_rs1v <- forwarded_operand t ~upto:(opstage + 1) rs1;
           s.s_rs2v <- forwarded_operand t ~upto:(opstage + 1) rs2;
           s.s_has_operands <- true;
-          if s.s_isax = None then ignore (base_execute t s)
+          if s.s_isax = None then base_execute t s
         end
     | _ -> ());
     (* 1b. custom-register data hazards (SCAIE-V hazard handling) *)
@@ -573,9 +570,10 @@ let step t =
             | Some pc' -> redirect := Some (Bitvec.to_int pc')
             | None -> ())
         | None ->
-            (* the interpreter only writes PC for taken control transfers *)
-            let pc_after = Bitvec.to_int (Interp.read_reg t.st "PC") in
-            if pc_after <> s.s_pc then redirect := Some pc_after);
+            (* the interpreter writes the PC only for taken control
+               transfers, a branch to its own address included *)
+            if t.st.Interp.pc_written then
+              redirect := Some (Bitvec.to_int (Interp.read_reg t.st "PC")));
         t.stages.(last) <- None
     | None -> ());
     (* 4. advance: slots at or before the stall point hold; bubbles drain
@@ -629,9 +627,9 @@ let step t =
   end
 
 let run ?(fuel = 500_000) t =
-  let rec go fuel =
-    if fuel <= 0 then raise (Pipeline_error "out of fuel")
-    else if step t then go (fuel - 1)
+  let rec go n =
+    if n <= 0 then raise (Machine.Out_of_fuel fuel)
+    else if step t then go (n - 1)
     else ()
   in
   go fuel;

@@ -85,8 +85,10 @@ val drive_isax_inputs :
 val service_isax_stage :
   t -> slot -> Longnail.Flow.compiled_functionality -> int -> unit
 val tick_always : t -> unit
-val base_execute : t -> slot -> int option
+val base_execute : t -> slot -> unit
 val commit : t -> slot -> unit
 val make_capture : unit -> isax_capture
 val step : t -> bool
 val run : ?fuel:int -> t -> int
+(** Step until the program halts; raises {!Machine.Out_of_fuel} after
+    [fuel] cycles without halting. *)

@@ -17,14 +17,26 @@ exception Rtl_loop_error of string
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;  (* architectural state *)
+  engines : (Longnail.Flow.compiled_functionality * Rtl.Engine.t) list;
+      (* one per functionality, in [compiled.funcs] order *)
   mutable instret : int;
   mutable halted : bool;
 }
 
+(* Every functionality's engine is built here, once per run; each
+   instruction resets it ({!Longnail.Cosim.run_on}) instead of building a
+   fresh one. *)
 let create (compiled : Longnail.Flow.compiled) =
+  let engines =
+    List.map
+      (fun (f : Longnail.Flow.compiled_functionality) ->
+        (f, Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist))
+      compiled.Longnail.Flow.funcs
+  in
   {
     compiled;
     st = Interp.create compiled.Longnail.Flow.unit_;
+    engines;
     instret = 0;
     halted = false;
   }
@@ -40,8 +52,7 @@ let load_program t ?(base = 0) words =
     (fun i w ->
       Interp.write_mem t.st "MEM" (base + (4 * i)) 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) w))
     words;
-  write_pc t base;
-  t.st.Interp.trace <- []
+  write_pc t base
 
 (* stimulus reading the current architectural state *)
 let stimulus_of t ?instr_word ?rs1 ?rs2 () =
@@ -83,12 +94,12 @@ let apply_response t ?rd (resp : Longnail.Cosim.response) ~fallthrough_pc =
 (* one evaluation of every always-block through its RTL module *)
 let tick_always t =
   List.iter
-    (fun (f : Longnail.Flow.compiled_functionality) ->
+    (fun ((f : Longnail.Flow.compiled_functionality), engine) ->
       if f.cf_kind = `Always then begin
-        let resp = Longnail.Cosim.run f (stimulus_of t ()) in
+        let resp = Longnail.Cosim.run_on engine f (stimulus_of t ()) in
         apply_response t resp ~fallthrough_pc:None
       end)
-    t.compiled.Longnail.Flow.funcs
+    t.engines
 
 let field_value ti word name =
   Option.map
@@ -111,26 +122,31 @@ let step t =
         false
     | Some ti -> (
         t.instret <- t.instret + 1;
-        match Longnail.Flow.find_func t.compiled ti.ti_name with
-        | Some f ->
+        (* the first functionality by name, as [Flow.find_func] picks *)
+        match
+          List.find_opt
+            (fun ((f : Longnail.Flow.compiled_functionality), _) -> f.cf_name = ti.ti_name)
+            t.engines
+        with
+        | Some (f, engine) ->
             (* custom instruction: through the RTL *)
             let rs1 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs1") in
             let rs2 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs2") in
-            let resp = Longnail.Cosim.run f (stimulus_of t ~instr_word:word ?rs1 ?rs2 ()) in
+            let resp = Longnail.Cosim.run_on engine f (stimulus_of t ~instr_word:word ?rs1 ?rs2 ()) in
             apply_response t ?rd:(field_value ti word "rd") resp
               ~fallthrough_pc:(Some ((pc + 4) land 0xFFFFFFFF));
             true
         | None ->
             (* base instruction: reference interpreter *)
             Interp.exec_instr t.st ti ~instr_word:word;
-            if read_pc t = pc then write_pc t ((pc + 4) land 0xFFFFFFFF);
+            if not t.st.Interp.pc_written then write_pc t ((pc + 4) land 0xFFFFFFFF);
             true)
   end
 
 let run ?(fuel = 200_000) t =
-  let rec go fuel =
-    if fuel <= 0 then raise (Rtl_loop_error "out of fuel")
-    else if step t then go (fuel - 1)
+  let rec go n =
+    if n <= 0 then raise (Machine.Out_of_fuel fuel)
+    else if step t then go (n - 1)
     else ()
   in
   go fuel;

@@ -15,13 +15,18 @@ exception Rtl_loop_error of string
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;
+  engines : (Longnail.Flow.compiled_functionality * Rtl.Engine.t) list;
+      (** one compiled RTL engine per functionality, in
+          [compiled.funcs] order *)
   mutable instret : int;
   mutable halted : bool;
 }
 
 val create : Longnail.Flow.compiled -> t
 (** [create compiled] prepares a run; every ISAX and always-block
-    executes through the compiled RTL simulation engine. *)
+    executes through the compiled RTL simulation engine. Each
+    functionality's engine is built once here and reset before every
+    instruction or always-block evaluation. *)
 
 val tu : t -> Coredsl.Tast.tunit
 val read_pc : t -> int
@@ -39,3 +44,5 @@ val tick_always : t -> unit
 val field_value : Tast.tinstr -> Bitvec.t -> string -> int option
 val step : t -> bool
 val run : ?fuel:int -> t -> int
+(** Step until the program halts; raises {!Machine.Out_of_fuel} after
+    [fuel] instructions without halting. *)

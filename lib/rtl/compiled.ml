@@ -35,6 +35,8 @@ type t = {
   wides : Bitvec.t array;  (* wide signals: raw Bitvec values, as Sim stores them *)
   steps : (unit -> unit) array;  (* combinational update program, topo order *)
   commit_regs : unit -> unit;  (* two-phase register update *)
+  init_ints : int array;  (* the arena as [create] left it, for [reset] *)
+  init_wides : Bitvec.t array;
 }
 
 let netlist t = t.m
@@ -298,7 +300,16 @@ let create (m : Netlist.t) : t =
   let steps =
     topo_nodes m |> List.filter_map compile_node |> Array.of_list
   in
-  { m; slots; ints; wides; steps; commit_regs }
+  (* compiling wrote the constants; registers hold their init values and
+     inputs are zero: this is the state [reset] returns to *)
+  { m; slots; ints; wides; steps; commit_regs; init_ints = Array.copy ints;
+    init_wides = Array.copy wides }
+
+(* Bitvec values are immutable, so blitting the snapshot back restores
+   every signal, constants and register inits included. *)
+let reset t =
+  Array.blit t.init_ints 0 t.ints 0 (Array.length t.ints);
+  Array.blit t.init_wides 0 t.wides 0 (Array.length t.wides)
 
 let set_input t name v =
   match List.find_opt (fun p -> p.port_name = name) t.m.inputs with

@@ -13,6 +13,12 @@ val narrow_limit : int
 val is_narrow : int -> bool
 
 val create : Netlist.t -> t
+
+(** Return every signal to the value {!create} gave it: inputs zero,
+    registers at their init values, constants in place. A reset engine
+    behaves exactly like a freshly created one. *)
+val reset : t -> unit
+
 val netlist : t -> Netlist.t
 val set_input : t -> string -> Bitvec.t -> unit
 

@@ -12,6 +12,8 @@ type t = I of Sim.t | C of Compiled.t
 let create ?(kind = Compiled) m =
   match kind with Interp -> I (Sim.create m) | Compiled -> C (Compiled.create m)
 
+let reset = function I s -> Sim.reset s | C c -> Compiled.reset c
+
 let kind = function I _ -> Interp | C _ -> Compiled
 let netlist = function I s -> s.Sim.m | C c -> Compiled.netlist c
 

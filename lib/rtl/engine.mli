@@ -12,6 +12,12 @@ type t = I of Sim.t | C of Compiled.t
     the default. *)
 val create : ?kind:kind -> Netlist.t -> t
 
+(** [reset t] returns [t] to the state {!create} left it in, so one
+    engine can serve many independent runs of its module: a reset engine
+    is indistinguishable from a fresh one (same outputs, same VCD
+    trace). *)
+val reset : t -> unit
+
 val kind : t -> kind
 val netlist : t -> Netlist.t
 val set_input : t -> string -> Bitvec.t -> unit

@@ -20,17 +20,25 @@ type t = {
 
 let u w = Bitvec.unsigned_ty w
 
-let create (m : Netlist.t) =
-  validate m;
-  let values = Hashtbl.create 64 in
-  (* inputs and registers start at zero / their reset value *)
+(* inputs and registers start at zero / their reset value; every other
+   signal has no value until the first [eval] *)
+let init m values =
   List.iter (fun p -> Hashtbl.replace values p.port_signal (Bitvec.zero (u p.port_width))) m.inputs;
   List.iter
     (fun (r : reg_node) ->
       Hashtbl.replace values r.out
         (match r.init with Some v -> Bitvec.cast (u r.width) v | None -> Bitvec.zero (u r.width)))
-    (registers m);
+    (registers m)
+
+let create (m : Netlist.t) =
+  validate m;
+  let values = Hashtbl.create 64 in
+  init m values;
   { m; values; order = topo_nodes m }
+
+let reset t =
+  Hashtbl.reset t.values;
+  init t.m t.values
 
 let set_input t name v =
   match List.find_opt (fun p -> p.port_name = name) t.m.inputs with

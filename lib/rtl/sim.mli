@@ -17,6 +17,9 @@ type t = {
 }
 val u : int -> Bitvec.ty
 val create : Netlist.t -> t
+
+(** Return to the state {!create} left: the same as a fresh simulator. *)
+val reset : t -> unit
 val set_input : t -> string -> Bitvec.t -> unit
 val signal : t -> string -> Bitvec.t
 val eval : t -> unit

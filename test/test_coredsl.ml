@@ -301,11 +301,17 @@ let test_interp_branch () =
   Interp.write_reg st "PC" (bv 32 0x1000);
   exec_fields st tu "ADDI" [ ("imm", 5); ("rs1", 0); ("rd", 1) ];
   exec_fields st tu "ADDI" [ ("imm", 5); ("rs1", 0); ("rd", 2) ];
-  st.Interp.trace <- [];
+  check_bool "addi leaves the PC" false st.Interp.pc_written;
   exec_fields st tu "BEQ" [ ("imm", 16); ("rs1", 1); ("rs2", 2) ];
   check_bool "branch taken" true (Bitvec.equal_value (Interp.read_reg st "PC") (bv 32 0x1010));
+  check_bool "taken branch writes the PC" true st.Interp.pc_written;
   exec_fields st tu "BNE" [ ("imm", 16); ("rs1", 1); ("rs2", 2) ];
-  check_bool "bne not taken" true (Bitvec.equal_value (Interp.read_reg st "PC") (bv 32 0x1010))
+  check_bool "bne not taken" true (Bitvec.equal_value (Interp.read_reg st "PC") (bv 32 0x1010));
+  check_bool "untaken branch leaves the PC" false st.Interp.pc_written;
+  (* a taken branch to its own address writes the PC without changing it *)
+  exec_fields st tu "BEQ" [ ("imm", 0); ("rs1", 1); ("rs2", 2) ];
+  check_bool "self branch stays" true (Bitvec.equal_value (Interp.read_reg st "PC") (bv 32 0x1010));
+  check_bool "self branch writes the PC" true st.Interp.pc_written
 
 let test_interp_slt_shift () =
   let tu = compile_rv32i () in
@@ -646,8 +652,77 @@ let prop_decode_unique =
       let matches = List.filter (fun ti -> Interp.matches ti w) tu.Tast.tinstrs in
       List.length matches <= 1)
 
+(* The decode table against its oracle, the first-match linear scan over
+   [tinstrs], on RV32I and every bundled ISAX unit. *)
+let linear_decode (tu : Tast.tunit) w = List.find_opt (fun ti -> Interp.matches ti w) tu.tinstrs
+
+let decode_agrees st tu w =
+  match (Interp.decode st w, linear_decode tu w) with
+  | None, None -> true
+  | Some a, Some b -> a == b
+  | _ -> false
+
+let decode_units =
+  lazy
+    (List.map
+       (fun tu -> (tu, Interp.create tu))
+       (compile_rv32i () :: List.map Isax.Registry.compile Isax.Registry.all))
+
+let prop_decode_table_matches_scan =
+  QCheck.Test.make ~name:"decode table == first-match linear scan" ~count:200
+    (QCheck.pair QCheck.int QCheck.int)
+    (fun (word, dont_care) ->
+      List.for_all
+        (fun (tu, st) ->
+          decode_agrees st tu (bv 32 (word land 0xFFFFFFFF))
+          && List.for_all
+               (fun (ti : Tast.tinstr) ->
+                 (* the instruction's fixed bits, random bits elsewhere *)
+                 let w = ti.enc_width in
+                 let free = lnot (Bitvec.to_int ti.mask) land ((1 lsl w) - 1) in
+                 decode_agrees st tu
+                   (bv w (Bitvec.to_int ti.match_bits lor (dont_care land free))))
+               tu.tinstrs)
+        (Lazy.force decode_units))
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_encode_decode_roundtrip; prop_decode_unique ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_encode_decode_roundtrip; prop_decode_unique; prop_decode_table_matches_scan ]
+
+(* Overlapping encodings: nothing rejects them, and decode must keep the
+   linear scan's priority. SPEC_A (imm = 0) precedes GEN_A, so it wins
+   where both match; GEN_B precedes SPEC_B, which therefore never wins;
+   DUP_1 and DUP_2 are identical and the first one wins. *)
+let test_decode_overlap_priority () =
+  let tu =
+    compile ~target:"O"
+      {|
+import "RV32I.core_desc"
+InstructionSet O extends RV32I {
+  instructions {
+    SPEC_A { encoding: 12'd0 :: rs1[4:0] :: 3'b000 :: rd[4:0] :: 7'b0001011; behavior: { } }
+    GEN_A { encoding: imm[11:0] :: rs1[4:0] :: 3'b000 :: rd[4:0] :: 7'b0001011; behavior: { } }
+    GEN_B { encoding: imm[11:0] :: rs1[4:0] :: 3'b010 :: rd[4:0] :: 7'b0001011; behavior: { } }
+    SPEC_B { encoding: 12'd0 :: rs1[4:0] :: 3'b010 :: rd[4:0] :: 7'b0001011; behavior: { } }
+    DUP_1 { encoding: imm[11:0] :: rs1[4:0] :: 3'b001 :: rd[4:0] :: 7'b0001011; behavior: { } }
+    DUP_2 { encoding: imm[11:0] :: rs1[4:0] :: 3'b001 :: rd[4:0] :: 7'b0001011; behavior: { } }
+  }
+}
+|}
+  in
+  let st = Interp.create tu in
+  let word ~imm ~funct3 = bv 32 ((imm lsl 20) lor (3 lsl 15) lor (funct3 lsl 12) lor (5 lsl 7) lor 0b0001011) in
+  List.iter
+    (fun (w, expect) ->
+      let w = word ~imm:(fst w) ~funct3:(snd w) in
+      check_bool (expect ^ " agrees with the scan") true (decode_agrees st tu w);
+      match Interp.decode st w with
+      | Some ti -> check_str "first match wins" expect ti.Tast.ti_name
+      | None -> Alcotest.failf "no match, expected %s" expect)
+    [
+      ((0, 0), "SPEC_A"); ((5, 0), "GEN_A"); ((0, 2), "GEN_B"); ((7, 2), "GEN_B");
+      ((0, 1), "DUP_1"); ((9, 1), "DUP_1");
+    ]
 
 let () =
   Alcotest.run "coredsl"
@@ -693,6 +768,7 @@ let () =
           Alcotest.test_case "branches" `Quick test_interp_branch;
           Alcotest.test_case "slt/shifts" `Quick test_interp_slt_shift;
           Alcotest.test_case "lui/jal" `Quick test_interp_lui_jal;
+          Alcotest.test_case "decode overlap priority" `Quick test_decode_overlap_priority;
         ] );
       ( "edge-cases",
         [

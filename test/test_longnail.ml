@@ -84,6 +84,56 @@ let test_cosim_cross_engine () =
         c.Longnail.Flow.funcs)
     Isax.Registry.all
 
+(* Engine reuse: one engine per functionality, reset by [Cosim.run_on]
+   before each of 24 random stimuli, answers exactly like a fresh engine
+   per stimulus ([Cosim.run]), cycle count included, on both engine
+   kinds. *)
+let test_cosim_reuse_equals_fresh () =
+  let core = Scaiev.Datasheet.vexriscv in
+  let rnd seed tag = Hashtbl.hash (seed, tag) lor (Hashtbl.hash (tag, seed) lsl 30) in
+  let stimulus (f : Longnail.Flow.compiled_functionality) tu seed =
+    let word =
+      match Coredsl.Tast.find_tinstr tu f.cf_name with
+      | Some ti ->
+          Bitvec.to_int ti.match_bits lor (rnd seed "word" land lnot (Bitvec.to_int ti.mask))
+      | None -> rnd seed "word"
+    in
+    let r tag = bv (rnd seed tag land 0xFFFFFFFF) in
+    {
+      Longnail.Cosim.instr_word = Some (bv (word land 0xFFFFFFFF));
+      rs1 = Some (r "rs1");
+      rs2 = Some (r "rs2");
+      pc = Some (r "pc");
+      custreg = (fun reg idx -> bv (rnd (seed, reg, idx) "custreg" land 0xFFFFFFFF));
+      mem_read =
+        (fun addr elems ->
+          Bitvec.of_int (Bitvec.unsigned_ty (8 * elems))
+            (rnd (seed, addr) "mem" land ((1 lsl (8 * elems)) - 1)));
+    }
+  in
+  List.iter
+    (fun (e : Isax.Registry.entry) ->
+      let tu = Isax.Registry.compile e in
+      let c = Longnail.Flow.compile core tu in
+      List.iter
+        (fun (f : Longnail.Flow.compiled_functionality) ->
+          List.iter
+            (fun kind ->
+              let engine = Rtl.Engine.create ~kind f.cf_hw.Longnail.Hwgen.netlist in
+              for seed = 1 to 24 do
+                let stim = stimulus f tu seed in
+                let reused = Longnail.Cosim.run_on engine f stim in
+                let fresh = Longnail.Cosim.run ~engine:kind f stim in
+                check_bool
+                  (Printf.sprintf "%s/%s %s stimulus %d: reused = fresh" e.name f.cf_name
+                     (match kind with Rtl.Engine.Interp -> "interp" | Compiled -> "compiled")
+                     seed)
+                  true (reused = fresh)
+              done)
+            [ Rtl.Engine.Compiled; Rtl.Engine.Interp ])
+        c.Longnail.Flow.funcs)
+    Isax.Registry.all
+
 (* ---- mode selection (Section 4.3 / Table 4 narrative) ---- *)
 
 let mode_of c name =
@@ -677,6 +727,7 @@ let () =
           Alcotest.test_case "autoinc store" `Quick test_cosim_autoinc_store;
           Alcotest.test_case "zol always-block" `Quick test_cosim_zol_always;
           Alcotest.test_case "interp oracle = compiled engine" `Quick test_cosim_cross_engine;
+          Alcotest.test_case "reused engine = fresh engine" `Quick test_cosim_reuse_equals_fresh;
         ] );
       ( "negative",
         [

@@ -340,6 +340,73 @@ ebreak"
   check_int "sqrt(1764) = 42" 42 (Riscv.Rtl_loop.read_gpr rl 13);
   check_int "dependent add" 84 (Riscv.Rtl_loop.read_gpr rl 14)
 
+(* A branch or jump to its own address is taken: the native ISS spins on
+   it, and so must the cost model, the structural pipeline and
+   RTL-in-the-loop (they once fell through, because they read "PC
+   unchanged" as "not taken"). With a small budget a spinning program
+   runs out of fuel on all four; an untaken self-branch falls through and
+   halts on all four. *)
+let test_self_branch_engines_agree () =
+  let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv (Coredsl.compile_rv32i ()) in
+  let fuel = 40 in
+  let ebreak = 0x00100073 in
+  (* outcome: Some (a0, ra) when halted, None when out of fuel *)
+  let show = function
+    | Some (a0, ra) -> Printf.sprintf "halted a0=%d ra=%d" a0 ra
+    | None -> "out of fuel"
+  in
+  let outcome run read_gpr =
+    match run () with
+    | () -> Some (read_gpr 10, read_gpr 1)
+    | exception Riscv.Machine.Out_of_fuel n ->
+        check_int "budget in the exception" fuel n;
+        None
+  in
+  List.iter
+    (fun (name, src, spins) ->
+      let words = Riscv.Asm.assemble src in
+      let iss = Riscv.Iss.create () in
+      List.iteri (fun i w -> Riscv.Iss.write_word iss (4 * i) w) words;
+      let rec go n =
+        if Riscv.Iss.read_word iss iss.pc = ebreak then
+          Some (Riscv.Iss.read_reg iss 10, Riscv.Iss.read_reg iss 1)
+        else if n = 0 then None
+        else (
+          Riscv.Iss.step iss;
+          go (n - 1))
+      in
+      let expected = go fuel in
+      check_bool (name ^ ": iss spins") spins (expected = None);
+      let m = Riscv.Machine.of_compiled c in
+      Riscv.Machine.load_program m words;
+      let p = Riscv.Pipeline.create c in
+      Riscv.Pipeline.load_program p words;
+      let rl = Riscv.Rtl_loop.create c in
+      Riscv.Rtl_loop.load_program rl words;
+      List.iter
+        (fun (engine, got) ->
+          Alcotest.(check string) (name ^ ": " ^ engine ^ " = iss") (show expected) (show got))
+        [
+          ( "cost",
+            outcome (fun () -> ignore (Riscv.Machine.run ~fuel m)) (Riscv.Machine.read_gpr m) );
+          ( "pipeline",
+            outcome (fun () -> ignore (Riscv.Pipeline.run ~fuel p)) (Riscv.Pipeline.read_gpr p) );
+          ( "rtl-loop",
+            outcome (fun () -> ignore (Riscv.Rtl_loop.run ~fuel rl)) (Riscv.Rtl_loop.read_gpr rl) );
+        ];
+      if spins then begin
+        let spin_pc = 4 * (List.length words - 2) in
+        check_int (name ^ ": cost pc at the spin") spin_pc (Riscv.Machine.read_pc m);
+        check_int (name ^ ": rtl-loop pc at the spin") spin_pc (Riscv.Rtl_loop.read_pc rl)
+      end)
+    [
+      ("j .", "li a0, 5\nspin: j spin\nebreak", true);
+      ("beq x0, x0, .", "li a0, 5\nspin: beq x0, x0, spin\nebreak", true);
+      ("jal ra, .", "li a0, 5\nspin: jal ra, spin\nebreak", true);
+      ("untaken beq .", "li a0, 5\nhere: beq a0, x0, here\naddi a0, a0, 1\nebreak", false);
+      ("untaken bne .", "li a0, 5\nhere: bne a0, a0, here\naddi a0, a0, 1\nebreak", false);
+    ]
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_iss_matches_coredsl; prop_rv32m_matches_iss ]
 
@@ -366,6 +433,7 @@ let () =
           Alcotest.test_case "case study 5.5 formulas" `Quick test_case_study_formulas;
           Alcotest.test_case "zol zero overhead" `Quick test_machine_zol_redirect_free;
           Alcotest.test_case "decoupled scoreboard" `Quick test_machine_decoupled_scoreboard;
+          Alcotest.test_case "self branches agree with the iss" `Quick test_self_branch_engines_agree;
         ] );
       ( "rtl-in-the-loop",
         [

@@ -235,6 +235,63 @@ let test_cross_engine_vcd_isax () =
   let trace kind = Vcd.trace ~engine:kind m ~cycles:16 ~drive in
   check_traces_equal "ADDI" (trace Engine.Interp) (trace Engine.Compiled)
 
+(* [Engine.reset] after random cycles: the VCD trace of the reset engine
+   equals a fresh engine's, on both kinds, for the counter and every
+   functionality of every bundled ISAX on VexRiscv *)
+let test_reset_trace_equals_fresh () =
+  let random_inputs (m : Netlist.t) seed =
+    List.map
+      (fun (p : Netlist.port) ->
+        (p.port_name, Bitvec.of_int (u p.port_width) (Hashtbl.hash (p.port_name, seed))))
+      m.Netlist.inputs
+  in
+  let trace_on eng (m : Netlist.t) ~cycles ~drive =
+    let t = Vcd.create ~module_name:m.mod_name in
+    Vcd.watch_module t m;
+    for cycle = 0 to cycles - 1 do
+      List.iter (fun (n, v) -> Engine.set_input eng n v) (drive cycle);
+      Engine.eval eng;
+      Vcd.sample t eng;
+      Engine.clock eng
+    done;
+    Vcd.render t
+  in
+  let core = Scaiev.Datasheet.vexriscv in
+  let modules =
+    ("counter", counter_module)
+    :: List.concat_map
+         (fun (e : Isax.Registry.entry) ->
+           let c = Longnail.Flow.compile core (Isax.Registry.compile e) in
+           List.map
+             (fun (f : Longnail.Flow.compiled_functionality) ->
+               (e.name ^ "/" ^ f.cf_name, f.cf_hw.Longnail.Hwgen.netlist))
+             c.Longnail.Flow.funcs)
+         Isax.Registry.all
+  in
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun kind ->
+          let eng = Engine.create ~kind m in
+          for cycle = 1 to 7 + (Hashtbl.hash name mod 9) do
+            List.iter (fun (n, v) -> Engine.set_input eng n v) (random_inputs m (-cycle));
+            Engine.eval eng;
+            Engine.clock eng
+          done;
+          Engine.reset eng;
+          let drive = random_inputs m in
+          match
+            Vcd.first_divergence
+              (trace_on eng m ~cycles:12 ~drive)
+              (Vcd.trace ~engine:kind m ~cycles:12 ~drive)
+          with
+          | None -> ()
+          | Some (line, l, r) ->
+              Alcotest.failf "%s: reset trace diverges at VCD line %d: reset %S, fresh %S" name
+                line l r)
+        [ Engine.Compiled; Engine.Interp ])
+    modules
+
 (* widths straddling the int-arena limit: 62 runs on the unboxed path,
    63/64/65 on the Bitvec fallback — both must match Comb_eval exactly *)
 let test_wide_boundary_arith () =
@@ -486,6 +543,8 @@ let () =
           Alcotest.test_case "cross-engine vcd (counter)" `Quick test_cross_engine_vcd_counter;
           Alcotest.test_case "cross-engine vcd (generated ISAX)" `Quick
             test_cross_engine_vcd_isax;
+          Alcotest.test_case "reset engine traces like a fresh one" `Quick
+            test_reset_trace_equals_fresh;
           Alcotest.test_case "62/63/64/65-bit arithmetic" `Quick test_wide_boundary_arith;
           Alcotest.test_case "65-bit register accumulate" `Quick test_wide_register_accumulate;
         ] );
