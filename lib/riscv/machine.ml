@@ -16,7 +16,7 @@ exception Machine_error of string
 
 (* A program did not reach EBREAK within its budget (the payload); shared
    by the three program engines: Machine, Pipeline and Rtl_loop. *)
-exception Out_of_fuel of int
+exception Out_of_fuel = Arch.Out_of_fuel
 
 type timing = {
   t_core : string;
@@ -114,27 +114,17 @@ let create ?(isax = []) ~(timing : timing) (tu : Tast.tunit) =
 let of_compiled (c : Longnail.Flow.compiled) =
   create ~isax:(isax_timing_of c) ~timing:(timing_for c.core) c.unit_
 
-let read_pc m = Bitvec.to_int (Interp.read_reg m.st "PC")
-let write_pc m v = (Interp.reg_array m.st "PC").(0) <- Bitvec.of_int (Bitvec.unsigned_ty 32) v
-let read_gpr m i = Bitvec.to_int (Interp.read_regfile m.st "X" i)
-let write_gpr m i v = (Interp.reg_array m.st "X").(i) <- Bitvec.of_int (Bitvec.unsigned_ty 32) v
+let read_pc m = Arch.read_pc m.st
+let write_pc m v = Arch.write_pc m.st v
+let read_gpr m i = Arch.read_gpr m.st i
+let write_gpr m i v = Arch.write_gpr m.st i v
 
 (* load a program (list of 32-bit words) at [base] *)
-let load_program m ?(base = 0) words =
-  List.iteri
-    (fun i w -> Interp.write_mem m.st "MEM" (base + (4 * i)) 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) w))
-    words;
-  write_pc m base
-
-let store_word m addr v = Interp.write_mem m.st "MEM" addr 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) v)
-let load_word m addr = Bitvec.to_int (Interp.read_mem m.st "MEM" addr 4)
+let load_program m ?(base = 0) words = Arch.load_program m.st ~base words
+let store_word m addr v = Arch.store_word m.st addr v
+let load_word m addr = Arch.load_word m.st addr
 
 let mem_instr_names = [ "LB"; "LH"; "LW"; "LBU"; "LHU"; "SB"; "SH"; "SW" ]
-
-let field_value ti word name =
-  match Tast.find_field ti name with
-  | Some fi -> Some (Bitvec.to_int (Interp.decode_field word fi))
-  | None -> None
 
 (* Execute one instruction; returns false when halted. *)
 let step m =
@@ -161,7 +151,7 @@ let step m =
           let stall_until = ref m.cycles in
           List.iter
             (fun f ->
-              match field_value ti word f with
+              match Arch.field_value ti word f with
               | Some r when r > 0 -> stall_until := max !stall_until m.pending.(r)
               | _ -> ())
             [ "rs1"; "rs2" ];
@@ -186,7 +176,7 @@ let step m =
           | Some { it_mode = Scaiev.Config.Decoupled; it_result_latency; it_writes_rd; _ } ->
               cost := !cost + m.timing.decoupled_issue_stall;
               if it_writes_rd then begin
-                match field_value ti word "rd" with
+                match Arch.field_value ti word "rd" with
                 | Some rd when rd > 0 ->
                     m.pending.(rd) <- m.cycles + !cost + it_result_latency
                 | _ -> ()
@@ -200,8 +190,7 @@ let step m =
 
 (* run until halt or the fuel is exhausted; returns consumed cycle count *)
 let run ?(fuel = 1_000_000) m =
-  let rec go n = if n <= 0 then raise (Out_of_fuel fuel) else if step m then go (n - 1) else () in
-  go fuel;
+  Arch.run_with_fuel ~fuel (fun () -> step m);
   m.cycles
 
 (* assemble and run a program with the machine's ISAX encoder available *)
@@ -210,5 +199,5 @@ let isax_encoder (tu : Tast.tunit) : Asm.custom_encoder =
   match Tast.find_tinstr tu name with
   | None -> raise (Machine_error (Printf.sprintf "unknown ISAX instruction '%s'" name))
   | Some ti ->
-      let bvs = List.map (fun (k, v) -> (k, Bitvec.of_int (Bitvec.unsigned_ty 32) v)) fields in
+      let bvs = List.map (fun (k, v) -> (k, Arch.bv v)) fields in
       Bitvec.to_int (Interp.encode ti bvs)

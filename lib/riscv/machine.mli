@@ -67,7 +67,6 @@ val load_program : t -> ?base:int -> int list -> unit
 val store_word : t -> int -> int -> unit
 val load_word : t -> int -> int
 val mem_instr_names : string list
-val field_value : Tast.tinstr -> Bitvec.t -> string -> int option
 val step : t -> bool
 val run : ?fuel:int -> t -> int
 (** Step until the program halts and return the cycle count; raises

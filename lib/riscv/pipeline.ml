@@ -1,343 +1,170 @@
-(* Structural pipeline simulator with SCAIE-V-style ISAX integration.
-
-   Where {!Machine} is a cycle-cost model, this module actually builds the
-   pipeline: per-stage instruction slots, operand forwarding, interlock
-   stalls and branch flushes — and wires the Longnail-generated RTL
-   modules into it the way SCAIE-V does:
-
-   - one {!Rtl.Engine.t} instance per ISAX module serves *all* in-flight
-     instructions at once: the module's internal stallable pipeline
-     registers carry each instruction's intermediate values, and the
-     integration drives the stage-s input ports with whatever instruction
-     currently occupies stage s (the ports are stage-suffixed precisely
-     for this);
-   - the module's stall_in_s ports follow the pipeline's stall boundaries:
-     when the operand-stage interlock holds the front of the pipe, the
-     corresponding module boundaries freeze with it while the back end
-     keeps draining into bubbles;
-   - ISAX result/valid outputs are captured in the stage they are bound to
-     and committed architecturally in order at the end of the pipe;
-   - always-blocks evaluate on every fetch and may redirect it with zero
-     overhead (ZOL);
-   - tightly-coupled modules (deeper than the writeback stage, no spawn)
-     hold the whole pipeline while their module finishes — the paper's
-     stall strategy;
-   - decoupled modules (spawn) detach at writeback: the pipeline flows on
-     and commits younger independent instructions while the detached unit
-     keeps computing; its result writes back out of order through a
-     scoreboard that stalls readers (and same-rd writers) until it lands —
-     the paper's "lightweight out-of-order commit/writeback".
-
-   Limitations (documented, asserted by the tests only where respected):
-   pipelined cores only (no PicoRV32), and no store-to-load forwarding
-   inside the pipeline window — a dependent load must trail a store by at
-   least the pipe depth, which the test programs respect. *)
+(* Structural pipeline simulator with SCAIE-V-style ISAX integration; the
+   model and its limitations are described in pipeline.mli. The host side
+   of the SCAIE-V port protocol (which ports a stage drives, services and
+   samples) is Longnail.Cosim's; this module decides which instruction
+   occupies which stage and when the pipe stalls, detaches or commits. *)
 
 module Interp = Coredsl.Interp
 module Tast = Coredsl.Tast
+module Cosim = Longnail.Cosim
 
 exception Pipeline_error of string
 
-let u32 = Bitvec.unsigned_ty 32
-let bv v = Bitvec.of_int u32 v
-
-(* captured effects of an ISAX instruction while it flows down the pipe *)
-type isax_capture = {
-  mutable c_rd : (int * Bitvec.t) option;
-  mutable c_pc : Bitvec.t option;
-  mutable c_custreg : (string * int * Bitvec.t) list;  (* newest first *)
-  mutable c_mem : (int * Bitvec.t) option;
-}
+let bv = Arch.bv
 
 type slot = {
   s_pc : int;
   s_word : int;
   s_ti : Tast.tinstr;
-  s_isax : Longnail.Flow.compiled_functionality option;
-  s_capture : isax_capture;
+  s_rs1 : int;  (* register fields; 0 when absent *)
+  s_rs2 : int;
+  s_rd : int;
+  s_isax : (Cosim.plan * Rtl.Engine.t) option;
   mutable s_rs1v : int;
   mutable s_rs2v : int;
   mutable s_has_operands : bool;
-  mutable s_result : int option;  (* base instructions: forwardable value *)
+  mutable s_value : int option;
+      (* the forwardable rd value: a base instruction's from the operand
+         stage on, an ISAX's once its WrRD to a nonzero rd was valid *)
+  mutable s_new_pc : Bitvec.t option;  (* ISAX: valid WrPC *)
+  mutable s_pending : Cosim.mem_response list;  (* ISAX: RdMem responses in flight *)
   mutable s_vstage : int;  (* virtual stage while held past writeback *)
 }
 
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;  (* committed architectural state *)
-  sims : (string * Rtl.Engine.t) list;  (* one per ISAX instruction module *)
-  always_units : (Longnail.Flow.compiled_functionality * Rtl.Engine.t) list;
-  stages : slot option array;  (* index 1 .. depth+1; commit from depth+1 *)
+  isaxes : (Cosim.plan * Rtl.Engine.t) list;  (* one per ISAX instruction module *)
+  always : (Cosim.plan * Rtl.Engine.t) list;  (* one per always-block module *)
+  stages : slot option array;  (* index 1 .. writeback+1; commit from the last *)
   mutable detached : slot list;  (* decoupled units past writeback *)
   mutable fetch_pc : int;
   mutable cycles : int;
   mutable instret : int;
   mutable halted : bool;
-  depth : int;
 }
 
 let create (compiled : Longnail.Flow.compiled) =
   let core = compiled.Longnail.Flow.core in
   if core.Scaiev.Datasheet.is_fsm then
     raise (Pipeline_error "the structural pipeline models pipelined cores only");
-  let sims, always_units =
-    List.fold_left
-      (fun (sims, always) (f : Longnail.Flow.compiled_functionality) ->
-        let sim = Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist in
-        match f.cf_kind with
-        | `Instruction -> ((f.cf_name, sim) :: sims, always)
-        | `Always -> (sims, (f, sim) :: always))
-      ([], []) compiled.funcs
+  let modules kind =
+    List.filter_map
+      (fun (f : Longnail.Flow.compiled_functionality) ->
+        if f.cf_kind = kind then
+          Some (Cosim.plan f, Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist)
+        else None)
+      compiled.funcs
   in
-  let depth = core.writeback_stage in
   {
     compiled;
     st = Interp.create compiled.unit_;
-    sims;
-    always_units;
-    stages = Array.make (depth + 2) None;
+    isaxes = modules `Instruction;
+    always = modules `Always;
+    stages = Array.make (core.writeback_stage + 2) None;
     detached = [];
     fetch_pc = 0;
     cycles = 0;
     instret = 0;
     halted = false;
-    depth;
   }
 
-let read_gpr t i = Bitvec.to_int (Interp.read_regfile t.st "X" i)
-let write_gpr t i v = if i <> 0 then (Interp.reg_array t.st "X").(i) <- bv v
-let write_pc t v = (Interp.reg_array t.st "PC").(0) <- bv v
+let read_gpr t i = Arch.read_gpr t.st i
+let write_gpr t i v = Arch.write_gpr t.st i v
+let write_pc t v = Arch.write_pc t.st v
 
 let load_program t ?(base = 0) words =
-  List.iteri (fun i w -> Interp.write_mem t.st "MEM" (base + (4 * i)) 4 (bv w)) words;
-  t.fetch_pc <- base;
-  write_pc t base
+  Arch.load_program t.st ~base words;
+  t.fetch_pc <- base
 
-let store_word t addr v = Interp.write_mem t.st "MEM" addr 4 (bv v)
-
-let field_value ti word name =
-  Option.map (fun fi -> Bitvec.to_int (Interp.decode_field (bv word) fi)) (Tast.find_field ti name)
+let store_word t addr v = Arch.store_word t.st addr v
 
 (* ---- forwarding network ---- *)
 
-(* youngest in-flight producer of register [r] older than stage [upto];
-   falls back to the committed register file *)
+(* youngest in-flight producer of register [r] older than stage [upto]
+   that has its value; falls back to the committed register file *)
 let forwarded_operand t ~upto r =
-  if r = 0 then 0
-  else begin
-    let from_detached () =
-      let rec pick = function
-        | [] -> read_gpr t r
-        | (d : slot) :: rest -> (
-            if field_value d.s_ti d.s_word "rd" = Some r then
-              match d.s_capture.c_rd with
-              | Some (_, v) -> Bitvec.to_int v
-              | None -> pick rest
-            else pick rest)
-      in
-      pick t.detached
-    in
-    let rec scan i =
-      if i >= Array.length t.stages then from_detached ()
-      else
-        match t.stages.(i) with
-        | Some s -> (
-            let rd = field_value s.s_ti s.s_word "rd" in
-            if rd = Some r then
-              match s.s_isax with
-              | Some _ -> (
-                  match s.s_capture.c_rd with
-                  | Some (_, v) -> Bitvec.to_int v
-                  | None -> scan (i + 1) (* not produced; caller stalled *))
-              | None -> ( match s.s_result with Some v -> v | None -> scan (i + 1))
-            else scan (i + 1))
-        | None -> scan (i + 1)
-    in
-    scan upto
-  end
+  let rec scan i =
+    if i >= Array.length t.stages then
+      match List.find_opt (fun (d : slot) -> d.s_rd = r && d.s_value <> None) t.detached with
+      | Some { s_value = Some v; _ } -> v
+      | _ -> read_gpr t r
+    else
+      match t.stages.(i) with
+      | Some { s_rd; s_value = Some v; _ } when s_rd = r -> v
+      | _ -> scan (i + 1)
+  in
+  if r = 0 then 0 else scan upto
 
 (* is there an older in-flight producer of [r] whose value is not ready? *)
 let operand_hazard t ~upto r =
-  if r = 0 then false
-  else begin
-    let detached_pending =
-      List.exists
-        (fun (d : slot) ->
-          field_value d.s_ti d.s_word "rd" = Some r && d.s_capture.c_rd = None)
-        t.detached
-    in
-    let rec scan i =
-      if i >= Array.length t.stages then detached_pending
-      else
-        match t.stages.(i) with
-        | Some s ->
-            let rd = field_value s.s_ti s.s_word "rd" in
-            let unfinished =
-              rd = Some r
-              &&
-              match s.s_isax with
-              | Some _ -> s.s_capture.c_rd = None
-              | None -> s.s_result = None
-            in
-            if unfinished then true else scan (i + 1)
-        | None -> scan (i + 1)
-    in
-    scan upto
-  end
+  let unfinished (s : slot) = s.s_rd = r && s.s_value = None in
+  let rec scan i =
+    i < Array.length t.stages
+    && ((match t.stages.(i) with Some s -> unfinished s | None -> false) || scan (i + 1))
+  in
+  r <> 0 && (scan upto || List.exists unfinished t.detached)
 
-(* ---- ISAX module integration ---- *)
+(* ---- ISAX module integration: the SCAIE-V host side lives in Cosim ---- *)
 
-let netlist_of t name =
-  (List.find
-     (fun (f : Longnail.Flow.compiled_functionality) -> f.cf_name = name)
-     t.compiled.Longnail.Flow.funcs)
-    .cf_hw.Longnail.Hwgen.netlist
+(* The host answers for the instruction in [Some slot], whose GPR and PC
+   results are captured for the in-order commit, or for the always-block
+   tick ([None]), whose WrPC replaces the next fetch. Custom-register and
+   memory writes apply in their scheduled stage, as SCAIE-V's custom
+   register file does (its hazard logic orders readers); applying them at
+   commit instead would let an always-block observe stale state, e.g. ZOL
+   missing a just-set COUNT. *)
+let host : (t * slot option) Cosim.host =
+  {
+    custreg = (fun (t, _) reg idx -> (Interp.reg_array t.st reg).(idx));
+    mem_read = (fun (t, _) addr _ elems -> Interp.read_mem t.st "MEM" addr elems);
+    write_rd =
+      (fun (_, s) data valid ->
+        match s with
+        | Some s when valid && s.s_rd <> 0 -> s.s_value <- Some (Bitvec.to_int data)
+        | _ -> ());
+    write_pc =
+      (fun (t, s) data valid ->
+        if valid then
+          match s with
+          | Some s -> s.s_new_pc <- Some data
+          | None -> t.fetch_pc <- Bitvec.to_int data);
+    write_custreg =
+      (fun (t, _) reg idx data valid ->
+        if valid then Arch.write_custreg t.st reg (Option.value ~default:0 idx) data);
+    write_mem = (fun (t, _) addr data valid -> if valid then Arch.write_mem t.st addr data);
+  }
 
-(* set the stall inputs: boundary s freezes iff s < frozen_below *)
-let set_stall_inputs t ~frozen_below =
-  List.iter
-    (fun (name, sim) ->
-      List.iter
-        (fun (p : Rtl.Netlist.port) ->
-          let pn = p.Rtl.Netlist.port_name in
-          if String.length pn > 9 && String.sub pn 0 9 = "stall_in_" then begin
-            let s = int_of_string (String.sub pn 9 (String.length pn - 9)) in
-            Rtl.Engine.set_input sim pn
-              (Bitvec.of_int (Bitvec.unsigned_ty 1) (if s < frozen_below then 1 else 0))
-          end)
-        (netlist_of t name).Rtl.Netlist.inputs)
-    t.sims
+let drive (s : slot) stage =
+  match s.s_isax with
+  | Some (plan, engine) ->
+      Cosim.drive plan engine ~stage ~pending:s.s_pending (function
+        | Cosim.Instr_word -> bv s.s_word
+        | Rs1 -> bv s.s_rs1v
+        | Rs2 -> bv s.s_rs2v
+        | Pc -> bv s.s_pc)
+  | None -> ()
 
-let drive_isax_inputs t (s : slot) (f : Longnail.Flow.compiled_functionality) stage =
-  let sim = List.assoc f.cf_name t.sims in
-  let port role (b : Longnail.Hwgen.iface_binding) = List.assoc role b.ib_ports in
-  List.iter
-    (fun (b : Longnail.Hwgen.iface_binding) ->
-      if b.ib_stage = stage then
-        match b.ib_opname with
-        | "lil.instr_word" -> Rtl.Engine.set_input sim (port "data" b) (bv s.s_word)
-        | "lil.read_rs1" -> Rtl.Engine.set_input sim (port "data" b) (bv s.s_rs1v)
-        | "lil.read_rs2" -> Rtl.Engine.set_input sim (port "data" b) (bv s.s_rs2v)
-        | "lil.read_pc" -> Rtl.Engine.set_input sim (port "data" b) (bv s.s_pc)
-        | _ -> ())
-    f.cf_hw.Longnail.Hwgen.bindings
+let service t (s : slot) stage =
+  match s.s_isax with
+  | Some (plan, engine) -> s.s_pending <- Cosim.service plan engine ~stage host (t, Some s)
+  | None -> ()
 
-let service_isax_stage t (s : slot) (f : Longnail.Flow.compiled_functionality) stage =
-  let sim = List.assoc f.cf_name t.sims in
-  let port role (b : Longnail.Hwgen.iface_binding) = List.assoc role b.ib_ports in
-  List.iter
-    (fun (b : Longnail.Hwgen.iface_binding) ->
-      if b.ib_stage = stage then
-        match b.ib_opname with
-        | "lil.read_custreg" ->
-            (* the register file answers combinationally in the same stage *)
-            let reg = Option.get b.ib_reg in
-            let idx =
-              match List.assoc_opt "addr" b.ib_ports with
-              | Some ap -> Bitvec.to_int (Rtl.Engine.output sim ap)
-              | None -> 0
-            in
-            Rtl.Engine.set_input sim (port "data" b) (Interp.reg_array t.st reg).(idx);
-            Rtl.Engine.eval sim
-        | "lil.read_mem" ->
-            (* issue now; the response port belongs to stage+latency and is
-               supplied before the next evaluation *)
-            let addr = Bitvec.to_int (Rtl.Engine.output sim (port "addr" b)) in
-            let data_port = port "data" b in
-            let width =
-              match
-                List.find_opt
-                  (fun (p : Rtl.Netlist.port) -> p.Rtl.Netlist.port_name = data_port)
-                  f.cf_hw.Longnail.Hwgen.netlist.Rtl.Netlist.inputs
-              with
-              | Some p -> p.Rtl.Netlist.port_width
-              | None -> 32
-            in
-            Rtl.Engine.set_input sim data_port (Interp.read_mem t.st "MEM" addr (max 1 (width / 8)));
-            Rtl.Engine.eval sim
-        | "lil.write_rd" ->
-            if Bitvec.to_bool (Rtl.Engine.output sim (port "valid" b)) then begin
-              match field_value s.s_ti s.s_word "rd" with
-              | Some rd when rd <> 0 ->
-                  s.s_capture.c_rd <- Some (rd, Rtl.Engine.output sim (port "data" b))
-              | _ -> ()
-            end
-        | "lil.write_pc" ->
-            if Bitvec.to_bool (Rtl.Engine.output sim (port "valid" b)) then
-              s.s_capture.c_pc <- Some (Rtl.Engine.output sim (port "data" b))
-        | "lil.write_custreg" ->
-            (* SCAIE-V's custom register file applies writes in their
-               scheduled stage (its hazard logic orders readers); applying
-               at commit instead would let an always-block observe stale
-               state, e.g. ZOL missing a just-set COUNT *)
-            if Bitvec.to_bool (Rtl.Engine.output sim (port "valid" b)) then begin
-              let reg = Option.get b.ib_reg in
-              let a = Interp.reg_array t.st reg in
-              let idx =
-                match List.assoc_opt "addr" b.ib_ports with
-                | Some ap -> Bitvec.to_int (Rtl.Engine.output sim ap)
-                | None -> 0
-              in
-              a.(idx) <- Bitvec.cast (Bitvec.typ a.(0)) (Rtl.Engine.output sim (port "data" b))
-            end
-        | "lil.write_mem" ->
-            (* memory writes likewise issue in their scheduled stage *)
-            if Bitvec.to_bool (Rtl.Engine.output sim (port "valid" b)) then begin
-              let data = Rtl.Engine.output sim (port "data" b) in
-              Interp.write_mem t.st "MEM"
-                (Bitvec.to_int (Rtl.Engine.output sim (port "addr" b)))
-                (Bitvec.width data / 8) data
-            end
-        | _ -> ())
-    f.cf_hw.Longnail.Hwgen.bindings
-
-(* always-blocks: evaluate against the fetch PC and committed state; their
-   valid-gated writes apply immediately (Section 3.2) *)
+(* always-blocks evaluate against the fetch PC and committed state; their
+   valid-gated writes apply immediately (Section 3.2). The schedule puts
+   every always-block interface in stage 0, so one evaluation of that
+   stage is the whole block; an RdMem response (due in stage 1) never
+   reaches it, as under Cosim.run_on. *)
 let tick_always t =
   List.iter
-    (fun ((f : Longnail.Flow.compiled_functionality), sim) ->
-      let port role (b : Longnail.Hwgen.iface_binding) = List.assoc role b.ib_ports in
-      let bindings = f.cf_hw.Longnail.Hwgen.bindings in
-      List.iter
-        (fun (b : Longnail.Hwgen.iface_binding) ->
-          if b.ib_opname = "lil.read_pc" then
-            Rtl.Engine.set_input sim (port "data" b) (bv t.fetch_pc))
-        bindings;
-      Rtl.Engine.eval sim;
-      List.iter
-        (fun (b : Longnail.Hwgen.iface_binding) ->
-          if b.ib_opname = "lil.read_custreg" then begin
-            let reg = Option.get b.ib_reg in
-            let idx =
-              match List.assoc_opt "addr" b.ib_ports with
-              | Some ap -> Bitvec.to_int (Rtl.Engine.output sim ap)
-              | None -> 0
-            in
-            Rtl.Engine.set_input sim (port "data" b) (Interp.reg_array t.st reg).(idx);
-            Rtl.Engine.eval sim
-          end)
-        bindings;
-      List.iter
-        (fun (b : Longnail.Hwgen.iface_binding) ->
-          match b.ib_opname with
-          | "lil.write_pc" ->
-              if Bitvec.to_bool (Rtl.Engine.output sim (port "valid" b)) then
-                t.fetch_pc <- Bitvec.to_int (Rtl.Engine.output sim (port "data" b))
-          | "lil.write_custreg" ->
-              if Bitvec.to_bool (Rtl.Engine.output sim (port "valid" b)) then begin
-                let reg = Option.get b.ib_reg in
-                let a = Interp.reg_array t.st reg in
-                let idx =
-                  match List.assoc_opt "addr" b.ib_ports with
-                  | Some ap -> Bitvec.to_int (Rtl.Engine.output sim ap)
-                  | None -> 0
-                in
-                a.(idx) <- Bitvec.cast (Bitvec.typ a.(0)) (Rtl.Engine.output sim (port "data" b))
-              end
-          | _ -> ())
-        bindings;
-      Rtl.Engine.clock sim)
-    t.always_units
+    (fun (plan, engine) ->
+      Cosim.drive plan engine ~stage:0 ~pending:[] (function
+        | Cosim.Pc -> bv t.fetch_pc
+        | Instr_word | Rs1 | Rs2 -> raise (Pipeline_error "an always-block reads an instruction operand"));
+      Rtl.Engine.eval engine;
+      ignore (Cosim.service plan engine ~stage:0 host (t, None));
+      Rtl.Engine.clock engine)
+    t.always
 
 (* ---- base-instruction execution ---- *)
 
@@ -345,63 +172,41 @@ let tick_always t =
    ISS with the forwarded operands installed *)
 let base_execute t (s : slot) =
   let iss = Iss.create () in
-  (match field_value s.s_ti s.s_word "rs1" with
-  | Some r when r <> 0 -> Iss.write_reg iss r s.s_rs1v
-  | _ -> ());
-  (match field_value s.s_ti s.s_word "rs2" with
-  | Some r when r <> 0 -> Iss.write_reg iss r s.s_rs2v
-  | _ -> ());
+  if s.s_rs1 <> 0 then Iss.write_reg iss s.s_rs1 s.s_rs1v;
+  if s.s_rs2 <> 0 then Iss.write_reg iss s.s_rs2 s.s_rs2v;
   iss.Iss.pc <- s.s_pc;
   (* loads read the committed memory (no store-to-load forwarding) *)
   (match s.s_ti.ti_name with
   | "LB" | "LH" | "LW" | "LBU" | "LHU" ->
       let imm = Iss.sext ((s.s_word lsr 20) land 0xFFF) 11 in
       let addr = (s.s_rs1v + imm) land 0xFFFFFFFF in
-      Iss.write_word iss (addr land lnot 3) (Bitvec.to_int (Interp.read_mem t.st "MEM" (addr land lnot 3) 4));
-      Iss.write_word iss ((addr land lnot 3) + 4)
-        (Bitvec.to_int (Interp.read_mem t.st "MEM" ((addr land lnot 3) + 4) 4))
+      Iss.write_word iss (addr land lnot 3) (Arch.load_word t.st (addr land lnot 3));
+      Iss.write_word iss ((addr land lnot 3) + 4) (Arch.load_word t.st ((addr land lnot 3) + 4))
   | _ -> ());
   (try Iss.step_word iss s.s_word with Iss.Unknown_instruction _ -> ());
-  match field_value s.s_ti s.s_word "rd" with
-  | Some rd when rd <> 0 -> s.s_result <- Some (Iss.read_reg iss rd)
-  | _ -> s.s_result <- Some 0
+  s.s_value <- Some (if s.s_rd <> 0 then Iss.read_reg iss s.s_rd else 0)
 
 (* commit the oldest instruction architecturally, in order *)
 let commit t (s : slot) =
   t.instret <- t.instret + 1;
   match s.s_isax with
-  | Some _ -> (
+  | Some _ ->
       (* custom-register and memory writes already took effect in their
          scheduled stages; the GPR result commits here in order *)
-      match s.s_capture.c_rd with
-      | Some (rd, v) -> write_gpr t rd (Bitvec.to_int v)
-      | None -> ())
-  | None -> (
+      Option.iter (write_gpr t s.s_rd) s.s_value
+  | None ->
       (* replay through the reference interpreter with the captured
          operands (stores need the architectural memory) *)
+      let x = Interp.reg_array t.st "X" in
       let saved =
         List.filter_map
-          (fun fo ->
-            Option.bind fo (fun r ->
-                if r = 0 then None else Some (r, (Interp.reg_array t.st "X").(r))))
-          [ field_value s.s_ti s.s_word "rs1"; field_value s.s_ti s.s_word "rs2" ]
+          (fun r -> if r = 0 then None else Some (r, x.(r)))
+          [ s.s_rs1; s.s_rs2 ]
       in
-      List.iter
-        (fun (r, _) ->
-          let v =
-            if Some r = field_value s.s_ti s.s_word "rs1" then s.s_rs1v
-            else s.s_rs2v
-          in
-          (Interp.reg_array t.st "X").(r) <- bv v)
-        saved;
+      List.iter (fun (r, _) -> x.(r) <- bv (if r = s.s_rs1 then s.s_rs1v else s.s_rs2v)) saved;
       write_pc t s.s_pc;
       Interp.exec_instr t.st s.s_ti ~instr_word:(bv s.s_word);
-      let rd = field_value s.s_ti s.s_word "rd" in
-      List.iter
-        (fun (r, old) -> if Some r <> rd then (Interp.reg_array t.st "X").(r) <- old)
-        saved)
-
-let make_capture () = { c_rd = None; c_pc = None; c_custreg = []; c_mem = None }
+      List.iter (fun (r, old) -> if r <> s.s_rd then x.(r) <- old) saved
 
 (* One pipeline cycle. Returns false when halted and fully drained. *)
 let step t =
@@ -416,26 +221,19 @@ let step t =
     let stall = ref false in
     (match t.stages.(opstage) with
     | Some s when not s.s_has_operands ->
-        let rs1 = Option.value ~default:0 (field_value s.s_ti s.s_word "rs1") in
-        let rs2 = Option.value ~default:0 (field_value s.s_ti s.s_word "rs2") in
         (* WAW against detached decoupled writers: block same-rd issue *)
         let waw =
-          match field_value s.s_ti s.s_word "rd" with
-          | Some rd when rd <> 0 ->
-              List.exists
-                (fun (d : slot) ->
-                  field_value d.s_ti d.s_word "rd" = Some rd && d.s_capture.c_rd = None)
-                t.detached
-          | _ -> false
+          s.s_rd <> 0
+          && List.exists (fun (d : slot) -> d.s_rd = s.s_rd && d.s_value = None) t.detached
         in
         if
-          operand_hazard t ~upto:(opstage + 1) rs1
-          || operand_hazard t ~upto:(opstage + 1) rs2
+          operand_hazard t ~upto:(opstage + 1) s.s_rs1
+          || operand_hazard t ~upto:(opstage + 1) s.s_rs2
           || waw
         then stall := true
         else begin
-          s.s_rs1v <- forwarded_operand t ~upto:(opstage + 1) rs1;
-          s.s_rs2v <- forwarded_operand t ~upto:(opstage + 1) rs2;
+          s.s_rs1v <- forwarded_operand t ~upto:(opstage + 1) s.s_rs1;
+          s.s_rs2v <- forwarded_operand t ~upto:(opstage + 1) s.s_rs2;
           s.s_has_operands <- true;
           if s.s_isax = None then base_execute t s
         end
@@ -443,61 +241,43 @@ let step t =
     (* 1b. custom-register data hazards (SCAIE-V hazard handling) *)
     let stall_point = ref (if !stall then opstage else 0) in
     let pending_custreg_writer ~older_than reg =
-      let in_pipe =
-        let rec scan i =
-          if i >= Array.length t.stages then false
-          else
-            match t.stages.(i) with
-            | Some { s_isax = Some g; _ } ->
-                let pending =
-                  List.exists
-                    (fun (b : Longnail.Hwgen.iface_binding) ->
-                      b.ib_opname = "lil.write_custreg" && b.ib_reg = Some reg && b.ib_stage > i)
-                    g.cf_hw.Longnail.Hwgen.bindings
-                in
-                if pending then true else scan (i + 1)
-            | _ -> scan (i + 1)
-        in
-        scan (older_than + 1)
+      let rec in_pipe i =
+        i < Array.length t.stages
+        &&
+        match t.stages.(i) with
+        | Some { s_isax = Some (plan, _); _ } when Cosim.writes_custreg plan reg ~from:(i + 1) -> true
+        | _ -> in_pipe (i + 1)
       in
-      in_pipe
+      in_pipe (older_than + 1)
       || List.exists
            (fun (d : slot) ->
-             let g = Option.get d.s_isax in
-             List.exists
-               (fun (b : Longnail.Hwgen.iface_binding) ->
-                 b.ib_opname = "lil.write_custreg" && b.ib_reg = Some reg
-                 && b.ib_stage >= d.s_vstage)
-               g.cf_hw.Longnail.Hwgen.bindings)
+             match d.s_isax with
+             | Some (plan, _) -> Cosim.writes_custreg plan reg ~from:d.s_vstage
+             | None -> false)
            t.detached
     in
     for stage = 1 to last do
       match t.stages.(stage) with
-      | Some { s_isax = Some f; _ } ->
+      | Some { s_isax = Some (plan, _); _ } ->
           List.iter
-            (fun (b : Longnail.Hwgen.iface_binding) ->
-              if
-                b.ib_opname = "lil.read_custreg"
-                && b.ib_stage = stage
-                && pending_custreg_writer ~older_than:stage (Option.get b.ib_reg)
-              then stall_point := max !stall_point stage)
-            f.cf_hw.Longnail.Hwgen.bindings
+            (fun reg ->
+              if pending_custreg_writer ~older_than:stage reg then
+                stall_point := max !stall_point stage)
+            (Cosim.custreg_reads plan ~stage)
       | _ -> ()
     done;
     (* 1c. does the instruction at the end of the pipe extend past it? *)
     let hold_at_end = ref false and detach_now = ref false in
     (match t.stages.(last) with
-    | Some ({ s_isax = Some f; _ } as sl) ->
+    | Some ({ s_isax = Some (plan, _); _ } as sl) ->
         (* on arrival (vstage = 0) the pipe stage itself still gets
            serviced this cycle, so the module extends only if it reaches
            strictly beyond; afterwards, hold until the final virtual stage
            has been serviced *)
-        let more =
-          if sl.s_vstage > 0 then f.cf_hw.Longnail.Hwgen.max_stage >= sl.s_vstage
-          else f.cf_hw.Longnail.Hwgen.max_stage > last
-        in
+        let max_stage = Cosim.last_stage plan in
+        let more = if sl.s_vstage > 0 then max_stage >= sl.s_vstage else max_stage > last in
         if more then begin
-          if f.cf_mode = Scaiev.Config.Decoupled then detach_now := true
+          if (Cosim.func plan).cf_mode = Scaiev.Config.Decoupled then detach_now := true
           else begin
             (* tightly-coupled: the whole core stalls *)
             hold_at_end := true;
@@ -507,31 +287,27 @@ let step t =
     | _ -> ());
     let frozen = !stall_point in
     (* 2. drive and evaluate the ISAX modules for every occupied stage *)
-    set_stall_inputs t ~frozen_below:frozen;
+    List.iter (fun (plan, engine) -> Cosim.set_stalls plan engine ~frozen_below:frozen) t.isaxes;
     for stage = 1 to last do
       match t.stages.(stage) with
-      | Some ({ s_isax = Some f; s_has_operands = true; _ } as s) ->
-          drive_isax_inputs t s f (if stage = last && s.s_vstage > 0 then s.s_vstage else stage)
-      | Some ({ s_isax = Some f; _ } as s) when stage <= opstage ->
-          drive_isax_inputs t s f stage
+      | Some ({ s_has_operands = true; _ } as s) ->
+          drive s (if stage = last && s.s_vstage > 0 then s.s_vstage else stage)
+      | Some s when stage <= opstage -> drive s stage
       | _ -> ()
     done;
-    List.iter (fun (_, sim) -> Rtl.Engine.eval sim) t.sims;
+    List.iter (fun (_, engine) -> Rtl.Engine.eval engine) t.isaxes;
     (* 2a. detached decoupled units keep computing beside the pipe *)
     t.detached <-
       List.filter
         (fun (d : slot) ->
-          let f = Option.get d.s_isax in
-          drive_isax_inputs t d f d.s_vstage;
-          let sim = List.assoc f.cf_name t.sims in
-          Rtl.Engine.eval sim;
-          service_isax_stage t d f d.s_vstage;
+          let plan, engine = Option.get d.s_isax in
+          drive d d.s_vstage;
+          Rtl.Engine.eval engine;
+          service t d d.s_vstage;
           d.s_vstage <- d.s_vstage + 1;
-          if d.s_vstage > f.cf_hw.Longnail.Hwgen.max_stage then begin
+          if d.s_vstage > Cosim.last_stage plan then begin
             (* out-of-order writeback through the scoreboard *)
-            (match d.s_capture.c_rd with
-            | Some (rd, v) -> write_gpr t rd (Bitvec.to_int v)
-            | None -> ());
+            Option.iter (write_gpr t d.s_rd) d.s_value;
             false
           end
           else true)
@@ -541,17 +317,15 @@ let step t =
        except the held end-of-pipe slot, which services its virtual stage
        while its module's tail keeps running *)
     for stage = last downto frozen + 1 do
-      match t.stages.(stage) with
-      | Some ({ s_isax = Some f; _ } as s) -> service_isax_stage t s f stage
-      | _ -> ()
+      match t.stages.(stage) with Some s -> service t s stage | None -> ()
     done;
     if !hold_at_end then begin
       match t.stages.(last) with
-      | Some ({ s_isax = Some f; _ } as s) ->
+      | Some s ->
           let v = if s.s_vstage > 0 then s.s_vstage else last in
-          service_isax_stage t s f v;
+          service t s v;
           s.s_vstage <- v + 1
-      | _ -> ()
+      | None -> ()
     end;
     (* 3. commit / detach from the end of the pipe *)
     let redirect = ref None in
@@ -565,15 +339,11 @@ let step t =
     | Some s ->
         commit t s;
         (match s.s_isax with
-        | Some _ -> (
-            match s.s_capture.c_pc with
-            | Some pc' -> redirect := Some (Bitvec.to_int pc')
-            | None -> ())
+        | Some _ -> Option.iter (fun pc' -> redirect := Some (Bitvec.to_int pc')) s.s_new_pc
         | None ->
             (* the interpreter writes the PC only for taken control
                transfers, a branch to its own address included *)
-            if t.st.Interp.pc_written then
-              redirect := Some (Bitvec.to_int (Interp.read_reg t.st "PC")));
+            if t.st.Interp.pc_written then redirect := Some (Arch.read_pc t.st));
         t.stages.(last) <- None
     | None -> ());
     (* 4. advance: slots at or before the stall point hold; bubbles drain
@@ -600,37 +370,40 @@ let step t =
       (* always-blocks observe (and may replace) the next fetch *)
       if not t.halted then tick_always t;
       if not t.halted then begin
-        let word = Bitvec.to_int (Interp.read_mem t.st "MEM" t.fetch_pc 4) in
-        match Interp.decode t.st (bv word) with
+        let word = Interp.read_mem t.st "MEM" t.fetch_pc 4 in
+        match Interp.decode t.st word with
         | Some ti when ti.ti_name = "EBREAK" -> t.halted <- true
         | Some ti ->
+            let field name = Option.value ~default:0 (Arch.field_value ti word name) in
             t.stages.(1) <-
               Some
                 {
                   s_pc = t.fetch_pc;
-                  s_word = word;
+                  s_word = Bitvec.to_int word;
                   s_ti = ti;
-                  s_isax = Longnail.Flow.find_func t.compiled ti.ti_name;
-                  s_capture = make_capture ();
+                  s_rs1 = field "rs1";
+                  s_rs2 = field "rs2";
+                  s_rd = field "rd";
+                  s_isax =
+                    List.find_opt
+                      (fun (plan, _) -> (Cosim.func plan).cf_name = ti.ti_name)
+                      t.isaxes;
                   s_rs1v = 0;
                   s_rs2v = 0;
                   s_has_operands = false;
-                  s_result = None;
+                  s_value = None;
+                  s_new_pc = None;
+                  s_pending = [];
                   s_vstage = 0;
                 };
             t.fetch_pc <- (t.fetch_pc + 4) land 0xFFFFFFFF
         | None -> t.halted <- true
       end
     end;
-    List.iter (fun (_, sim) -> Rtl.Engine.clock sim) t.sims;
+    List.iter (fun (_, engine) -> Rtl.Engine.clock engine) t.isaxes;
     true
   end
 
 let run ?(fuel = 500_000) t =
-  let rec go n =
-    if n <= 0 then raise (Machine.Out_of_fuel fuel)
-    else if step t then go (n - 1)
-    else ()
-  in
-  go fuel;
+  Arch.run_with_fuel ~fuel (fun () -> step t);
   t.cycles

@@ -10,7 +10,8 @@
      registers carry each instruction's intermediate values, and the
      integration drives the stage-s input ports with whatever instruction
      currently occupies stage s (the ports are stage-suffixed precisely
-     for this);
+     for this), through {!Longnail.Cosim}'s port plan and per-stage
+     operations, the same ones {!Longnail.Cosim.run_on} loops over;
    - the module's stall_in_s ports follow the pipeline's stall boundaries:
      when the operand-stage interlock holds the front of the pipe, the
      corresponding module boundaries freeze with it while the back end
@@ -36,38 +37,42 @@
 module Interp = Coredsl.Interp
 module Tast = Coredsl.Tast
 exception Pipeline_error of string
-val u32 : Bitvec.ty
-val bv : int -> Bitvec.t
-type isax_capture = {
-  mutable c_rd : (int * Bitvec.t) option;
-  mutable c_pc : Bitvec.t option;
-  mutable c_custreg : (string * int * Bitvec.t) list;
-  mutable c_mem : (int * Bitvec.t) option;
-}
+
+(** An instruction in flight. *)
 type slot = {
   s_pc : int;
   s_word : int;
   s_ti : Tast.tinstr;
-  s_isax : Longnail.Flow.compiled_functionality option;
-  s_capture : isax_capture;
+  s_rs1 : int;  (** register fields, 0 when absent *)
+  s_rs2 : int;
+  s_rd : int;
+  s_isax : (Longnail.Cosim.plan * Rtl.Engine.t) option;
+      (** the ISAX module that executes the instruction *)
   mutable s_rs1v : int;
   mutable s_rs2v : int;
   mutable s_has_operands : bool;
-  mutable s_result : int option;
-  mutable s_vstage : int;
+  mutable s_value : int option;
+      (** the forwardable rd value: a base instruction's from the operand
+          stage on, an ISAX's once its WrRD to a nonzero rd was valid *)
+  mutable s_new_pc : Bitvec.t option;  (** ISAX: valid WrPC *)
+  mutable s_pending : Longnail.Cosim.mem_response list;
+      (** ISAX: RdMem responses not yet delivered *)
+  mutable s_vstage : int;  (** virtual stage while held past writeback *)
 }
 type t = {
   compiled : Longnail.Flow.compiled;
-  st : Interp.state;
-  sims : (string * Rtl.Engine.t) list;
-  always_units : (Longnail.Flow.compiled_functionality * Rtl.Engine.t) list;
+  st : Interp.state;  (** committed architectural state *)
+  isaxes : (Longnail.Cosim.plan * Rtl.Engine.t) list;
+      (** one port plan and engine per ISAX instruction module *)
+  always : (Longnail.Cosim.plan * Rtl.Engine.t) list;
+      (** one port plan and engine per always-block module *)
   stages : slot option array;
-  mutable detached : slot list;
+      (** index 1 .. writeback stage + 1; commit from the last *)
+  mutable detached : slot list;  (** decoupled units past writeback *)
   mutable fetch_pc : int;
   mutable cycles : int;
   mutable instret : int;
   mutable halted : bool;
-  depth : int;
 }
 val create : Longnail.Flow.compiled -> t
 val read_gpr : t -> int -> int
@@ -75,20 +80,11 @@ val write_gpr : t -> int -> int -> unit
 val write_pc : t -> int -> unit
 val load_program : t -> ?base:int -> int list -> unit
 val store_word : t -> int -> int -> unit
-val field_value : Tast.tinstr -> int -> string -> int option
-val forwarded_operand : t -> upto:int -> int -> int
-val operand_hazard : t -> upto:int -> int -> bool
-val netlist_of : t -> string -> Rtl.Netlist.t
-val set_stall_inputs : t -> frozen_below:int -> unit
-val drive_isax_inputs :
-  t -> slot -> Longnail.Flow.compiled_functionality -> int -> unit
-val service_isax_stage :
-  t -> slot -> Longnail.Flow.compiled_functionality -> int -> unit
-val tick_always : t -> unit
-val base_execute : t -> slot -> unit
-val commit : t -> slot -> unit
-val make_capture : unit -> isax_capture
+
 val step : t -> bool
+(** One pipeline cycle; [false] once the program has halted and the pipe
+    has drained. *)
+
 val run : ?fuel:int -> t -> int
 (** Step until the program halts; raises {!Machine.Out_of_fuel} after
     [fuel] cycles without halting. *)

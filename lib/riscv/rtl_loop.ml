@@ -10,49 +10,40 @@
    run of the same program. *)
 
 module Interp = Coredsl.Interp
-module Tast = Coredsl.Tast
 
 exception Rtl_loop_error of string
 
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;  (* architectural state *)
-  engines : (Longnail.Flow.compiled_functionality * Rtl.Engine.t) list;
+  modules : (Longnail.Cosim.plan * Rtl.Engine.t) list;
       (* one per functionality, in [compiled.funcs] order *)
   mutable instret : int;
   mutable halted : bool;
 }
 
-(* Every functionality's engine is built here, once per run; each
-   instruction resets it ({!Longnail.Cosim.run_on}) instead of building a
-   fresh one. *)
+(* Every functionality's port plan and engine are built here, once per
+   run; each instruction resets the engine ({!Longnail.Cosim.run_plan})
+   instead of building a fresh one. *)
 let create (compiled : Longnail.Flow.compiled) =
-  let engines =
+  let modules =
     List.map
       (fun (f : Longnail.Flow.compiled_functionality) ->
-        (f, Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist))
+        (Longnail.Cosim.plan f, Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist))
       compiled.Longnail.Flow.funcs
   in
   {
     compiled;
     st = Interp.create compiled.Longnail.Flow.unit_;
-    engines;
+    modules;
     instret = 0;
     halted = false;
   }
 
-let tu t = t.compiled.Longnail.Flow.unit_
-
-let read_pc t = Bitvec.to_int (Interp.read_reg t.st "PC")
-let write_pc t v = (Interp.reg_array t.st "PC").(0) <- Bitvec.of_int (Bitvec.unsigned_ty 32) v
-let read_gpr t i = Bitvec.to_int (Interp.read_regfile t.st "X" i)
-
-let load_program t ?(base = 0) words =
-  List.iteri
-    (fun i w ->
-      Interp.write_mem t.st "MEM" (base + (4 * i)) 4 (Bitvec.of_int (Bitvec.unsigned_ty 32) w))
-    words;
-  write_pc t base
+let read_pc t = Arch.read_pc t.st
+let write_pc t v = Arch.write_pc t.st v
+let read_gpr t i = Arch.read_gpr t.st i
+let load_program t ?(base = 0) words = Arch.load_program t.st ~base words
 
 (* stimulus reading the current architectural state *)
 let stimulus_of t ?instr_word ?rs1 ?rs2 () =
@@ -73,18 +64,15 @@ let stimulus_of t ?instr_word ?rs1 ?rs2 () =
 let apply_response t ?rd (resp : Longnail.Cosim.response) ~fallthrough_pc =
   List.iter
     (fun (w : Longnail.Cosim.custreg_write) ->
-      if w.cw_valid then begin
-        let a = Interp.reg_array t.st w.cw_reg in
-        let idx = Option.value ~default:0 w.cw_index in
-        a.(idx) <- Bitvec.cast (Bitvec.typ a.(0)) w.cw_data
-      end)
+      if w.cw_valid then
+        Arch.write_custreg t.st w.cw_reg (Option.value ~default:0 w.cw_index) w.cw_data)
     resp.custreg_writes;
   (match resp.mem_write with
-  | Some (addr, data, true) -> Interp.write_mem t.st "MEM" addr (Bitvec.width data / 8) data
+  | Some (addr, data, true) -> Arch.write_mem t.st addr data
   | _ -> ());
   (match (rd, resp.rd_write) with
   | Some rd, Some (data, true) when rd <> 0 ->
-      (Interp.reg_array t.st "X").(rd) <- Bitvec.cast (Bitvec.unsigned_ty 32) data
+      (Interp.reg_array t.st "X").(rd) <- Bitvec.cast Arch.u32 data
   | _ -> ());
   match resp.pc_write with
   | Some (data, true) -> write_pc t (Bitvec.to_int data)
@@ -94,17 +82,12 @@ let apply_response t ?rd (resp : Longnail.Cosim.response) ~fallthrough_pc =
 (* one evaluation of every always-block through its RTL module *)
 let tick_always t =
   List.iter
-    (fun ((f : Longnail.Flow.compiled_functionality), engine) ->
-      if f.cf_kind = `Always then begin
-        let resp = Longnail.Cosim.run_on engine f (stimulus_of t ()) in
+    (fun (plan, engine) ->
+      if (Longnail.Cosim.func plan).cf_kind = `Always then begin
+        let resp = Longnail.Cosim.run_plan plan engine (stimulus_of t ()) in
         apply_response t resp ~fallthrough_pc:None
       end)
-    t.engines
-
-let field_value ti word name =
-  Option.map
-    (fun fi -> Bitvec.to_int (Interp.decode_field word fi))
-    (Tast.find_field ti name)
+    t.modules
 
 (* Execute one instruction; ISAXes run through their RTL modules. *)
 let step t =
@@ -125,15 +108,16 @@ let step t =
         (* the first functionality by name, as [Flow.find_func] picks *)
         match
           List.find_opt
-            (fun ((f : Longnail.Flow.compiled_functionality), _) -> f.cf_name = ti.ti_name)
-            t.engines
+            (fun (plan, _) -> (Longnail.Cosim.func plan).cf_name = ti.ti_name)
+            t.modules
         with
-        | Some (f, engine) ->
+        | Some (plan, engine) ->
             (* custom instruction: through the RTL *)
-            let rs1 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs1") in
-            let rs2 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field_value ti word "rs2") in
-            let resp = Longnail.Cosim.run_on engine f (stimulus_of t ~instr_word:word ?rs1 ?rs2 ()) in
-            apply_response t ?rd:(field_value ti word "rd") resp
+            let field = Arch.field_value ti word in
+            let rs1 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field "rs1") in
+            let rs2 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field "rs2") in
+            let resp = Longnail.Cosim.run_plan plan engine (stimulus_of t ~instr_word:word ?rs1 ?rs2 ()) in
+            apply_response t ?rd:(field "rd") resp
               ~fallthrough_pc:(Some ((pc + 4) land 0xFFFFFFFF));
             true
         | None ->
@@ -144,10 +128,5 @@ let step t =
   end
 
 let run ?(fuel = 200_000) t =
-  let rec go n =
-    if n <= 0 then raise (Machine.Out_of_fuel fuel)
-    else if step t then go (n - 1)
-    else ()
-  in
-  go fuel;
+  Arch.run_with_fuel ~fuel (fun () -> step t);
   t.instret

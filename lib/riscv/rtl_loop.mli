@@ -10,13 +10,12 @@
    run of the same program. *)
 
 module Interp = Coredsl.Interp
-module Tast = Coredsl.Tast
 exception Rtl_loop_error of string
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;
-  engines : (Longnail.Flow.compiled_functionality * Rtl.Engine.t) list;
-      (** one compiled RTL engine per functionality, in
+  modules : (Longnail.Cosim.plan * Rtl.Engine.t) list;
+      (** one port plan and compiled RTL engine per functionality, in
           [compiled.funcs] order *)
   mutable instret : int;
   mutable halted : bool;
@@ -25,23 +24,13 @@ type t = {
 val create : Longnail.Flow.compiled -> t
 (** [create compiled] prepares a run; every ISAX and always-block
     executes through the compiled RTL simulation engine. Each
-    functionality's engine is built once here and reset before every
-    instruction or always-block evaluation. *)
+    functionality's plan and engine are built once here; the engine is
+    reset before every instruction or always-block evaluation. *)
 
-val tu : t -> Coredsl.Tast.tunit
 val read_pc : t -> int
 val write_pc : t -> int -> unit
 val read_gpr : t -> int -> int
 val load_program : t -> ?base:int -> int list -> unit
-val stimulus_of :
-  t ->
-  ?instr_word:Bitvec.t ->
-  ?rs1:Bitvec.t -> ?rs2:Bitvec.t -> unit -> Longnail.Cosim.stimulus
-val apply_response :
-  t ->
-  ?rd:int -> Longnail.Cosim.response -> fallthrough_pc:int option -> unit
-val tick_always : t -> unit
-val field_value : Tast.tinstr -> Bitvec.t -> string -> int option
 val step : t -> bool
 val run : ?fuel:int -> t -> int
 (** Step until the program halts; raises {!Machine.Out_of_fuel} after

@@ -296,6 +296,142 @@ let test_decoupled_dependent_stalls () =
   check_int "sqrt" 42 (Riscv.Pipeline.read_gpr p 13);
   check_int "chained use" 84 (Riscv.Pipeline.read_gpr p 14)
 
+(* ---- pinned timing ---- *)
+
+(* (cycles, instret) of the structural pipeline on fixed programs: the
+   Section 5.5 program on every pipelined core and the ISAX programs of
+   the tests above. A change to how the pipeline drives and services its
+   ISAX modules must not move any of them. *)
+let timing_golden =
+  [
+    ("case_study_ORCA", 48, 30);
+    ("case_study_Piccolo", 44, 30);
+    ("case_study_VexRiscv", 57, 30);
+    ("case_study_mriscv", 66, 30);
+    ("dotprod", 11, 6);
+    ("dotprod_back_to_back", 12, 7);
+    ("sqrt_tightly", 23, 13);
+    ("sqrt_decoupled", 18, 13);
+    ("sqrt_decoupled_dependent", 16, 4);
+    ("zol", 27, 22);
+    ("autoinc", 12, 5);
+    ("autoinc_store", 10, 5);
+    ("sparkle_orca", 9, 4);
+  ]
+
+let test_pinned_timing () =
+  let measure core isax ?(setup = fun _ -> ()) prog =
+    let p, cycles =
+      run_pipeline (Longnail.Flow.compile core (Isax.Registry.compile_by_name isax)) ~setup prog
+    in
+    (cycles, p.Riscv.Pipeline.instret)
+  in
+  let vex = Scaiev.Datasheet.vexriscv in
+  let n = 8 in
+  let case_study =
+    List.map
+      (fun (core : Scaiev.Datasheet.t) ->
+        ( "case_study_" ^ core.core_name,
+          measure core "autoinc+zol"
+            ~setup:(fun p ->
+              Riscv.Pipeline.write_gpr p 2 0x8000;
+              for i = 0 to n - 1 do
+                Riscv.Pipeline.store_word p (0x1000 + (4 * i)) (i + 1)
+              done)
+            (Riscv.Case_study.isax_program n) ))
+      (List.filter (fun (c : Scaiev.Datasheet.t) -> not c.is_fsm) (Scaiev.Core_registry.datasheets ()))
+  in
+  let sqrt instr =
+    Printf.sprintf "li a1, 1764\n.isax %s rs1=a1, rd=a2\n%s\nsrli a3, a2, 16\nebreak" instr
+      (String.concat "\n" (List.init 10 (fun i -> Printf.sprintf "addi t%d, zero, %d" (i mod 3) i)))
+  in
+  let measured =
+    case_study
+    @ [
+        ( "dotprod",
+          measure vex "dotprod"
+            "li a0, 67305985\nli a2, 673059850\n.isax DOTP rs1=a0, rs2=a2, rd=a4\nadd a5, a4, a4\nebreak" );
+        ( "dotprod_back_to_back",
+          measure vex "dotprod"
+            "li a0, 67305985\nli a2, 673059850\n.isax DOTP rs1=a0, rs2=a2, rd=a4\n.isax DOTP rs1=a4, rs2=a2, rd=a5\nadd a6, a5, a4\nebreak"
+        );
+        ("sqrt_tightly", measure vex "sqrt_tightly" (sqrt "SQRT"));
+        ("sqrt_decoupled", measure vex "sqrt_decoupled" (sqrt "SQRT_D"));
+        ( "sqrt_decoupled_dependent",
+          measure vex "sqrt_decoupled"
+            "li a1, 1764\n.isax SQRT_D rs1=a1, rd=a2\nsrli a3, a2, 16\nadd a4, a3, a3\nebreak" );
+        ( "zol",
+          measure vex "zol"
+            "li a0, 0\n.isax setup_zol uimmL=9, uimmS=6\nbody:\naddi a0, a0, 1\naddi a0, a0, 1\nebreak" );
+        ( "autoinc",
+          measure vex "autoinc"
+            ~setup:(fun p ->
+              Riscv.Pipeline.store_word p 0x200 111;
+              Riscv.Pipeline.store_word p 0x204 222)
+            "li a1, 0x200\n.isax AI_SETUP rs1=a1, imm=0\n.isax AI_LW rd=a2\n.isax AI_LW rd=a3\nadd a4, a2, a3\nebreak" );
+        ( "autoinc_store",
+          measure vex "autoinc"
+            "li a1, 0x300\nli a2, 77\n.isax AI_SETUP rs1=a1, imm=0\n.isax AI_SW rs2=a2\n.isax AI_SW rs2=a2\nebreak" );
+        ( "sparkle_orca",
+          measure Scaiev.Datasheet.orca "sparkle"
+            "li a0, 3\nli a1, 4\n.isax ALZ_X rs1=a0, rs2=a1, rd=a2\n.isax ALZ_Y rs1=a0, rs2=a1, rd=a3\nebreak" );
+      ]
+  in
+  let show l = List.map (fun (name, (cycles, instret)) -> Printf.sprintf "%s %d/%d" name cycles instret) l in
+  Alcotest.(check (list string))
+    "(cycles, instret)"
+    (show (List.map (fun (name, c, i) -> (name, (c, i))) timing_golden))
+    (show measured)
+
+(* ---- always-blocks through every engine ---- *)
+
+(* an always-block that stores to MEM once a custom register is armed *)
+let armed_store_src =
+  {|import "RV32I.core_desc"
+
+InstructionSet X_ARMST extends RV32I {
+  architectural_state {
+    register unsigned<32> ARMED;
+  }
+  instructions {
+    ARM {
+      encoding: 12'd0 :: rs1[4:0] :: 3'b000 :: 5'b00000 :: 7'b0001011;
+      behavior: {
+        ARMED = X[rs1];
+      }
+    }
+  }
+  always {
+    store_when_armed {
+      if (ARMED != 0) {
+        MEM[1027:1024] = (unsigned<32>)0x1234;
+      }
+    }
+  }
+}
+|}
+
+let test_always_block_memory_write () =
+  let tu = Coredsl.compile ~file:"armst.core_desc" ~target:"X_ARMST" armed_store_src in
+  let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
+  let words =
+    Riscv.Asm.assemble ~custom:(Riscv.Machine.isax_encoder tu)
+      "li a0, 1\n.isax ARM rs1=a0\nnop\nnop\nnop\nnop\nnop\nnop\nebreak"
+  in
+  let stored st = Bitvec.to_int (Coredsl.Interp.read_mem st "MEM" 0x400 4) in
+  let m = Riscv.Machine.of_compiled c in
+  Riscv.Machine.load_program m words;
+  ignore (Riscv.Machine.run m);
+  let p = Riscv.Pipeline.create c in
+  Riscv.Pipeline.load_program p words;
+  ignore (Riscv.Pipeline.run p);
+  let rl = Riscv.Rtl_loop.create c in
+  Riscv.Rtl_loop.load_program rl words;
+  ignore (Riscv.Rtl_loop.run rl);
+  check_int "cost model" 0x1234 (stored m.Riscv.Machine.st);
+  check_int "pipeline" 0x1234 (stored p.Riscv.Pipeline.st);
+  check_int "rtl-loop" 0x1234 (stored rl.Riscv.Rtl_loop.st)
+
 (* ---- pipeline profiling (the Figure-9 observability contract) ---- *)
 
 let test_profile_stage_coverage () =
@@ -506,6 +642,8 @@ let () =
           Alcotest.test_case "write arbitration order" `Quick test_pipeline_arbitration;
           Alcotest.test_case "decoupled overtaking" `Quick test_decoupled_overtaking;
           Alcotest.test_case "decoupled dependent stalls" `Quick test_decoupled_dependent_stalls;
+          Alcotest.test_case "pinned timing" `Quick test_pinned_timing;
+          Alcotest.test_case "always-block memory write" `Quick test_always_block_memory_write;
         ] );
       ( "diagnostics",
         [
