@@ -1,19 +1,15 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md section 2 for the experiment index).
+(* Paper reproduction: regenerates every table and figure of the paper's
+   evaluation (see DESIGN.md section 2 for the experiment index). Timing
+   lives in perfbench/, not here.
 
    Usage:
      bench/main.exe                  run every table/figure reproduction
-     bench/main.exe table4           one specific target
-     bench/main.exe micro            Bechamel micro-benchmarks of the
-                                     substrates
-     bench/main.exe perf --json BENCH_PIPELINE.json [--schema FILE]
-                                     profile the compile pipeline for every
-                                     bundled ISAX x host core and write the
-                                     machine-readable baseline (+ the
-                                     metric-name schema) consumed by CI
+     bench/main.exe table4           one specific target (names may repeat)
 
    Targets: table1 table2 table3 table4 fig5 fig6 fig7 fig8 fig9 perf
-            ablation outlook dse sharing extra micro *)
+            ablation outlook dse sharing extra
+
+   Any other argument, flags included, exits 2 with the target list. *)
 
 let sep title =
   Printf.printf "\n%s\n== %s\n%s\n" (String.make 78 '=') title (String.make 78 '=')
@@ -37,9 +33,7 @@ let require_func (c : Longnail.Flow.compiled) name =
         c.core.Scaiev.Datasheet.core_name
 
 (* One compilation session shared by every bench target: repeated
-   (unit, core, knobs) compiles across tables replay from cache. The
-   micro-benchmarks and the perf --json baseline deliberately bypass it
-   (they measure the cold path). *)
+   (unit, core, knobs) compiles across tables replay from cache. *)
 let session = Longnail.Flow.create_session ()
 
 (* Request-building shorthand: the bench compiles under many one-off knob
@@ -272,600 +266,6 @@ let perf () =
   Printf.printf "\narea overhead of autoinc+zol on VexRiscv: +%.0f%% (paper: +16%%)\n" area;
   Printf.printf "asymptotic speedup: +%.0f%% (paper: >60%%)\n" ((18.0 /. 11.0 -. 1.0) *. 100.0)
 
-(* ---- perf --json: the machine-readable pipeline baseline ---- *)
-
-(* Compile every bundled ISAX on every host core with profiling enabled
-   and write one JSON document with per-stage wall times and IR-size
-   metrics — the baseline every later compile-time PR is judged against.
-   The span trees are validated (no empty or non-finite metrics) before
-   anything is written, so a corrupted run exits nonzero and CI fails.
-   Each [*_json] section below returns its top-level fields of that one
-   [Json.t] document. *)
-
-let profile_one ?(verify_each = false) (core : Scaiev.Datasheet.t) (e : Isax.Registry.entry) =
-  let obs = Obs.create ~name:"compile" () in
-  (* a fresh session per target: the baseline measures the cold path, and
-     every target carries the identical (all-miss) cache-counter schema *)
-  let psession = Longnail.Flow.create_session () in
-  let fe_key =
-    Cache.Fp.digest (fun b ->
-        Cache.Fp.add_tag b "registry";
-        Cache.Fp.add_string b e.name;
-        Cache.Fp.add_string b e.target;
-        Cache.Fp.add_string b e.source)
-  in
-  let tu =
-    Obs.span obs "parse_typecheck" (fun sobs ->
-        let tu =
-          Longnail.Flow.frontend psession ~obs:sobs ~key:fe_key (fun () ->
-              Isax.Registry.compile e)
-        in
-        Obs.metric_int sobs "source_bytes" (String.length e.source);
-        Obs.metric_int sobs "n_instructions" (List.length tu.Coredsl.Tast.tinstrs);
-        Obs.metric_int sobs "n_always" (List.length tu.Coredsl.Tast.talways);
-        tu)
-  in
-  (* through the batch driver (one target, jobs=1) so the baseline schema
-     matches the CLI's --profile output: parallel_compile + target:* spans *)
-  let request = Longnail.Flow.Request.make ~session:psession ~obs ~verify_each () in
-  ignore (Longnail.Flow.compile_many ~request [ (core, tu) ]);
-  Obs.finish obs;
-  let sp = Obs.root obs in
-  Obs.validate sp;
-  sp
-
-(* Warm-vs-cold DSE sweep through one sweep session: the cold pass runs
-   the full grid, the warm pass must replay every point (including the
-   ASIC measurement) from cache — the acceptance gate for the
-   content-addressed sessions. *)
-let dse_sweep_json () =
-  let isax = "dotprod" and core = Scaiev.Datasheet.vexriscv in
-  let tu = Isax.Registry.compile_by_name isax in
-  let measure c =
-    let r = Asic.Flow.run ~isax_name:isax c in
-    (r.Asic.Flow.area_overhead_pct, r.Asic.Flow.achieved_freq_mhz)
-  in
-  let ss = Longnail.Dse.sweep_session () in
-  let t0 = Unix.gettimeofday () in
-  let cold = Longnail.Dse.explore ~sweep:ss ~measure core tu in
-  let t1 = Unix.gettimeofday () in
-  let warm = Longnail.Dse.explore ~sweep:ss ~measure core tu in
-  let t2 = Unix.gettimeofday () in
-  if warm <> cold then
-    Diag.fatalf ~code:"E0901"
-      "internal: warm DSE sweep of %s on %s diverges from the cold sweep" isax
-      core.Scaiev.Datasheet.core_name;
-  let cold_ms = (t1 -. t0) *. 1000.0 and warm_ms = (t2 -. t1) *. 1000.0 in
-  let speedup = cold_ms /. Float.max warm_ms 1e-6 in
-  if speedup < 2.0 then
-    Diag.fatalf ~code:"E0901"
-      "internal: warm DSE sweep speedup %.2fx < 2x (cold %.1f ms, warm %.1f ms)" speedup
-      cold_ms warm_ms;
-  let pareto = List.length (List.filter (fun (p : Longnail.Dse.point) -> p.dp_pareto) cold) in
-  let store_stats (name, (st : Cache.Store.stats)) =
-    ( name,
-      Json.Obj
-        [
-          ("hits", Json.int st.hits);
-          ("misses", Json.int st.misses);
-          ("stores", Json.int st.stores);
-          ("evictions", Json.int st.evictions);
-        ] )
-  in
-  let cache_stats =
-    Longnail.Flow.session_stats ss.Longnail.Dse.ss_flow
-    @ [
-        ( Cache.Store.name ss.Longnail.Dse.ss_measure,
-          Cache.Store.stats ss.Longnail.Dse.ss_measure );
-      ]
-  in
-  [
-    ("cache", Json.Obj (List.map store_stats cache_stats));
-    ( "dse_sweep",
-      Json.Obj
-        [
-          ("isax", Json.Str isax);
-          ("core", Json.Str core.Scaiev.Datasheet.core_name);
-          ("points", Json.int (List.length cold));
-          ("pareto_points", Json.int pareto);
-          ("cold_ms", Json.Num cold_ms);
-          ("warm_ms", Json.Num warm_ms);
-          ("warm_speedup", Json.Num speedup);
-        ] );
-  ]
-
-(* Parallel-vs-sequential equivalence: compile the full bundled
-   ISAX x core grid once at jobs=1 and once at the requested job count,
-   each through a fresh session, and compare every artifact byte
-   (SystemVerilog modules + configuration YAML). The [speedup] field is
-   always present — CI greps for it — but only meaningful when the host
-   actually has spare cores; [--assert-par-equal] turns a byte
-   divergence into a fatal error. *)
-let par_json ~jobs ?(verify_each = false) ~assert_equal () =
-  let targets =
-    List.concat_map
-      (fun (core : Scaiev.Datasheet.t) ->
-        List.map (fun (e : Isax.Registry.entry) -> (core, Isax.Registry.compile e))
-          Isax.Registry.all)
-      (Scaiev.Core_registry.datasheets ())
-  in
-  let compile_all jobs =
-    let psession = Longnail.Flow.create_session () in
-    let request = Longnail.Flow.Request.make ~session:psession ~jobs ~verify_each () in
-    let t0 = Unix.gettimeofday () in
-    let cs = Longnail.Flow.compile_many ~request targets in
-    ((Unix.gettimeofday () -. t0) *. 1000.0, cs)
-  in
-  let seq_ms, seq = compile_all 1 in
-  let par_ms, par = compile_all jobs in
-  let artifact_bytes (c : Longnail.Flow.compiled) =
-    String.concat "\x00" (List.map (fun (f : Longnail.Flow.compiled_functionality) -> f.cf_sv) c.funcs)
-    ^ "\x01" ^ c.config_yaml
-  in
-  let bytes_equal =
-    List.length seq = List.length par
-    && List.for_all2 (fun a b -> artifact_bytes a = artifact_bytes b) seq par
-  in
-  if assert_equal && not bytes_equal then
-    Diag.fatalf ~code:"E0901"
-      "internal: parallel compile (jobs=%d) produced different artifact bytes than the \
-       sequential run" jobs;
-  let speedup = seq_ms /. Float.max par_ms 1e-6 in
-  [
-    ( "par",
-      Json.Obj
-        [
-          ("jobs", Json.int jobs);
-          ("host_cores", Json.int (Par.available_workers ()));
-          ("targets", Json.int (List.length targets));
-          ("seq_ms", Json.Num seq_ms);
-          ("par_ms", Json.Num par_ms);
-          ("speedup", Json.Num speedup);
-          ("bytes_equal", Json.Bool bytes_equal);
-        ] );
-  ]
-
-(* Cross-process warm compile via the on-disk artifact store, simulated
-   by two fresh in-memory sessions sharing one store directory: the
-   "cold process" populates the store, the "warm process" must answer
-   every target from disk — zero misses, no netlists rebuilt — with
-   byte-identical artifacts (they *are* the cold run's bytes). *)
-let disk_cache_json () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "longnail-bench-disk-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then rm dir;
-  let targets =
-    List.map
-      (fun (e : Isax.Registry.entry) ->
-        (Scaiev.Datasheet.vexriscv, Isax.Registry.compile e))
-      Isax.Registry.all
-  in
-  let run_process () =
-    let disk = Cache.Disk.open_store dir in
-    let psession = Longnail.Flow.create_session ~disk () in
-    let request = Longnail.Flow.Request.make ~session:psession () in
-    let t0 = Unix.gettimeofday () in
-    let outs = Longnail.Flow.compile_many_outputs ~request targets in
-    ((Unix.gettimeofday () -. t0) *. 1000.0, outs, Cache.Disk.stats disk)
-  in
-  let cold_ms, cold, cold_st = run_process () in
-  let warm_ms, warm, warm_st = run_process () in
-  let outputs_bytes (o : Longnail.Flow.outputs) =
-    String.concat "\x00"
-      (List.map (fun (f : Longnail.Flow.output_func) -> f.of_sv) o.o_funcs)
-    ^ "\x01" ^ o.o_yaml
-  in
-  let bytes_equal =
-    List.length cold = List.length warm
-    && List.for_all2 (fun a b -> outputs_bytes a = outputs_bytes b) cold warm
-  in
-  if not bytes_equal then
-    Diag.fatalf ~code:"E0901"
-      "internal: disk-warm compile produced different artifact bytes than the cold run";
-  if warm_st.Cache.Disk.hits = 0 || warm_st.Cache.Disk.misses > 0 then
-    Diag.fatalf ~code:"E0901"
-      "internal: warm process expected all-hit disk reload, got %d hits / %d misses"
-      warm_st.Cache.Disk.hits warm_st.Cache.Disk.misses;
-  let speedup = cold_ms /. Float.max warm_ms 1e-6 in
-  if speedup < 2.0 then
-    Diag.fatalf ~code:"E0901"
-      "internal: disk-warm speedup %.2fx < 2x (cold %.1f ms, warm %.1f ms)" speedup cold_ms
-      warm_ms;
-  rm dir;
-  let disk_stats (st : Cache.Disk.stats) =
-    Json.Obj
-      [
-        ("hits", Json.int st.hits);
-        ("misses", Json.int st.misses);
-        ("stores", Json.int st.stores);
-        ("evictions", Json.int st.evictions);
-        ("corrupt", Json.int st.corrupt);
-        ("bytes", Json.int st.bytes);
-      ]
-  in
-  [
-    ( "disk_cache",
-      Json.Obj
-        [
-          ("targets", Json.int (List.length targets));
-          ("cold_ms", Json.Num cold_ms);
-          ("warm_ms", Json.Num warm_ms);
-          ("warm_speedup", Json.Num speedup);
-          ("bytes_equal", Json.Bool bytes_equal);
-          ("cold", disk_stats cold_st);
-          ("warm", disk_stats warm_st);
-        ] );
-  ]
-
-(* Serve-daemon throughput: run the daemon on a spawned domain against a
-   temp socket, sweep every bundled ISAX through one client twice (cold
-   session, then warm), then hit the warm daemon from several concurrent
-   client domains. A malformed request is thrown in at the end to prove
-   per-request isolation before the clean shutdown. *)
-let serve_json () =
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "longnail-bench-%d.sock" (Unix.getpid ()))
-  in
-  if Sys.file_exists socket then Sys.remove socket;
-  let srv = Server.create ~session:(Longnail.Flow.create_session ()) ~socket () in
-  let daemon = Domain.spawn (fun () -> Server.serve srv) in
-  let req id isax =
-    Json.to_string
-      (Json.Obj
-         [
-           ("id", Json.int id);
-           ("op", Json.Str "compile");
-           ("isax", Json.Str isax);
-           ("core", Json.Str "vexriscv");
-         ])
-  in
-  let isaxes = List.map (fun (e : Isax.Registry.entry) -> e.name) Isax.Registry.all in
-  let ok_done events =
-    match List.rev events with
-    | last :: _ -> Json.get_bool (Json.member "ok" last) = Some true
-    | [] -> false
-  in
-  let sweep c tag =
-    List.iteri
-      (fun i name ->
-        if not (ok_done (Server.Client.request c (req i name))) then
-          Diag.fatalf ~code:"E0901" "internal: %s serve request for %s failed" tag name)
-      isaxes
-  in
-  let c = Server.Client.connect ~retries:50 socket in
-  let t0 = Unix.gettimeofday () in
-  sweep c "cold";
-  let t1 = Unix.gettimeofday () in
-  sweep c "warm";
-  let t2 = Unix.gettimeofday () in
-  Server.Client.close c;
-  let cold_ms = (t1 -. t0) *. 1000.0 and warm_ms = (t2 -. t1) *. 1000.0 in
-  let n_clients = 4 in
-  let t3 = Unix.gettimeofday () in
-  let workers =
-    List.init n_clients (fun _ ->
-        Domain.spawn (fun () ->
-            let c = Server.Client.connect ~retries:50 socket in
-            let ok =
-              List.for_all
-                (fun name -> ok_done (Server.Client.request c (req 0 name)))
-                isaxes
-            in
-            Server.Client.close c;
-            ok))
-  in
-  let oks = List.map Domain.join workers in
-  let concurrent_ms = (Unix.gettimeofday () -. t3) *. 1000.0 in
-  if not (List.for_all Fun.id oks) then
-    Diag.fatalf ~code:"E0901" "internal: a concurrent serve client failed";
-  let c = Server.Client.connect socket in
-  (match Server.Client.request c {|{"op":|} with
-  | [ j ] when Json.get_bool (Json.member "ok" j) = Some false -> ()
-  | _ ->
-      Diag.fatalf ~code:"E0901"
-        "internal: a malformed request did not produce a single error done event");
-  sweep c "post-error";
-  ignore (Server.Client.request c {|{"op":"shutdown"}|});
-  Server.Client.close c;
-  Domain.join daemon;
-  let n = List.length isaxes in
-  let rps ms reqs = float_of_int reqs /. Float.max (ms /. 1000.0) 1e-9 in
-  [
-    ( "serve",
-      Json.Obj
-        [
-          ("targets", Json.int n);
-          ("clients", Json.int n_clients);
-          ("cold_ms", Json.Num cold_ms);
-          ("warm_ms", Json.Num warm_ms);
-          ("warm_rps", Json.Num (rps warm_ms n));
-          ("concurrent_ms", Json.Num concurrent_ms);
-          ("concurrent_rps", Json.Num (rps concurrent_ms (n_clients * n)));
-          ("requests", Json.int (Server.requests_served srv));
-        ] );
-  ]
-
-(* Static-analysis timing: run the W1xxx linter over every bundled ISAX
-   and report per-unit wall time and warning counts. The total count is
-   the same figure the CI lint gate pins via docs/LINT_GOLDEN.txt. *)
-let lint_json () =
-  let entries =
-    List.map
-      (fun (e : Isax.Registry.entry) ->
-        let tu = Isax.Registry.compile e in
-        let t0 = Unix.gettimeofday () in
-        let warnings = Analysis.Lint.lint_unit tu in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        (e.name, List.length warnings, ms))
-      Isax.Registry.all
-  in
-  let total = List.fold_left (fun n (_, w, _) -> n + w) 0 entries in
-  let total_ms = List.fold_left (fun t (_, _, ms) -> t +. ms) 0.0 entries in
-  let unit (name, w, ms) =
-    Json.Obj [ ("isax", Json.Str name); ("warnings", Json.int w); ("ms", Json.Num ms) ]
-  in
-  [
-    ( "lint",
-      Json.Obj
-        [
-          ("units", Json.Arr (List.map unit entries));
-          ("warnings", Json.int total);
-          ("total_ms", Json.Num total_ms);
-        ] );
-  ]
-
-(* Analysis-driven width narrowing: per-ISAX rewrite statistics plus the
-   pipeline-register delta the narrowed datapath buys when scheduled on
-   vexriscv. The statistics run the same translation-validated passes
-   the --narrow=on knob enables inside the flow; the register delta
-   compares full compiles with the knob off and on. `--assert-narrow`
-   pins the contract: narrowing removes bits in >= 3 bundled ISAXes and
-   every graph that was rewritten was translation-validated. *)
-let narrow_json ~assert_narrow () =
-  let entries =
-    List.map
-      (fun (e : Isax.Registry.entry) ->
-        let tu = Isax.Registry.compile e in
-        let t0 = Unix.gettimeofday () in
-        let stats = ref Analysis.Narrow.zero_stats in
-        let add (st : Analysis.Narrow.stats) =
-          let s = !stats in
-          stats :=
-            {
-              Analysis.Narrow.ns_ops_rewritten = s.ns_ops_rewritten + st.ns_ops_rewritten;
-              ns_bits_removed = s.ns_bits_removed + st.ns_bits_removed;
-              ns_compares_folded = s.ns_compares_folded + st.ns_compares_folded;
-              ns_selects_removed = s.ns_selects_removed + st.ns_selects_removed;
-              ns_tv_validations = s.ns_tv_validations + st.ns_tv_validations;
-              ns_tv_vectors = s.ns_tv_vectors + st.ns_tv_vectors;
-              ns_tv_exhaustive = s.ns_tv_exhaustive + st.ns_tv_exhaustive;
-            }
-        in
-        let narrow_of hlir fields =
-          let lil =
-            Ir.Passes.optimize (Ir.Lil.of_hlir tu.Coredsl.Tast.elab ~fields hlir)
-          in
-          let _, st = Analysis.Narrow.narrow_graph lil in
-          add st
-        in
-        List.iter
-          (fun ti ->
-            if Longnail.Flow.is_isax_instruction ti then
-              narrow_of (Ir.Hlir.lower_instruction tu ti) ti.Coredsl.Tast.fields)
-          tu.Coredsl.Tast.tinstrs;
-        List.iter (fun ta -> narrow_of (Ir.Hlir.lower_always tu ta) []) tu.Coredsl.Tast.talways;
-        let pipe_bits narrow =
-          let request =
-            Longnail.Flow.Request.make ~session
-              ~knobs:(Longnail.Flow.knobs ~narrow ())
-              ()
-          in
-          let c = Longnail.Flow.compile ~request Scaiev.Datasheet.vexriscv tu in
-          List.fold_left
-            (fun acc (f : Longnail.Flow.compiled_functionality) ->
-              acc + f.cf_hw.Longnail.Hwgen.pipe_reg_bits)
-            0 c.Longnail.Flow.funcs
-        in
-        let bits_off = pipe_bits false and bits_on = pipe_bits true in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        (e.name, !stats, bits_off, bits_on, ms))
-      Isax.Registry.all
-  in
-  if assert_narrow then begin
-    let fired =
-      List.length
-        (List.filter
-           (fun (_, (st : Analysis.Narrow.stats), _, _, _) -> st.ns_bits_removed > 0)
-           entries)
-    in
-    if fired < 3 then
-      Diag.fatalf ~code:"E0901"
-        "internal: --assert-narrow: narrowing removed bits in only %d bundled ISAXes; the \
-         contract is >= 3"
-        fired;
-    List.iter
-      (fun (name, (st : Analysis.Narrow.stats), _, _, _) ->
-        if st.ns_ops_rewritten > 0 && st.ns_tv_validations = 0 then
-          Diag.fatalf ~code:"E0901"
-            "internal: --assert-narrow: %s was rewritten without translation validation" name)
-      entries
-  end;
-  let total f = List.fold_left (fun acc (_, st, _, _, _) -> acc + f st) 0 entries in
-  let unit (name, (st : Analysis.Narrow.stats), bits_off, bits_on, ms) =
-    Json.Obj
-      [
-        ("isax", Json.Str name);
-        ("ops_rewritten", Json.int st.ns_ops_rewritten);
-        ("bits_removed", Json.int st.ns_bits_removed);
-        ("compares_folded", Json.int st.ns_compares_folded);
-        ("selects_removed", Json.int st.ns_selects_removed);
-        ("tv_validations", Json.int st.ns_tv_validations);
-        ("tv_vectors", Json.int st.ns_tv_vectors);
-        ("pipe_reg_bits_off", Json.int bits_off);
-        ("pipe_reg_bits_on", Json.int bits_on);
-        ("ms", Json.Num ms);
-      ]
-  in
-  [
-    ( "narrow",
-      Json.Obj
-        [
-          ("units", Json.Arr (List.map unit entries));
-          ("ops_rewritten", Json.int (total (fun st -> st.Analysis.Narrow.ns_ops_rewritten)));
-          ("bits_removed", Json.int (total (fun st -> st.Analysis.Narrow.ns_bits_removed)));
-          ("tv_validations", Json.int (total (fun st -> st.Analysis.Narrow.ns_tv_validations)));
-        ] );
-  ]
-
-(* Simulation-engine comparison: run the same generated module for many
-   driven cycles on the reference interpreter and on the compiled engine,
-   report cycles/sec for each, and check the full VCD traces of a shared
-   deterministic stimulus are byte-identical. `--assert-sim-equal` turns
-   the two invariants the refactor promises — bit-identical traces and a
-   >= 10x compiled speedup — into hard CI failures. *)
-let rtl_sim_json ~assert_sim_equal () =
-  let tu = Isax.Registry.compile_by_name "dotprod" in
-  let compiled = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
-  let f = List.hd compiled.Longnail.Flow.funcs in
-  let m = f.Longnail.Flow.cf_hw.Longnail.Hwgen.netlist in
-  (* deterministic per-cycle stimulus over every input port *)
-  let drive cycle =
-    List.map
-      (fun (p : Rtl.Netlist.port) ->
-        let h = Hashtbl.hash (p.port_name, cycle) in
-        (p.port_name, Bitvec.of_int (Bitvec.unsigned_ty p.port_width) h))
-      m.Rtl.Netlist.inputs
-  in
-  (* throughput: one engine instance driven until the time budget runs
-     out, so per-cycle cost dominates and engine construction does not. *)
-  let cycles_per_sec kind =
-    let eng = Rtl.Engine.create ~kind m in
-    let budget = 0.25 in
-    let t0 = Unix.gettimeofday () in
-    let cycles = ref 0 in
-    while Unix.gettimeofday () -. t0 < budget do
-      for _ = 1 to 50 do
-        List.iter (fun (n, v) -> Rtl.Engine.set_input eng n v) (drive !cycles);
-        Rtl.Engine.eval eng;
-        Rtl.Engine.clock eng;
-        incr cycles
-      done
-    done;
-    float_of_int !cycles /. (Unix.gettimeofday () -. t0)
-  in
-  let interp_cps = cycles_per_sec Rtl.Engine.Interp in
-  let compiled_cps = cycles_per_sec Rtl.Engine.Compiled in
-  let speedup = compiled_cps /. Float.max interp_cps 1e-9 in
-  let trace_cycles = 64 in
-  let vcd_interp = Rtl.Vcd.trace ~engine:Rtl.Engine.Interp m ~cycles:trace_cycles ~drive in
-  let vcd_compiled =
-    Rtl.Vcd.trace ~engine:Rtl.Engine.Compiled m ~cycles:trace_cycles ~drive
-  in
-  let equal = Rtl.Vcd.traces_equal vcd_interp vcd_compiled in
-  if assert_sim_equal then begin
-    (match Rtl.Vcd.first_divergence vcd_interp vcd_compiled with
-    | Some (line, l, r) ->
-        Diag.fatalf ~code:"E0901"
-          "internal: --assert-sim-equal: engine traces diverge at VCD line %d (interp %S, \
-           compiled %S)"
-          line l r
-    | None -> ());
-    if speedup < 10.0 then
-      Diag.fatalf ~code:"E0901"
-        "internal: --assert-sim-equal: compiled engine is only %.1fx the interpreter \
-         (%.0f vs %.0f cycles/sec); the contract is >= 10x"
-        speedup compiled_cps interp_cps
-  end;
-  [
-    ( "rtl_sim",
-      Json.Obj
-        [
-          ("module", Json.Str m.Rtl.Netlist.mod_name);
-          ("nodes", Json.int (List.length m.Rtl.Netlist.nodes));
-          ("trace_cycles", Json.int trace_cycles);
-          ("interp_cycles_per_sec", Json.Num interp_cps);
-          ("compiled_cycles_per_sec", Json.Num compiled_cps);
-          ("speedup", Json.Num speedup);
-          ("traces_equal", Json.Bool equal);
-        ] );
-  ]
-
-let perf_json ~jobs ?(verify_each = false) ~assert_par_equal ?(assert_sim_equal = false)
-    ?(assert_narrow = false) ~json_path ~schema_path () =
-  let results =
-    List.concat_map
-      (fun (core : Scaiev.Datasheet.t) ->
-        List.map
-          (fun (e : Isax.Registry.entry) ->
-            Printf.eprintf "profiling %s on %s...\n%!" e.name core.core_name;
-            (e.name, core.core_name, profile_one ~verify_each core e))
-          Isax.Registry.all)
-      (Scaiev.Core_registry.datasheets ())
-  in
-  if results = [] then Diag.fatalf ~code:"E0901" "internal: perf --json produced no targets";
-  (* the schema must be identical for every target: same stages, same
-     metric names. A divergence means a stage was skipped or renamed. *)
-  let schema =
-    match results with
-    | (_, _, sp0) :: rest ->
-        let s0 = Obs.schema sp0 in
-        List.iter
-          (fun (isax, core, sp) ->
-            if Obs.schema sp <> s0 then
-              Diag.fatalf ~code:"E0901" "internal: metric schema of %s on %s diverges" isax
-                core)
-          rest;
-        s0
-    | [] -> assert false
-  in
-  Printf.eprintf "running warm-vs-cold DSE sweep...\n%!";
-  let sweep_json = dse_sweep_json () in
-  Printf.eprintf "running parallel-vs-sequential grid (jobs=%d)...\n%!" jobs;
-  let parallel_json = par_json ~jobs ~verify_each ~assert_equal:assert_par_equal () in
-  Printf.eprintf "running cold-vs-warm disk store...\n%!";
-  let disk_json = disk_cache_json () in
-  Printf.eprintf "running serve-daemon throughput...\n%!";
-  let serving_json = serve_json () in
-  Printf.eprintf "linting bundled ISAXes...\n%!";
-  let linting_json = lint_json () in
-  Printf.eprintf "measuring width narrowing...\n%!";
-  let narrowing_json = narrow_json ~assert_narrow () in
-  Printf.eprintf "comparing RTL simulation engines...\n%!";
-  let sim_json = rtl_sim_json ~assert_sim_equal () in
-  let target (isax, core, sp) =
-    Json.Obj [ ("isax", Json.Str isax); ("core", Json.Str core); ("profile", Obs.json sp) ]
-  in
-  let doc =
-    Json.Obj
-      ([ ("schema_version", Json.int 1); ("tool", Json.Str "bench/main.exe perf --json") ]
-      @ sweep_json @ parallel_json @ disk_json @ serving_json @ linting_json @ narrowing_json
-      @ sim_json
-      @ [ ("targets", Json.Arr (List.map target results)) ])
-  in
-  let oc = open_out_bin json_path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d targets, %d schema entries)\n" json_path (List.length results)
-    (List.length schema);
-  match schema_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out_bin path in
-      List.iter (fun l -> output_string oc (l ^ "\n")) schema;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-
 (* ---- ablations (DESIGN.md section 5) ---- *)
 
 let ablation () =
@@ -1025,179 +425,33 @@ let extra () =
       print_newline ())
     Isax.Extra.all
 
-(* ---- Bechamel micro-benchmarks ---- *)
-
-let micro () =
-  sep "Micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let u32 = Bitvec.unsigned_ty 32 in
-  let a = Bitvec.of_int u32 0xDEADBEEF and b = Bitvec.of_int u32 0x12345678 in
-  let tu_dotp = Isax.Registry.compile_by_name "dotprod" in
-  let dotp = require_tinstr tu_dotp "DOTP" in
-  let core = Scaiev.Datasheet.vexriscv in
-  let compiled = Longnail.Flow.compile core tu_dotp in
-  let f = List.hd compiled.Longnail.Flow.funcs in
-  let sim_stim =
-    {
-      Longnail.Cosim.default_stimulus with
-      instr_word = Some (Bitvec.of_int u32 0x0020_80EB);
-      rs1 = Some a;
-      rs2 = Some b;
-    }
-  in
-  let engine = Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist in
-  let st = Coredsl.Interp.create tu_dotp in
-  let word =
-    Coredsl.Interp.encode dotp
-      [
-        ("rs1", Bitvec.of_int u32 1); ("rs2", Bitvec.of_int u32 2); ("rd", Bitvec.of_int u32 3);
-      ]
-  in
-  let tests =
-    [
-      Test.make ~name:"bitvec add 32-bit" (Staged.stage (fun () -> ignore (Bitvec.add a b)));
-      Test.make ~name:"bitvec mul 32-bit" (Staged.stage (fun () -> ignore (Bitvec.mul a b)));
-      Test.make ~name:"coredsl parse+typecheck dotprod"
-        (Staged.stage (fun () -> ignore (Isax.Registry.compile_by_name "dotprod")));
-      Test.make ~name:"interp exec DOTP"
-        (Staged.stage (fun () -> Coredsl.Interp.exec_instr st dotp ~instr_word:word));
-      Test.make ~name:"longnail compile dotprod (full flow)"
-        (Staged.stage (fun () -> ignore (Longnail.Flow.compile core tu_dotp)));
-      Test.make ~name:"interp decode"
-        (Staged.stage (fun () -> ignore (Coredsl.Interp.decode st word)));
-      Test.make ~name:"rtl cosim DOTP (one instruction)"
-        (Staged.stage (fun () -> ignore (Longnail.Cosim.run f sim_stim)));
-      Test.make ~name:"rtl cosim DOTP (reused engine)"
-        (Staged.stage (fun () -> ignore (Longnail.Cosim.run_on engine f sim_stim)));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    let raw = Benchmark.all cfg instances test in
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun t ->
-      let results = benchmark t in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-40s (no estimate)\n" name)
-        results)
-    tests
-
 let all_targets =
   [
     ("table1", table1); ("table2", table2); ("table3", table3); ("table4", table4);
     ("fig5", fig5); ("fig6", fig6); ("fig7", fig7); ("fig8", fig8); ("fig9", fig9);
     ("perf", perf); ("ablation", ablation); ("outlook", outlook); ("dse", dse);
-    ("sharing", sharing); ("extra", extra); ("micro", micro);
+    ("sharing", sharing); ("extra", extra);
   ]
 
 let usage_error fmt =
   Printf.ksprintf
     (fun m ->
-      Printf.eprintf
-        "bench: %s\navailable targets: %s\nflags: --json FILE --schema FILE (with the 'perf' target), --repeat N,\n\
-        \       --assert-cache-hits, --assert-par-equal, --assert-sim-equal,\n\
-        \       --assert-narrow,\n\
-        \       plus the shared knob flags (--jobs N, --scheduler KIND, ...)\n"
-        m
+      Printf.eprintf "bench: %s\navailable targets: %s\n" m
         (String.concat " " (List.map fst all_targets));
       exit 2)
     fmt
 
-(* the bench's own flags, after the shared knob flags are stripped *)
-type bench_flags = {
-  targets : string list;
-  json : string option;
-  schema : string option;
-  repeat : int;
-  assert_hits : bool;
-  assert_par : bool;
-  assert_sim : bool;
-  assert_narrow : bool;
-}
-
 let main () =
-  (* the shared knob/cache/parallelism flags (one table with the CLI —
-     Longnail.Knob_flags) are stripped first; the bench's own parser gets
-     the leftovers. Flags first, then target names; every name is
-     validated before any target runs, and errors exit nonzero (code 2
-     for usage) — CI depends on the exit codes. Target names may repeat,
-     and `--repeat N` repeats the whole target list: the CI cache gate
-     runs `perf --repeat 2 --assert-cache-hits` so the second pass must
-     be served from the shared session. *)
-  let kf, rest =
-    match
-      Longnail.Knob_flags.parse Longnail.Knob_flags.default (List.tl (Array.to_list Sys.argv))
-    with
-    | Ok r -> r
-    | Error m -> usage_error "%s" m
-  in
-  let rec parse f = function
-    | [] -> { f with targets = List.rev f.targets }
-    | "--json" :: path :: rest -> parse { f with json = Some path } rest
-    | "--schema" :: path :: rest -> parse { f with schema = Some path } rest
-    | "--repeat" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some k when k >= 1 -> parse { f with repeat = k } rest
-        | _ -> usage_error "--repeat expects an integer >= 1, got '%s'" n)
-    | "--assert-cache-hits" :: rest -> parse { f with assert_hits = true } rest
-    | "--assert-par-equal" :: rest -> parse { f with assert_par = true } rest
-    | "--assert-sim-equal" :: rest -> parse { f with assert_sim = true } rest
-    | "--assert-narrow" :: rest -> parse { f with assert_narrow = true } rest
-    | ("--json" | "--schema" | "--repeat") :: [] -> usage_error "missing flag argument"
-    | a :: _ when String.length a >= 2 && String.sub a 0 2 = "--" ->
-        usage_error "unknown flag '%s'" a
-    | a :: rest -> parse { f with targets = a :: f.targets } rest
-  in
-  let { targets = names; json; schema; repeat; assert_hits; assert_par = assert_par_equal;
-        assert_sim = assert_sim_equal; assert_narrow } =
-    parse
-      { targets = []; json = None; schema = None; repeat = 1; assert_hits = false;
-        assert_par = false; assert_sim = false; assert_narrow = false }
-      rest
-  in
+  (* Every argument is a target name; the bench takes no flags. Every
+     name is validated before any target runs, and a bad one exits 2. *)
+  let names = List.tl (Array.to_list Sys.argv) in
   List.iter
-    (fun n -> if not (List.mem_assoc n all_targets) then usage_error "unknown target '%s'" n)
+    (fun n ->
+      if String.starts_with ~prefix:"-" n then usage_error "unknown flag '%s'" n
+      else if not (List.mem_assoc n all_targets) then usage_error "unknown target '%s'" n)
     names;
-  if repeat > 1 && names = [] then usage_error "--repeat needs explicit target names";
-  let names = List.concat (List.init repeat (fun _ -> names)) in
-  (match (json, schema) with
-  | (Some _, _ | _, Some _) when not (List.mem "perf" names) ->
-      usage_error "--json/--schema require the 'perf' target"
-  | _ -> ());
-  (match names with
-  | [] ->
-      (* everything except the (slow) micro benches *)
-      List.iter (fun (n, f) -> if n <> "micro" then f ()) all_targets
-  | names ->
-      List.iter
-        (fun n ->
-          match (n, json) with
-          | "perf", Some json_path ->
-              perf_json ~jobs:kf.Longnail.Knob_flags.jobs
-                ~verify_each:kf.Longnail.Knob_flags.verify_each ~assert_par_equal
-                ~assert_sim_equal ~assert_narrow ~json_path
-                ~schema_path:schema ()
-          | _ -> (List.assoc n all_targets) ())
-        names);
-  if assert_hits then begin
-    let hits =
-      List.fold_left
-        (fun acc (_, (st : Cache.Store.stats)) -> acc + st.hits)
-        0
-        (Longnail.Flow.session_stats session)
-    in
-    if hits = 0 then
-      Diag.fatalf ~code:"E0901"
-        "internal: --assert-cache-hits: the shared session recorded no cache hits";
-    Printf.printf "cache-hit assertion: %d hits across the shared session\n" hits
-  end
+  let names = if names = [] then List.map fst all_targets else names in
+  List.iter (fun n -> (List.assoc n all_targets) ()) names
 
 let () =
   try main () with

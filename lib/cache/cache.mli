@@ -11,7 +11,7 @@
       source locations, no cosmetic hints.
     - {!Store}: a generic keyed artifact store with LRU eviction and
       hit/miss/store/eviction counters, reported per lookup through
-      {!Obs} so the [--profile] output and the bench baseline carry
+      {!Obs} so the [--profile] output and perfbench's traced runs carry
       per-stage cache behaviour. Stores are safe for concurrent use
       from multiple domains (the parallel driver of
       docs/PARALLELISM.md): lookups are single-flight per key. *)

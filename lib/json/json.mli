@@ -1,6 +1,6 @@
 (** The one JSON codec of the tree: the value type, a compact writer and
     a parser, shared by diagnostics ({!Diag.to_json}), profiles
-    ({!Obs.to_json}), the serve wire protocol and the bench baselines.
+    ({!Obs.to_json}), the serve wire protocol and perfbench's reports.
 
     The parser accepts a strict superset of what the writer emits.
     Numbers are floats; a number that overflows to infinity

@@ -16,7 +16,7 @@
    The flow is organized as a *compilation session*: every stage boundary
    is a content-addressed artifact (Cache.Store) keyed by structural
    fingerprints (Cache.Fp), so repeated compiles — the CLI, batch
-   compiles, the DSE sweep, the bench baseline — reuse everything
+   compiles, the DSE sweep, the paper bench — reuse everything
    upstream of the first changed input. Artifact granularity:
 
      frontend artifact   per source            (caller-supplied key)

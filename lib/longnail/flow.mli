@@ -123,7 +123,7 @@ val delay_model_for : Scaiev.Datasheet.t -> knobs -> Delay_model.t
 
     A session owns four content-addressed artifact stores (frontend, IR,
     sched, target) plus fingerprint memos. Sessions are shared by the CLI,
-    {!compile_many}, {!Dse.explore} and the bench baseline; compiling the
+    {!compile_many}, {!Dse.explore} and the paper bench; compiling the
     same inputs twice within a session is served entirely from cache. *)
 type session
 

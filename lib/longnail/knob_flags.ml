@@ -1,7 +1,7 @@
 (* The shared knob/cache/parallelism flag table (see the .mli). The CLI
-   bridges [specs] into cmdliner terms and folds [set]; the bench feeds
-   its raw argv through [parse] and keeps the leftovers for its own
-   target parser — both front ends accept the exact same flags. *)
+   bridges [specs] into cmdliner terms and folds [set]; the serve daemon
+   folds [set] over a request's "knobs" object — both front ends accept
+   the exact same names and values. *)
 
 type spec = { name : string; arg : string option; doc : string }
 
@@ -143,42 +143,6 @@ let set t name value =
       | Error m -> Error m
       | Ok () when v = None -> err "--%s requires a value" name
       | Ok () -> err "--%s does not take a value" name)
-
-let find_spec name = List.find_opt (fun s -> s.name = name) specs
-
-let is_flag_like a = String.length a >= 2 && String.sub a 0 2 = "--"
-
-(* "--name=value" -> (name, Some value); "--name" -> (name, None) *)
-let split_flag a =
-  let body = String.sub a 2 (String.length a - 2) in
-  match String.index_opt body '=' with
-  | None -> (body, None)
-  | Some i ->
-      (String.sub body 0 i, Some (String.sub body (i + 1) (String.length body - i - 1)))
-
-let parse t args =
-  let rec go t leftovers = function
-    | [] -> Ok (t, List.rev leftovers)
-    | a :: rest when is_flag_like a -> (
-        let name, inline = split_flag a in
-        match find_spec name with
-        | None -> go t (a :: leftovers) rest
-        | Some spec -> (
-            let value, rest =
-              match (spec.arg, inline) with
-              | None, v -> (v, rest) (* bare flag; an inline value errors in [set] *)
-              | Some _, Some v -> (Some v, rest)
-              | Some _, None -> (
-                  match rest with
-                  | v :: rest' when not (is_flag_like v) -> (Some v, rest')
-                  | _ -> (None, rest))
-            in
-            match set t name value with
-            | Ok t -> go t leftovers rest
-            | Error e -> Error e))
-    | a :: rest -> go t (a :: leftovers) rest
-  in
-  go t [] args
 
 (* Flags whose rejections are structured diagnostics rather than plain
    usage errors: unknown backend names are E0913 (same shape as the

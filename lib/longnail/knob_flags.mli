@@ -1,8 +1,8 @@
-(** The shared command-line surface for the scheduling knobs, the cache
-    controls and the parallel driver — one table of flag specs with one
-    parser, used by both the [longnail] CLI (bridged into cmdliner
-    terms) and the bench harness (fed the raw argv), so the two front
-    ends cannot drift apart.
+(** The shared surface for the scheduling knobs, the cache controls and
+    the parallel driver — one table of flag specs with one validator
+    ({!set}), used by both the [longnail] CLI (bridged into cmdliner
+    terms) and the serve daemon (a request's ["knobs"] object), so the
+    two front ends cannot drift apart.
 
     Flags:
     {v
@@ -45,13 +45,6 @@ val set : t -> string -> string option -> (t, string) result
     [--]); [Error] carries a user-facing usage message. A name outside
     {!specs} answers "unknown knob 'NAME' (available: ...)" with a
     did-you-mean hint. *)
-
-val parse : t -> string list -> (t * string list, string) result
-(** Consume every recognized [--name VALUE] / [--name=VALUE] / bare
-    [--name] from the argument list, returning the settings and the
-    remaining arguments in their original order. Unrecognized arguments
-    (including unknown [--] flags) are left for the caller's own parser;
-    a recognized flag with a missing or malformed value is an [Error]. *)
 
 val error_code : string -> string option
 (** [error_code name] is the structured diagnostic code for rejections

@@ -8,8 +8,8 @@
    (parse/typecheck, HLIR build, lil lowering, optimization passes,
    scheduling, hwgen, SV emission) nests underneath.
 
-   Renderers: a JSON emitter (machine-readable; consumed by the bench
-   baseline writer and the CI schema check) and a pretty tree printer
+   Renderers: a JSON emitter (machine-readable; [--profile=json] and
+   perfbench's traced runs) and a pretty tree printer
    (the CLI's `--profile` output). The emitted metric-name *schema* is a
    stable contract checked in CI, so renames are deliberate.
 

@@ -87,7 +87,8 @@ exception Invalid_metrics of string
 
 val validate : span -> unit
 (** Raise {!Invalid_metrics} on empty names or non-finite values — the
-    bench baseline writer calls this before writing JSON. *)
+    CLI calls this before printing a [--profile] tree, so the schema
+    gate fails on a malformed one. *)
 
 (** {2 Rendering} *)
 

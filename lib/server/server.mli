@@ -64,7 +64,7 @@ val stop : t -> unit
     within its poll interval). *)
 
 (** Client-side helpers for the same wire protocol — used by the
-    [longnail client] subcommand, the bench harness and the tests. *)
+    [longnail client] subcommand, perfbench's serve workload and the tests. *)
 module Client : sig
   type t
 

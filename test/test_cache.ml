@@ -547,27 +547,46 @@ let test_disk_concurrent_writers () =
   done;
   check_int "no corruption seen" 0 (Cache.Disk.stats d).Cache.Disk.corrupt
 
+(* the cross-process warm compile over the whole bundled registry on
+   VexRiscv: a second "process" (a fresh session on the same store)
+   answers every target from disk with the cold run's bytes and runs no
+   compile stage at all *)
 let test_disk_backed_session_outputs () =
   let root = tmpdir () in
-  let tu = Isax.Registry.compile_by_name "dotprod" in
-  let compile_with_fresh_session () =
+  let targets =
+    List.map
+      (fun e -> (Scaiev.Datasheet.vexriscv, Isax.Registry.compile e))
+      Isax.Registry.all
+  in
+  let n = List.length targets in
+  let compile_with_fresh_session ?obs () =
     let session = Longnail.Flow.create_session ~disk:(Cache.Disk.open_store root) () in
-    let request = Longnail.Flow.Request.make ~session () in
-    let o = Longnail.Flow.compile_outputs request Scaiev.Datasheet.vexriscv tu in
-    (o, Cache.Disk.stats (Option.get (Longnail.Flow.session_disk session)))
+    let request = Longnail.Flow.Request.make ~session ?obs () in
+    let outs = Longnail.Flow.compile_many_outputs ~request targets in
+    (outs, Cache.Disk.stats (Option.get (Longnail.Flow.session_disk session)))
   in
   let cold, cold_st = compile_with_fresh_session () in
-  let warm, warm_st = compile_with_fresh_session () in
-  check_int "cold stores" 1 cold_st.Cache.Disk.stores;
-  check_int "warm disk hit" 1 warm_st.Cache.Disk.hits;
+  let obs = Obs.create ~name:"disk-warm" () in
+  let warm, warm_st = compile_with_fresh_session ~obs () in
+  Obs.finish obs;
+  check_int "cold stores" n cold_st.Cache.Disk.stores;
+  check_int "warm disk hits" n warm_st.Cache.Disk.hits;
   check_int "warm misses" 0 warm_st.Cache.Disk.misses;
-  check_bool "same yaml bytes" true (cold.Longnail.Flow.o_yaml = warm.Longnail.Flow.o_yaml);
-  check_bool "same sv bytes" true
-    (List.for_all2
-       (fun (a : Longnail.Flow.output_func) (b : Longnail.Flow.output_func) ->
-         a.of_name = b.of_name && a.of_sv = b.of_sv && a.of_mode = b.of_mode
-         && a.of_max_stage = b.of_max_stage)
-       cold.Longnail.Flow.o_funcs warm.Longnail.Flow.o_funcs)
+  List.iter
+    (fun stage ->
+      check_int ("warm " ^ stage ^ " never runs") 0
+        (List.length (Obs.find_spans (Obs.root obs) stage)))
+    Longnail.Flow.stage_names;
+  List.iter2
+    (fun (cold : Longnail.Flow.outputs) (warm : Longnail.Flow.outputs) ->
+      check_bool "same yaml bytes" true (cold.o_yaml = warm.o_yaml);
+      check_bool "same sv bytes" true
+        (List.equal
+           (fun (a : Longnail.Flow.output_func) (b : Longnail.Flow.output_func) ->
+             a.of_name = b.of_name && a.of_sv = b.of_sv && a.of_mode = b.of_mode
+             && a.of_max_stage = b.of_max_stage)
+           cold.o_funcs warm.o_funcs))
+    cold warm
 
 (* switching the emission backend against the same disk store must miss
    (distinct keys), not replay the other backend's bytes *)
