@@ -205,7 +205,7 @@ let fig7 () =
   let addi = require_tinstr tu "ADDI" in
   let core = Scaiev.Datasheet.vexriscv in
   let f = Longnail.Flow.compile_functionality ~request:(mkrequest ()) core tu (`Instr addi) in
-  print_endline (Sched.Ilp_scheduler.ilp_text f.cf_built.Longnail.Sched_build.problem)
+  print_endline (Oracle.Ilp_exact.ilp_text f.cf_built.Longnail.Sched_build.problem)
 
 (* ---- Figure 8: SCAIE-V configuration for the ZOL ISAX ---- *)
 

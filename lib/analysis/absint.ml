@@ -442,8 +442,6 @@ let iterations r = r.res.D.iterations
 
 (* ---- convenience queries ---- *)
 
-let known_value (v : value) (f : fact) = bits_value v.vty f.f_bits
-
 let decide_bool (f : fact) =
   if fully_known 1 f.f_bits then Some (Bn.equal f.f_bits.bv Bn.one)
   else D.range_exact f.f_range |> Option.map (fun x -> Bn.equal x Bn.one)

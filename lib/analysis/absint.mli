@@ -73,8 +73,5 @@ val analyze : Ir.Mir.graph -> result
 val fact_of : result -> Ir.Mir.value -> fact option
 val iterations : result -> int
 
-val known_value : Ir.Mir.value -> fact -> Bitvec.Bn.t option
-(** Numeric value of the fact when fully pinned (via the bits half). *)
-
 val decide_bool : fact -> bool option
 (** Decide a 1-bit value from either half of the product. *)

@@ -1,11 +1,10 @@
 (** Dialect-aware structural verifier for the mini-MLIR IR.
 
-    Replaces the bare SSA walk of [Ir.Mir.verify] in the flow: every op is
-    checked against a per-dialect signature registry (operand arity,
-    operand/result width rules, required attributes and their kinds,
-    region and terminator invariants) on top of the SSA discipline
-    (single definition, definition before use, operand types matching the
-    defining result).
+    The only IR verifier: every op is checked against a per-dialect
+    signature registry (operand arity, operand/result width rules,
+    required attributes and their kinds, region and terminator
+    invariants) on top of the SSA discipline (single definition,
+    definition before use, operand types matching the defining result).
 
     Dialect levels (see docs/ANALYSIS.md):
     - [`Hlir]: the Figure 5b form — [coredsl] + [hwarith] + [hw.constant].

@@ -104,7 +104,6 @@ let div_result_ty a b =
 
 let rem_result_ty a _b = a
 let neg_result_ty a = { width = a.width + 1; signed = true }
-let not_result_ty a = a
 let shl_result_ty a _b = a
 let shr_result_ty a _b = a
 let bitwise_result_ty a b = union_ty a b
@@ -202,14 +201,6 @@ let implicit_conv_ok ~src ~dst =
   if src.signed = dst.signed then dst.width >= src.width
   else if src.signed && not dst.signed then false
   else dst.width >= src.width + 1
-
-let convert_exn t x =
-  if not (implicit_conv_ok ~src:x.ty ~dst:t) then
-    raise
-      (Width_error
-         (Printf.sprintf "implicit conversion from %s to %s loses information"
-            (ty_to_string x.ty) (ty_to_string t)));
-  make_exact t x.v
 
 (* ---- Literals ---- *)
 

@@ -115,7 +115,6 @@ val div_result_ty : ty -> ty -> ty
 
 val rem_result_ty : 'a -> 'b -> 'a
 val neg_result_ty : ty -> ty
-val not_result_ty : 'a -> 'a
 
 (** Shifts keep the left operand's type (like CoreDSL). *)
 val shl_result_ty : 'a -> 'b -> 'a
@@ -198,10 +197,6 @@ val trunc : int -> t -> t
     be representable in [dst] (Section 2.3's "no implicit information
     loss"). *)
 val implicit_conv_ok : src:ty -> dst:ty -> bool
-
-(** Widening conversion; raises {!Width_error} when information would be
-    lost (i.e. when {!implicit_conv_ok} is false). *)
-val convert_exn : ty -> t -> t
 
 (** {1 Literals} *)
 

@@ -12,8 +12,6 @@ type loc = { file : string; line : int; col : int }
 
 let no_loc = { file = "<builtin>"; line = 0; col = 0 }
 
-let pp_loc fmt l = Format.fprintf fmt "%s:%d:%d" l.file l.line l.col
-
 (* Bridge into the diagnostics subsystem: a point span at this location. *)
 let span_of_loc l = Diag.point ~file:l.file ~line:l.line ~col:l.col
 

@@ -9,7 +9,6 @@
 module Bn = Bitvec.Bn
 type loc = { file : string; line : int; col : int; }
 val no_loc : loc
-val pp_loc : Format.formatter -> loc -> unit
 
 (** Point span at this location, for building diagnostics. *)
 val span_of_loc : loc -> Diag.span

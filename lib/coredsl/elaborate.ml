@@ -25,8 +25,6 @@ let elab_error ?(code = "E0200") loc fmt =
 (* Environment for compile-time evaluation: parameters and local constants. *)
 type cenv = { vars : (string * Bitvec.t) list }
 
-let empty_cenv = { vars = [] }
-
 let rec const_eval (env : cenv) (e : expr) : Bitvec.t =
   match e.e with
   | Lit { value; forced = Some ty } -> Bitvec.of_bn ty value
@@ -131,7 +129,6 @@ let find_reg el name = List.find_opt (fun r -> r.rname = name) el.regs
 let find_space el name = List.find_opt (fun s -> s.sname = name) el.spaces
 let pc_reg el = List.find_opt (fun r -> r.is_pc) el.regs
 let main_mem el = List.find_opt (fun s -> s.is_main_mem) el.spaces
-let find_function el name = List.find_opt (fun f -> f.fname = name) el.functions
 
 (* ---- import resolution and inheritance flattening ---- *)
 

@@ -11,7 +11,6 @@ exception Elab_error of Diag.t
 val elab_error :
   ?code:string -> Ast.loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 type cenv = { vars : (string * Bitvec.t) list; }
-val empty_cenv : cenv
 val const_eval : cenv -> Ast.expr -> Bitvec.t
 val const_binop :
   Ast.loc ->
@@ -46,7 +45,6 @@ val find_reg : elaborated -> string -> reg option
 val find_space : elaborated -> string -> addr_space option
 val pc_reg : elaborated -> reg option
 val main_mem : elaborated -> addr_space option
-val find_function : elaborated -> string -> Ast.func option
 type provider = string -> string option
 val load :
   ?diags:Diag.collector ->

@@ -13,9 +13,6 @@ type span = {
   sp_end_col : int;
 }
 
-let no_span =
-  { sp_file = "<unknown>"; sp_line = 0; sp_col = 0; sp_end_line = 0; sp_end_col = 0 }
-
 let point ~file ~line ~col =
   { sp_file = file; sp_line = line; sp_col = col; sp_end_line = line; sp_end_col = col }
 
@@ -173,7 +170,6 @@ let sources : (string, string) Hashtbl.t = Hashtbl.create 7
 
 let register_source ~file src = Hashtbl.replace sources file src
 let lookup_source ~file = Hashtbl.find_opt sources file
-let clear_sources () = Hashtbl.reset sources
 
 let source_line ~file ~line =
   match lookup_source ~file with

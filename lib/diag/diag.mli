@@ -20,10 +20,6 @@ type span = {
   sp_end_col : int;
 }
 
-val no_span : span
-(** Placeholder span ([file = "<unknown>"], [line = 0]) for diagnostics that
-    have no source attribution. *)
-
 val point : file:string -> line:int -> col:int -> span
 (** Point span at [file:line:col]. *)
 
@@ -115,7 +111,6 @@ val explain_notes : string -> string list
 val register_source : file:string -> string -> unit
 val lookup_source : file:string -> string option
 val source_line : file:string -> line:int -> string option
-val clear_sources : unit -> unit
 
 (** {1 Rendering} *)
 

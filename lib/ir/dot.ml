@@ -66,8 +66,3 @@ let of_graph ?(time_of : (int -> int option) option) (g : graph) : string =
     ops;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(* DOT rendering of a scheduled compile result, Figure 6 style. *)
-let of_scheduled (built : 'a) ~(start_time : int -> int option) (g : graph) =
-  ignore built;
-  of_graph ~time_of:start_time g

@@ -6,5 +6,3 @@
 
 val escape : string -> string
 val of_graph : ?time_of:(int -> int option) -> Mir.graph -> string
-val of_scheduled :
-  'a -> start_time:(int -> int option) -> Mir.graph -> string

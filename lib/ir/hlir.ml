@@ -544,7 +544,3 @@ let lower_always (tu : tunit) (ta : talways) : graph =
   lower_stmts env ta.ta_body;
   flush_pending env;
   finish b ~name:ta.ta_name ~kind:`Always ()
-
-(* Lower every functionality of a unit. *)
-let lower_unit (tu : tunit) : graph list =
-  List.map (lower_instruction tu) tu.tinstrs @ List.map (lower_always tu) tu.talways

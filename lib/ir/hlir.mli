@@ -71,4 +71,3 @@ val fresh_env : Coredsl.Tast.tunit -> Mir.builder -> env
 val lower_instruction :
   Coredsl.Tast.tunit -> Coredsl.Tast.tinstr -> Mir.graph
 val lower_always : Coredsl.Tast.tunit -> Coredsl.Tast.talways -> Mir.graph
-val lower_unit : Coredsl.Tast.tunit -> Mir.graph list

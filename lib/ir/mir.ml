@@ -119,35 +119,6 @@ let use_map g =
     (all_ops g);
   t
 
-(* ---- verification ---- *)
-
-exception Verify_error of string
-
-(* SSA sanity: every operand is defined by an earlier op (or region parent),
-   each value defined once. *)
-let verify g =
-  let defined = Hashtbl.create 64 in
-  let rec go body =
-    List.iter
-      (fun op ->
-        List.iter
-          (fun v ->
-            if not (Hashtbl.mem defined v.vid) then
-              raise
-                (Verify_error
-                   (Printf.sprintf "op %d (%s) uses undefined value %%%d" op.oid op.opname v.vid)))
-          op.operands;
-        List.iter
-          (fun r ->
-            if Hashtbl.mem defined r.vid then
-              raise (Verify_error (Printf.sprintf "value %%%d defined twice" r.vid));
-            Hashtbl.replace defined r.vid ())
-          op.results;
-        List.iter go op.regions)
-      body
-  in
-  go g.body
-
 (* ---- printing (MLIR-flavoured) ---- *)
 
 let ty_suffix (t : Bitvec.ty) =

@@ -67,8 +67,6 @@ val all_ops_in : op list -> op list
 val all_ops : graph -> op list
 val def_map : graph -> (int, op) Hashtbl.t
 val use_map : graph -> (int, op list) Hashtbl.t
-exception Verify_error of string
-val verify : graph -> unit
 val ty_suffix : Bitvec.ty -> string
 val pp_attr : Format.formatter -> attr -> unit
 val pp_op : ?indent:int -> Format.formatter -> op -> unit

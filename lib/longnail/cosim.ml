@@ -257,8 +257,6 @@ let run_plan p engine (stim : stimulus) : response =
 
 let run_on engine f stim = run_plan (plan f) engine stim
 
-(* One-shot run on a fresh engine: compiled by default;
-   [~engine:Rtl.Engine.Interp] cross-checks against the reference
-   interpreter. *)
-let run ?engine (f : Flow.compiled_functionality) stim =
-  run_on (Rtl.Engine.create ?kind:engine f.cf_hw.Hwgen.netlist) f stim
+(* One-shot run on a fresh compiled engine. *)
+let run (f : Flow.compiled_functionality) stim =
+  run_on (Rtl.Engine.create f.cf_hw.Hwgen.netlist) f stim

@@ -110,8 +110,6 @@ val run_plan : plan -> Rtl.Engine.t -> stimulus -> response
 val run_on : Rtl.Engine.t -> Flow.compiled_functionality -> stimulus -> response
 (** [run_on engine f stim] is [run_plan (plan f) engine stim]. *)
 
-val run :
-  ?engine:Rtl.Engine.kind -> Flow.compiled_functionality -> stimulus -> response
-(** [run ?engine f stim] is [run_on] on a fresh engine of the chosen kind
-    (compiled by default; pass [~engine:Rtl.Engine.Interp] to cross-check
-    the reference interpreter). *)
+val run : Flow.compiled_functionality -> stimulus -> response
+(** [run f stim] is [run_on] on a fresh compiled engine; tests pass the
+    interpreting oracle to {!run_on} to cross-check it. *)

@@ -68,6 +68,8 @@ let spec_key = function
   | Physical -> "physical"
   | Custom (k, _) -> "custom:" ^ k
 
+(* [Default] allows ~14 chained logic operations per stage, which
+   reproduces the paper's ~10-stage 32-iteration sqrt. *)
 let resolve spec ~cycle_time_ns =
   match spec with
   | Default -> uniform (cycle_time_ns /. 14.0)

@@ -32,7 +32,7 @@
 
 (* Every failure of the flow surfaces as [Diag.Fatal]: stage exceptions
    already carrying a [Diag.t] are re-raised as fatal diagnostics at the
-   stage boundary; stringly internal errors (IR/problem verification) are
+   stage boundary; stringly internal errors (problem verification) are
    wrapped as E0901. *)
 
 let diag_of_stage_exn = function
@@ -42,8 +42,6 @@ let diag_of_stage_exn = function
   | Hwgen.Hwgen_error d
   | Scaiev.Generator.Generate_error d ->
       Some d
-  | Ir.Mir.Verify_error m ->
-      Some (Diag.make ~code:"E0901" ("internal: IR verification failed: " ^ m))
   | Analysis.Verifier.Verify_error d | Analysis.Netcheck.Netcheck_error d -> Some d
   | Sched.Problem.Problem_error m -> Some (Diag.make ~code:"E0901" ("internal: " ^ m))
   | _ -> None
@@ -99,16 +97,6 @@ let dominant_mode (hw : Hwgen.result) ~kind =
   else if List.exists (fun b -> b.Hwgen.ib_mode = Scaiev.Config.Tightly_coupled) hw.bindings
   then Scaiev.Config.Tightly_coupled
   else Scaiev.Config.In_pipeline
-
-(* The paper schedules with uniform operator delays; we default to a
-   uniform delay of one fourteenth of the target clock period, i.e. up to
-   ~14 chained logic operations per stage. This reproduces the reported ~10
-   pipeline stages for the 32-iteration sqrt and lets the downstream ASIC
-   timing analysis (with true physical delays) discover the frequency
-   regressions of Table 4, exactly like the paper's flow. *)
-let default_delay_model core cycle_time =
-  let ct = match cycle_time with Some ct -> ct | None -> Scaiev.Datasheet.cycle_time_ns core in
-  Delay_model.uniform (ct /. 14.0)
 
 (* ---- scheduling knobs ------------------------------------------------ *)
 
@@ -184,8 +172,7 @@ type session = {
   mutable s_core_fps : (Scaiev.Datasheet.t * Cache.Fp.t) list;
 }
 
-let create_session ?capacity ?(enabled = true) ?disk () =
-  let capacity = if enabled then capacity else Some 0 in
+let create_session ?capacity ?disk () =
   {
     s_frontend = Cache.Store.create ?capacity ~name:"frontend" ();
     s_ir = Cache.Store.create ?capacity ~name:"ir" ();
@@ -256,7 +243,7 @@ let target_key s k (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) =
 
 (* A throwaway session with storing disabled: used when a caller compiles
    without a session, so the un-cached path has no retention cost. *)
-let throwaway () = create_session ~enabled:false ()
+let throwaway () = create_session ~capacity:0 ()
 
 (* ---- compile requests ------------------------------------------------ *)
 
@@ -755,6 +742,3 @@ let compile_outputs (r : Request.t) core tu =
   match compile_many_outputs ~request:r [ (core, tu) ] with
   | [ o ] -> o
   | _ -> Diag.fatalf ~code:"E0901" "internal: compile_outputs lost the target"
-
-let find_output_func (o : outputs) name =
-  List.find_opt (fun f -> f.of_name = name) o.o_funcs

@@ -69,11 +69,6 @@ val is_isax_instruction : Coredsl.Tast.tinstr -> bool
     decoupled > tightly-coupled > in-pipeline. *)
 val dominant_mode : Hwgen.result -> kind:[> `Always ] -> Scaiev.Config.mode
 
-(** The paper schedules with uniform operator delays; the default model
-    charges one fourteenth of the target clock period per logic operator
-    (wiring is free), reproducing the reported ~10-stage sqrt. *)
-val default_delay_model : Scaiev.Datasheet.t -> float option -> Delay_model.t
-
 (** {1 Knobs}
 
     The one fingerprintable knob record; every field changes an artifact.
@@ -127,9 +122,9 @@ val delay_model_for : Scaiev.Datasheet.t -> knobs -> Delay_model.t
     same inputs twice within a session is served entirely from cache. *)
 type session
 
-val create_session : ?capacity:int -> ?enabled:bool -> ?disk:Cache.Disk.t -> unit -> session
-(** [capacity] bounds each store (default 512 entries, LRU beyond that).
-    [enabled:false] creates a session whose stores never retain anything —
+val create_session : ?capacity:int -> ?disk:Cache.Disk.t -> unit -> session
+(** [capacity] bounds each store (default 512 entries, LRU beyond that);
+    [~capacity:0] creates a session whose stores never retain anything —
     every compile is cold; used for deliberately un-cached baselines.
     [disk] attaches a persistent {!Cache.Disk} store: whole-target output
     artifacts are additionally spilled to / served from it by
@@ -301,5 +296,3 @@ val compile_many_outputs :
 (** Batch variant of {!compile_outputs}: disk misses fan out through
     {!compile_many} (sharing the in-memory session and worker domains);
     result order matches the input. *)
-
-val find_output_func : outputs -> string -> output_func option

@@ -40,7 +40,6 @@ let specs =
       arg = Some "N";
       doc = "Worker domains for batch compiles (default 1 = sequential).";
     };
-    { name = "no-cache"; arg = None; doc = "Disable artifact retention: every compile runs cold." };
     {
       name = "verify-each";
       arg = None;
@@ -68,7 +67,6 @@ let specs =
 type t = {
   knobs : Flow.knobs;
   jobs : int;
-  cache_enabled : bool;
   cache_capacity : int option;
   verify_each : bool;
   store_dir : string option;
@@ -79,7 +77,6 @@ let default =
   {
     knobs = Flow.default_knobs;
     jobs = 1;
-    cache_enabled = true;
     cache_capacity = None;
     verify_each = false;
     store_dir = None;
@@ -123,7 +120,6 @@ let set t name value =
       match int_of_string_opt v with
       | Some n when n >= 1 -> Ok { t with jobs = n }
       | _ -> err "--jobs expects an integer >= 1, got '%s'" v)
-  | "no-cache", None -> Ok { t with cache_enabled = false }
   | "verify-each", None -> Ok { t with verify_each = true }
   | "cache-capacity", Some v -> (
       match int_of_string_opt v with
@@ -157,7 +153,7 @@ let disk t =
     t.store_dir
 
 let session t =
-  Flow.create_session ?capacity:t.cache_capacity ~enabled:t.cache_enabled ?disk:(disk t) ()
+  Flow.create_session ?capacity:t.cache_capacity ?disk:(disk t) ()
 
 let request ?session:s ?obs t =
   let session = match s with Some s -> s | None -> session t in

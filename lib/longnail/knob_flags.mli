@@ -13,7 +13,6 @@
     --emit BACKEND          sv (SystemVerilog, default) or v2001
     --narrow MODE           analysis-driven width narrowing: on or off (default)
     --jobs N                worker domains for batch compiles (default 1)
-    --no-cache              disable artifact retention
     --verify-each           re-verify the IR after every optimization pass
     --cache-capacity N      max entries per artifact store
     --store DIR             persistent on-disk artifact store directory
@@ -31,7 +30,6 @@ val specs : spec list
 type t = {
   knobs : Flow.knobs;
   jobs : int;
-  cache_enabled : bool;
   cache_capacity : int option;
   verify_each : bool;
   store_dir : string option;
@@ -57,8 +55,8 @@ val disk : t -> Cache.Disk.t option
     [--store-budget-mb] budget), or [None]. *)
 
 val session : t -> Flow.session
-(** A session honoring [--no-cache] / [--cache-capacity] / [--store] /
-    [--store-budget-mb]. *)
+(** A session honoring [--cache-capacity] ([0] retains nothing: every
+    compile runs cold) / [--store] / [--store-budget-mb]. *)
 
 val request : ?session:Flow.session -> ?obs:Obs.scope -> t -> Flow.Request.t
 (** The {!Flow.Request.t} these settings describe; creates {!session}

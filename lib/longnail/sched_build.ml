@@ -31,18 +31,21 @@ let operator_type_for (core : Scaiev.Datasheet.t) (dm : Delay_model.t) ~always (
     Sched.Problem.operator_type =
   match Scaiev.Iface.of_lil_op op.opname with
   | Some iface ->
+      let window () =
+        match Scaiev.Datasheet.find core iface with
+        | Some w -> w
+        | None ->
+            build_error ~code:"E0402" ?span:op.oloc "core %s lacks interface %s"
+              core.core_name iface
+      in
       if always then
-        (* always mode: continuous evaluation anchored at stage 0 *)
-        Sched.Problem.operator_type iface ~earliest:0 ~latest:0 ~latency:0
+        (* always mode: continuous evaluation anchored at stage 0; a
+           memory read still answers only after its datasheet latency *)
+        let latency = if iface = "RdMem" then (window ()).latency else 0 in
+        Sched.Problem.operator_type iface ~earliest:0 ~latest:0 ~latency
           ~outgoing_delay:((dm.Delay_model.op_delay) op.opname (result_width op))
       else begin
-        let w =
-          match Scaiev.Datasheet.find core iface with
-          | Some w -> w
-          | None ->
-              build_error ~code:"E0402" ?span:op.oloc "core %s lacks interface %s"
-                core.core_name iface
-        in
+        let w = window () in
         let latest =
           if List.mem iface Scaiev.Iface.relaxable then None (* relaxed to infinity *)
           else w.native_latest

@@ -85,7 +85,6 @@ let incr s key ?(by = 1) () =
 let incr_opt s key ?(by = 1) () = Option.iter (fun s -> incr s key ~by ()) s
 
 let metric_int_opt s key v = Option.iter (fun s -> metric_int s key v) s
-let metric_float_opt s key v = Option.iter (fun s -> metric_float s key v) s
 let metric_str_opt s key v = Option.iter (fun s -> metric_str s key v) s
 
 (* ---- queries (used by tests and the CI schema check) ---- *)

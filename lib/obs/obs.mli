@@ -54,7 +54,6 @@ val incr : scope -> string -> ?by:int -> unit -> unit
 val incr_opt : scope option -> string -> ?by:int -> unit -> unit
 
 val metric_int_opt : scope option -> string -> int -> unit
-val metric_float_opt : scope option -> string -> float -> unit
 val metric_str_opt : scope option -> string -> string -> unit
 
 (** {2 Queries} *)

@@ -1,9 +1,12 @@
 (** Native RV32I instruction-set simulator.
 
-   A fast, hand-written golden model operating on OCaml ints. Used as the
-   oracle to cross-validate the CoreDSL-described RV32I (the same
-   instructions executed through the reference interpreter must produce
-   identical architectural state). *)
+   A fast, hand-written golden model operating on OCaml ints. Tests use
+   it as the oracle that cross-validates the CoreDSL-described RV32I
+   (the same instructions executed through the reference interpreter
+   must produce identical architectural state). Unlike the oracles in
+   [oracle/], it is also production code and stays in lib/:
+   [Pipeline.base_execute] runs every base instruction of the structural
+   pipeline through it. *)
 
 type t = { mutable pc : int; regs : int array; mem : (int, int) Hashtbl.t; }
 val mask32 : int

@@ -18,40 +18,24 @@ exception Machine_error of string
    by the three program engines: Machine, Pipeline and Rtl_loop. *)
 exception Out_of_fuel = Arch.Out_of_fuel
 
-type timing = {
-  t_core : string;
-  fsm_base : int;  (* base cycles per instruction (1 for pipelined cores) *)
-  mem_wait : int;  (* extra cycles for a memory access *)
-  branch_penalty : int;  (* extra cycles when the PC is redirected *)
-  decoupled_issue_stall : int;  (* Section 3.2: one bubble at issue *)
-}
-
 (* The per-core timing parameters live in the core registry (one
-   registration site per host core, Scaiev.Core_registry); this model
-   only re-labels them with the core's display name. The VexRiscv
+   registration site per host core, Scaiev.Core_registry). The VexRiscv
    numbers reproduce the Section 5.5 cycle counts (18n+50 baseline,
    11n+50 with ISAXes). *)
-let timing_of_descriptor (d : Scaiev.Core_registry.t) =
-  {
-    t_core = d.name;
-    fsm_base = d.timing.Scaiev.Core_registry.fsm_base;
-    mem_wait = d.timing.Scaiev.Core_registry.mem_wait;
-    branch_penalty = d.timing.Scaiev.Core_registry.branch_penalty;
-    decoupled_issue_stall = d.timing.Scaiev.Core_registry.decoupled_issue_stall;
-  }
+type timing = Scaiev.Core_registry.timing = {
+  fsm_base : int;
+  mem_wait : int;
+  branch_penalty : int;
+  decoupled_issue_stall : int;
+}
 
 let timing_for (core : Scaiev.Datasheet.t) =
   match Scaiev.Core_registry.of_datasheet core with
-  | Some d -> timing_of_descriptor d
+  | Some d -> d.timing
   | None -> raise (Machine_error ("no registered timing model for core " ^ core.core_name))
 
-(* The registry-derived presets, kept as named values for the examples
-   and the case study. *)
+(* kept as a named value for the examples and the case study *)
 let vexriscv_timing = timing_for Scaiev.Datasheet.vexriscv
-let orca_timing = timing_for Scaiev.Datasheet.orca
-let piccolo_timing = timing_for Scaiev.Datasheet.piccolo
-let picorv32_timing = timing_for Scaiev.Datasheet.picorv32
-let mriscv_timing = timing_for Scaiev.Core_registry.mriscv
 
 (* per-ISAX-instruction timing info, derived from a Longnail compile *)
 type isax_timing = {

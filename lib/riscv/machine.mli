@@ -18,22 +18,14 @@ exception Machine_error of string
     the budget, which is the payload: instructions for {!run} and
     {!Rtl_loop.run}, cycles for {!Pipeline.run}. *)
 exception Out_of_fuel of int
-type timing = {
-  t_core : string;
+(** The registry's per-core cycle-cost parameters. *)
+type timing = Scaiev.Core_registry.timing = {
   fsm_base : int;
   mem_wait : int;
   branch_penalty : int;
   decoupled_issue_stall : int;
 }
 val vexriscv_timing : timing
-val orca_timing : timing
-val piccolo_timing : timing
-val picorv32_timing : timing
-val mriscv_timing : timing
-
-(** The registry descriptor's cycle-cost parameters as a machine timing
-    model. *)
-val timing_of_descriptor : Scaiev.Core_registry.t -> timing
 
 (** Look the datasheet's core up in {!Scaiev.Core_registry}; raises
     {!Machine_error} for an unregistered core. *)

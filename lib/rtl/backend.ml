@@ -6,7 +6,6 @@ type kind = Sv | V2001
 
 let to_string = function Sv -> "sv" | V2001 -> "v2001"
 let all_kinds = [ ("sv", Sv); ("v2001", V2001) ]
-let kind_names = List.map fst all_kinds
 
 let of_string s = Choice.parse ~what:"emission backend" ~choices:all_kinds s
 

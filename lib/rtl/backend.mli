@@ -10,8 +10,6 @@ val to_string : kind -> string
 (** All backends as [(name, kind)], for choice parsing and docs. *)
 val all_kinds : (string * kind) list
 
-val kind_names : string list
-
 (** Parse a backend name; errors carry did-you-mean suggestions in the
     standard registry shape (see {!Choice.parse}). *)
 val of_string : string -> (kind, string) result

@@ -5,8 +5,8 @@
    unboxed native-int arithmetic; anything wider (or any node touching a
    wide signal) falls back to the {!Ir.Comb_eval} reference semantics on
    {!Bitvec} values, so narrow and wide paths are bit-identical to the
-   interpreter in {!Sim} by construction of the narrow ops and by shared
-   code for the rest. *)
+   interpreting oracle (Oracle.Rtl_sim, outside lib/) by construction of
+   the narrow ops and by shared code for the rest. *)
 
 open Netlist
 
@@ -32,14 +32,12 @@ type t = {
   m : Netlist.t;
   slots : (string, slot) Hashtbl.t;
   ints : int array;  (* narrow signals: unsigned patterns *)
-  wides : Bitvec.t array;  (* wide signals: raw Bitvec values, as Sim stores them *)
+  wides : Bitvec.t array;  (* wide signals: raw Bitvec values *)
   steps : (unit -> unit) array;  (* combinational update program, topo order *)
   commit_regs : unit -> unit;  (* two-phase register update *)
   init_ints : int array;  (* the arena as [create] left it, for [reset] *)
   init_wides : Bitvec.t array;
 }
-
-let netlist t = t.m
 
 let create (m : Netlist.t) : t =
   validate m;
@@ -344,8 +342,3 @@ let output t name =
   match List.find_opt (fun p -> p.port_name = name) t.m.outputs with
   | Some p -> Bitvec.cast (u p.port_width) (signal t p.port_signal)
   | None -> nl_error "no output port %s" name
-
-let cycle t inputs =
-  List.iter (fun (n, v) -> set_input t n v) inputs;
-  eval t;
-  clock t

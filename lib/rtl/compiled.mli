@@ -3,14 +3,10 @@
     a flat mutable signal arena. Signals of at most [Sys.int_size - 1]
     bits run as unboxed native-int operations; wider signals (and any
     node touching one) fall back to the {!Ir.Comb_eval} reference
-    semantics on {!Bitvec}, keeping results bit-identical to {!Sim}.
-
-    The API mirrors {!Sim}; use {!Engine} to select between the two. *)
+    semantics on {!Bitvec}, keeping results bit-identical to the
+    interpreting test oracle. Consumers reach it through {!Engine}. *)
 
 type t
-
-val narrow_limit : int
-val is_narrow : int -> bool
 
 val create : Netlist.t -> t
 
@@ -19,7 +15,6 @@ val create : Netlist.t -> t
     behaves exactly like a freshly created one. *)
 val reset : t -> unit
 
-val netlist : t -> Netlist.t
 val set_input : t -> string -> Bitvec.t -> unit
 
 (** The current value of a named signal, [None] if the name is not a
@@ -27,8 +22,6 @@ val set_input : t -> string -> Bitvec.t -> unit
     as zero (the interpreter has no value for them at all). *)
 val signal_opt : t -> string -> Bitvec.t option
 
-val signal : t -> string -> Bitvec.t
 val eval : t -> unit
 val clock : t -> unit
 val output : t -> string -> Bitvec.t
-val cycle : t -> (string * Bitvec.t) list -> unit

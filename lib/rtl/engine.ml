@@ -1,40 +1,40 @@
-(* The common simulation-engine interface: the reference interpreter
-   ({!Sim}) and the compiled engine ({!Compiled}) behind one type, so
-   every RTL-in-the-loop consumer (cosimulation, fuzzing, the core grids,
-   VCD tracing) is engine-agnostic and tests can cross-check engines. *)
+(* The common simulation-engine interface: a record of the engine
+   operations, so every RTL-in-the-loop consumer (cosimulation, the core
+   grids, VCD tracing) runs whichever engine it is handed. [create]
+   builds the compiled engine, the only one in lib/; tests build the
+   interpreting oracle as the same record and cross-check the two. *)
 
-type kind = Interp | Compiled
+type t = {
+  netlist : Netlist.t;
+  reset : unit -> unit;
+  set_input : string -> Bitvec.t -> unit;
+  signal_opt : string -> Bitvec.t option;
+  eval : unit -> unit;
+  clock : unit -> unit;
+  output : string -> Bitvec.t;
+}
 
-type t = I of Sim.t | C of Compiled.t
+let create m =
+  let c = Compiled.create m in
+  {
+    netlist = m;
+    reset = (fun () -> Compiled.reset c);
+    set_input = (fun name v -> Compiled.set_input c name v);
+    signal_opt = (fun name -> Compiled.signal_opt c name);
+    eval = (fun () -> Compiled.eval c);
+    clock = (fun () -> Compiled.clock c);
+    output = (fun name -> Compiled.output c name);
+  }
 
-(* The compiled engine is the default everywhere; the interpreter is the
-   reference implementation, reached only by cross-engine tests. *)
-let create ?(kind = Compiled) m =
-  match kind with Interp -> I (Sim.create m) | Compiled -> C (Compiled.create m)
-
-let reset = function I s -> Sim.reset s | C c -> Compiled.reset c
-
-let kind = function I _ -> Interp | C _ -> Compiled
-let netlist = function I s -> s.Sim.m | C c -> Compiled.netlist c
-
-let set_input t name v =
-  match t with I s -> Sim.set_input s name v | C c -> Compiled.set_input c name v
-
-let signal t name =
-  match t with I s -> Sim.signal s name | C c -> Compiled.signal c name
-
-(* Signal observation for tracing: [None] when the engine has no value
-   for the name (interpreter before first [eval], or unknown signal). *)
-let signal_opt t name =
-  match t with
-  | I s -> Hashtbl.find_opt s.Sim.values name
-  | C c -> Compiled.signal_opt c name
-
-let eval = function I s -> Sim.eval s | C c -> Compiled.eval c
-let clock = function I s -> Sim.clock s | C c -> Compiled.clock c
-
-let output t name =
-  match t with I s -> Sim.output s name | C c -> Compiled.output c name
+let reset t = t.reset ()
+let netlist t = t.netlist
+let set_input t name v = t.set_input name v
+let signal_opt t name = t.signal_opt name
+let eval t = t.eval ()
+let clock t = t.clock ()
+let output t name = t.output name
 
 let cycle t inputs =
-  match t with I s -> Sim.cycle s inputs | C c -> Compiled.cycle c inputs
+  List.iter (fun (n, v) -> t.set_input n v) inputs;
+  t.eval ();
+  t.clock ()

@@ -1,16 +1,22 @@
-(** Common interface over the RTL simulation engines: the compiled
-    engine ({!Compiled}, the one every consumer runs) and the two-phase
-    interpreter ({!Sim}), kept only as a test oracle. Consumers hold an
-    {!t} and never see which engine runs underneath; cross-engine tests
-    create one of each and assert bit-identical traces. *)
+(** Common interface over RTL simulation engines: a record of the engine
+    operations. Consumers hold a {!t} and never see which engine runs
+    underneath. {!create} builds the compiled engine ({!Compiled}), the
+    one every production consumer runs; tests build the interpreting
+    oracle as the same record and assert bit-identical traces. *)
 
-type kind = Interp | Compiled
+type t = {
+  netlist : Netlist.t;
+  reset : unit -> unit;
+  set_input : string -> Bitvec.t -> unit;
+  signal_opt : string -> Bitvec.t option;
+      (** [None] when the engine has no value for this name *)
+  eval : unit -> unit;  (** settle combinational logic *)
+  clock : unit -> unit;  (** advance the registers *)
+  output : string -> Bitvec.t;
+}
 
-type t = I of Sim.t | C of Compiled.t
-
-(** [create ?kind m] builds a simulator for [m]; the compiled engine is
-    the default. *)
-val create : ?kind:kind -> Netlist.t -> t
+(** [create m] builds the compiled engine for [m]. *)
+val create : Netlist.t -> t
 
 (** [reset t] returns [t] to the state {!create} left it in, so one
     engine can serve many independent runs of its module: a reset engine
@@ -18,10 +24,8 @@ val create : ?kind:kind -> Netlist.t -> t
     trace). *)
 val reset : t -> unit
 
-val kind : t -> kind
 val netlist : t -> Netlist.t
 val set_input : t -> string -> Bitvec.t -> unit
-val signal : t -> string -> Bitvec.t
 
 (** Signal-observation API used by {!Vcd}: [None] when the engine has no
     value for this name. *)
@@ -30,4 +34,6 @@ val signal_opt : t -> string -> Bitvec.t option
 val eval : t -> unit
 val clock : t -> unit
 val output : t -> string -> Bitvec.t
+
+(** Set the inputs, {!eval}, then {!clock}. *)
 val cycle : t -> (string * Bitvec.t) list -> unit

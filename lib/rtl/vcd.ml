@@ -2,8 +2,8 @@
 
    Records every named signal of a simulated module cycle by cycle and
    renders a standard VCD file that waveform viewers (GTKWave, Surfer)
-   understand. Used by the CLI's --vcd option and by debugging sessions
-   around the co-simulation harness.
+   understand. Used by debugging sessions around the co-simulation
+   harness and by the cross-engine tests.
 
    Sampling goes through {!Engine.signal_opt} — the engines' common
    signal-observation API — so the dump is engine-agnostic and the
@@ -98,10 +98,10 @@ let render t =
   done;
   Buffer.contents buf
 
-(* Convenience: simulate [cycles] cycles of [m] with inputs supplied per
-   cycle by [drive], tracing everything. *)
-let trace ?engine (m : Netlist.t) ~cycles ~(drive : int -> (string * Bitvec.t) list) =
-  let eng = Engine.create ?kind:engine m in
+(* Convenience: simulate [cycles] cycles of [eng]'s module with inputs
+   supplied per cycle by [drive], tracing everything. *)
+let trace (eng : Engine.t) ~cycles ~(drive : int -> (string * Bitvec.t) list) =
+  let m = Engine.netlist eng in
   let t = create ~module_name:m.mod_name in
   watch_module t m;
   for cycle = 0 to cycles - 1 do

@@ -20,12 +20,10 @@ val sample : t -> Engine.t -> unit
 val bin_of : Bitvec.t -> string
 val render : t -> string
 
-(** [trace ?engine m ~cycles ~drive] simulates [m] on the chosen engine
-    (compiled by default) and returns the VCD text. *)
+(** [trace eng ~cycles ~drive] simulates [eng]'s module for [cycles]
+    cycles from its current state and returns the VCD text. *)
 val trace :
-  ?engine:Engine.kind ->
-  Netlist.t ->
-  cycles:int -> drive:(int -> (string * Bitvec.t) list) -> string
+  Engine.t -> cycles:int -> drive:(int -> (string * Bitvec.t) list) -> string
 
 (** Byte equality of two rendered traces (VCD output is deterministic,
     so bit-identical behavior means byte-identical dumps). *)

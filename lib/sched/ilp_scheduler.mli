@@ -12,21 +12,15 @@
 
    The paper solves this with Cbc via OR-Tools. Here [schedule] solves
    the equivalent difference system ({!Problem.difference_system})
-   exactly; [build_ilp] plus the branch-and-bound solver from lib/lp
-   ([schedule_exact]) is the cross-check oracle. *)
+   exactly; the literal ILP through branch & bound is the cross-check
+   oracle in [Oracle.Ilp_exact], outside lib/. *)
 
 type outcome = Scheduled | Infeasible
-val horizon : Problem.t -> int
-val build_ilp : Problem.t -> Lp.problem * int array
-val schedule_exact : Problem.t -> outcome
-(** The test oracle: the literal Figure 7 ILP through branch & bound. *)
 
 val schedule : ?rounds:int ref -> Problem.t -> outcome
 (** One cold {!Lp.Netopt.solve} of {!Problem.difference_system}; the
     start times are written back into the problem. [rounds] accumulates
     Bellman-Ford relaxation sweeps. *)
-
-val ilp_text : Problem.t -> string
 
 val ilp_size : Problem.t -> int * int
 (** [(variables, constraints)] of the Figure 7 ILP for this instance,

@@ -27,7 +27,6 @@ type t = {
   s_stop : bool Atomic.t;
 }
 
-let socket_path t = t.s_socket
 let session t = t.s_session
 let requests_served t = t.s_requests
 let stop t = Atomic.set t.s_stop true
@@ -140,7 +139,6 @@ let apply_knobs j =
           if
             kf.Longnail.Knob_flags.store_dir <> None
             || kf.store_budget_mb <> None || kf.cache_capacity <> None
-            || not kf.cache_enabled
           then
             Error
               ( None,

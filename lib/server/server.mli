@@ -39,7 +39,6 @@ val create : ?jobs:int -> session:Longnail.Flow.session -> socket:string -> unit
     path, when the path exists but is not a socket, or when binding
     fails. *)
 
-val socket_path : t -> string
 val session : t -> Longnail.Flow.session
 
 val requests_served : t -> int

@@ -1,16 +1,10 @@
 (* Mixed-integer linear programming by branch & bound over the exact
-   {!Simplex} solver.
-
-   This module replaces the paper's Cbc/OR-Tools backend. It offers a small
-   problem-builder API: create variables (with lower/upper bounds and an
-   integrality flag), add linear constraints, set a minimization objective,
-   and solve. All solutions are exact rationals; integer variables are
-   branched on until integral. *)
-
-module Rat = Rat
-module Simplex = Simplex
-module Netopt = Netopt
-module Instance = Instance
+   {!Simplex} solver: the test oracle for [Lp.Netopt], standing in for the
+   paper's Cbc/OR-Tools backend. It offers a small problem-builder API:
+   create variables (with lower/upper bounds and an integrality flag), add
+   linear constraints, set a minimization objective, and solve. All
+   solutions are exact rationals; integer variables are branched on until
+   integral. *)
 
 type rel = Le | Ge | Eq
 

@@ -1,8 +1,7 @@
-(* Cycle-accurate two-phase simulator for RTL netlists.
-
-   Used to verify the functional correctness of generated ISAX modules
-   against the CoreDSL reference interpreter (the paper verifies extended
-   cores by RTL simulation of assembler programs, Section 5.3).
+(* Cycle-accurate two-phase interpreter for RTL netlists: the test
+   oracle for the compiled engine ({!Rtl.Compiled}), which production
+   runs (the paper verifies extended cores by RTL simulation of
+   assembler programs, Section 5.3).
 
    Usage per clock cycle:
    - [set_input] for each input port,
@@ -10,10 +9,10 @@
    - read outputs with [output],
    - [clock] to advance the registers. *)
 
-open Netlist
+open Rtl.Netlist
 
 type t = {
-  m : Netlist.t;
+  m : Rtl.Netlist.t;
   values : (string, Bitvec.t) Hashtbl.t;
   order : node list;  (* combinational nodes in dependency order *)
 }
@@ -30,7 +29,7 @@ let init m values =
         (match r.init with Some v -> Bitvec.cast (u r.width) v | None -> Bitvec.zero (u r.width)))
     (registers m)
 
-let create (m : Netlist.t) =
+let create (m : Rtl.Netlist.t) =
   validate m;
   let values = Hashtbl.create 64 in
   init m values;
@@ -90,3 +89,16 @@ let cycle t inputs =
   List.iter (fun (n, v) -> set_input t n v) inputs;
   eval t;
   clock t
+
+(* The interpreter behind the engine record, for cross-engine tests. *)
+let engine m : Rtl.Engine.t =
+  let t = create m in
+  {
+    netlist = m;
+    reset = (fun () -> reset t);
+    set_input = set_input t;
+    signal_opt = Hashtbl.find_opt t.values;
+    eval = (fun () -> eval t);
+    clock = (fun () -> clock t);
+    output = output t;
+  }

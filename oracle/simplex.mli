@@ -7,7 +7,7 @@
 
    The solver works on the standard form: minimize c.x subject to the given
    rows, with all structural variables constrained to x >= 0. General bounds
-   and integrality live one layer up, in {!Lp}. *)
+   and integrality live one layer up, in {!Milp}. *)
 
 type rel = Le | Ge | Eq
 

@@ -31,11 +31,11 @@ InstructionSet T extends RV32I {
 let lower ?extra_state body =
   let tu, ti = compile_instr ?extra_state body in
   let hg = Hlir.lower_instruction tu ti in
-  Mir.verify hg;
+  Analysis.Verifier.verify hg;
   let lg = Lil.of_hlir tu.elab ~fields:ti.fields hg in
-  Mir.verify lg;
+  Analysis.Verifier.verify lg;
   let lg = Passes.optimize lg in
-  Mir.verify lg;
+  Analysis.Verifier.verify lg;
   (tu, ti, hg, lg)
 
 let count_ops g name =
@@ -48,7 +48,7 @@ let test_addi_shape () =
   let tu = Coredsl.compile_rv32i () in
   let addi = Option.get (Coredsl.Tast.find_tinstr tu "ADDI") in
   let hg = Hlir.lower_instruction tu addi in
-  Mir.verify hg;
+  Analysis.Verifier.verify hg;
   check_int "one get" 1 (count_ops hg "coredsl.get");
   check_int "one set" 1 (count_ops hg "coredsl.set");
   check_int "one add" 1 (count_ops hg "hwarith.add");

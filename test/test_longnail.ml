@@ -80,7 +80,10 @@ let test_cosim_cross_engine () =
           check_str
             (Printf.sprintf "%s/%s interp = compiled" e.name f.cf_name)
             (show (Longnail.Cosim.run f stim))
-            (show (Longnail.Cosim.run ~engine:Rtl.Engine.Interp f stim)))
+            (show
+               (Longnail.Cosim.run_on
+                  (Oracle.Rtl_sim.engine f.cf_hw.Longnail.Hwgen.netlist)
+                  f stim)))
         c.Longnail.Flow.funcs)
     Isax.Registry.all
 
@@ -117,20 +120,20 @@ let test_cosim_reuse_equals_fresh () =
       let c = Longnail.Flow.compile core tu in
       List.iter
         (fun (f : Longnail.Flow.compiled_functionality) ->
+          let nl = f.cf_hw.Longnail.Hwgen.netlist in
           List.iter
-            (fun kind ->
-              let engine = Rtl.Engine.create ~kind f.cf_hw.Longnail.Hwgen.netlist in
+            (fun (kname, make) ->
+              let engine = make nl in
               for seed = 1 to 24 do
                 let stim = stimulus f tu seed in
                 let reused = Longnail.Cosim.run_on engine f stim in
-                let fresh = Longnail.Cosim.run ~engine:kind f stim in
+                let fresh = Longnail.Cosim.run_on (make nl) f stim in
                 check_bool
-                  (Printf.sprintf "%s/%s %s stimulus %d: reused = fresh" e.name f.cf_name
-                     (match kind with Rtl.Engine.Interp -> "interp" | Compiled -> "compiled")
+                  (Printf.sprintf "%s/%s %s stimulus %d: reused = fresh" e.name f.cf_name kname
                      seed)
                   true (reused = fresh)
               done)
-            [ Rtl.Engine.Compiled; Rtl.Engine.Interp ])
+            [ ("compiled", Rtl.Engine.create); ("interp", Oracle.Rtl_sim.engine) ])
         c.Longnail.Flow.funcs)
     Isax.Registry.all
 
@@ -421,6 +424,34 @@ InstructionSet T extends RV32I {
       (let nl = String.length "LONGJMP" in
        let rec go i = i + nl <= String.length m && (String.sub m i nl = "LONGJMP" || go (i + 1)) in
        go 0)
+
+(* An always-block is anchored at stage 0, but a memory read still
+   answers only after RdMem's datasheet latency (1 on VexRiscv). Storing
+   the loaded value therefore cannot share stage 0 with the read: the
+   block is infeasible and the diagnostic cites the assignment. *)
+let test_always_block_mem_read_infeasible () =
+  let src =
+    {|import "RV32I.core_desc"
+InstructionSet X_ARMLD extends RV32I {
+  architectural_state {
+    register unsigned<32> ARMED, GOT;
+  }
+  always {
+    armld {
+      if (ARMED != 0) GOT = MEM[1027:1024];
+    }
+  }
+}
+|}
+  in
+  let tu = Coredsl.compile ~file:"armld.core_desc" ~target:"X_ARMLD" src in
+  match Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu with
+  | _ -> Alcotest.fail "expected infeasible schedule"
+  | exception Diag.Fatal (d :: _) -> (
+      check_str "stable code" "E0401" d.Diag.code;
+      match d.Diag.span with
+      | None -> Alcotest.fail "infeasibility diagnostic lost its source span"
+      | Some sp -> check_int "cites the GOT = ... line" 8 sp.Diag.sp_line)
 
 let test_inheritance_cycle_rejected () =
   let src =
@@ -727,6 +758,8 @@ let () =
       ( "negative",
         [
           Alcotest.test_case "infeasible schedule" `Quick test_infeasible_schedule_reported;
+          Alcotest.test_case "always-block memory read" `Quick
+            test_always_block_mem_read_infeasible;
           Alcotest.test_case "inheritance cycle" `Quick test_inheritance_cycle_rejected;
         ] );
       ( "outlook",

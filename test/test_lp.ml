@@ -1,7 +1,8 @@
 (* Tests for the exact LP/MILP solver substrate. *)
 
-module Rat = Lp.Rat
-module Simplex = Lp.Simplex
+module Rat = Oracle.Rat
+module Simplex = Oracle.Simplex
+module Milp = Oracle.Milp
 module Netopt = Lp.Netopt
 
 let check_int = Alcotest.(check int)
@@ -94,31 +95,31 @@ let test_simplex_degenerate () =
 
 let test_milp_rounding () =
   (* maximize x (= minimize -x) s.t. 2x <= 5, x integer -> x = 2 *)
-  let p = Lp.create () in
-  let x = Lp.add_int_var p ~name:"x" in
-  Lp.add_int_constraint p [ (2, x) ] Lp.Le 5;
-  Lp.set_int_objective p [ (-1, x) ];
-  (match Lp.solve p with
-  | `Optimal sol -> check_int "x" 2 (Lp.value_int sol x)
+  let p = Milp.create () in
+  let x = Milp.add_int_var p ~name:"x" in
+  Milp.add_int_constraint p [ (2, x) ] Milp.Le 5;
+  Milp.set_int_objective p [ (-1, x) ];
+  (match Milp.solve p with
+  | `Optimal sol -> check_int "x" 2 (Milp.value_int sol x)
   | _ -> Alcotest.fail "expected optimal")
 
 let test_milp_knapsack () =
   (* classic small knapsack: values 10,13,7; weights 3,4,2; cap 6.
      best = items 2+3: weight 6, value 20 *)
-  let p = Lp.create () in
+  let p = Milp.create () in
   let xs =
-    List.map (fun i -> Lp.add_int_var p ~upper:1 ~name:(Printf.sprintf "x%d" i)) [ 1; 2; 3 ]
+    List.map (fun i -> Milp.add_int_var p ~upper:1 ~name:(Printf.sprintf "x%d" i)) [ 1; 2; 3 ]
   in
   (match xs with
   | [ x1; x2; x3 ] ->
-      Lp.add_int_constraint p [ (3, x1); (4, x2); (2, x3) ] Lp.Le 6;
-      Lp.set_int_objective p [ (-10, x1); (-13, x2); (-7, x3) ];
-      (match Lp.solve p with
+      Milp.add_int_constraint p [ (3, x1); (4, x2); (2, x3) ] Milp.Le 6;
+      Milp.set_int_objective p [ (-10, x1); (-13, x2); (-7, x3) ];
+      (match Milp.solve p with
       | `Optimal sol ->
-          check_int "obj" (-20) (Rat.to_int_exn sol.Lp.objective);
-          check_int "x1" 0 (Lp.value_int sol x1);
-          check_int "x2" 1 (Lp.value_int sol x2);
-          check_int "x3" 1 (Lp.value_int sol x3)
+          check_int "obj" (-20) (Rat.to_int_exn sol.Milp.objective);
+          check_int "x1" 0 (Milp.value_int sol x1);
+          check_int "x2" 1 (Milp.value_int sol x2);
+          check_int "x3" 1 (Milp.value_int sol x3)
       | _ -> Alcotest.fail "expected optimal")
   | _ -> assert false)
 
@@ -126,38 +127,38 @@ let test_milp_scheduling_shape () =
   (* A miniature LongnailProblem-shaped ILP: chain a -> b -> c with latencies
      1,1; b constrained to start >= 3 (earliest); minimize sum of start
      times. Expect a=0 (free), b=3, c=4. *)
-  let p = Lp.create () in
-  let ta = Lp.add_int_var p ~name:"ta" in
-  let tb = Lp.add_int_var p ~name:"tb" in
-  let tc = Lp.add_int_var p ~name:"tc" in
-  Lp.add_int_constraint p [ (1, tb); (-1, ta) ] Lp.Ge 1;
-  Lp.add_int_constraint p [ (1, tc); (-1, tb) ] Lp.Ge 1;
-  Lp.add_int_constraint p [ (1, tb) ] Lp.Ge 3;
-  Lp.set_int_objective p [ (1, ta); (1, tb); (1, tc) ];
-  (match Lp.solve p with
+  let p = Milp.create () in
+  let ta = Milp.add_int_var p ~name:"ta" in
+  let tb = Milp.add_int_var p ~name:"tb" in
+  let tc = Milp.add_int_var p ~name:"tc" in
+  Milp.add_int_constraint p [ (1, tb); (-1, ta) ] Milp.Ge 1;
+  Milp.add_int_constraint p [ (1, tc); (-1, tb) ] Milp.Ge 1;
+  Milp.add_int_constraint p [ (1, tb) ] Milp.Ge 3;
+  Milp.set_int_objective p [ (1, ta); (1, tb); (1, tc) ];
+  (match Milp.solve p with
   | `Optimal sol ->
-      check_int "ta" 0 (Lp.value_int sol ta);
-      check_int "tb" 3 (Lp.value_int sol tb);
-      check_int "tc" 4 (Lp.value_int sol tc)
+      check_int "ta" 0 (Milp.value_int sol ta);
+      check_int "tb" 3 (Milp.value_int sol tb);
+      check_int "tc" 4 (Milp.value_int sol tc)
   | _ -> Alcotest.fail "expected optimal")
 
 let test_milp_infeasible_window () =
   (* earliest > latest on the same op *)
-  let p = Lp.create () in
-  let t = Lp.add_int_var p ~name:"t" in
-  Lp.add_int_constraint p [ (1, t) ] Lp.Ge 5;
-  Lp.add_int_constraint p [ (1, t) ] Lp.Le 4;
-  Lp.set_int_objective p [ (1, t) ];
-  (match Lp.solve p with
+  let p = Milp.create () in
+  let t = Milp.add_int_var p ~name:"t" in
+  Milp.add_int_constraint p [ (1, t) ] Milp.Ge 5;
+  Milp.add_int_constraint p [ (1, t) ] Milp.Le 4;
+  Milp.set_int_objective p [ (1, t) ];
+  (match Milp.solve p with
   | `Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible")
 
 let test_lp_to_text () =
-  let p = Lp.create () in
-  let x = Lp.add_int_var p ~name:"x" ~upper:7 in
-  Lp.add_int_constraint p [ (1, x) ] Lp.Ge 2;
-  Lp.set_int_objective p [ (1, x) ];
-  let txt = Lp.to_text p in
+  let p = Milp.create () in
+  let x = Milp.add_int_var p ~name:"x" ~upper:7 in
+  Milp.add_int_constraint p [ (1, x) ] Milp.Ge 2;
+  Milp.set_int_objective p [ (1, x) ];
+  let txt = Milp.to_text p in
   check_bool "mentions minimize" true (String.length txt > 0 && String.sub txt 0 8 = "minimize");
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
@@ -209,17 +210,17 @@ type ispec = {
 }
 
 let build_problem spec =
-  let p = Lp.create () in
+  let p = Milp.create () in
   let vs =
     Array.init spec.sp_n (fun i ->
-        Lp.add_int_var p ~lower:spec.sp_lower.(i) ?upper:spec.sp_upper.(i)
+        Milp.add_int_var p ~lower:spec.sp_lower.(i) ?upper:spec.sp_upper.(i)
           ~name:(Printf.sprintf "t%d" i))
   in
   List.iteri
     (fun r (dst, src) ->
-      Lp.add_int_constraint p [ (1, vs.(dst)); (-1, vs.(src)) ] Lp.Ge spec.sp_w.(r))
+      Milp.add_int_constraint p [ (1, vs.(dst)); (-1, vs.(src)) ] Milp.Ge spec.sp_w.(r))
     spec.sp_deps;
-  Lp.set_int_objective p
+  Milp.set_int_objective p
     (List.filter
        (fun (c, _) -> c <> 0)
        (Array.to_list (Array.mapi (fun i c -> (c, vs.(i))) spec.sp_cost)));
@@ -245,12 +246,12 @@ let show = function
 (* [Netopt.solve] must agree with the simplex/B&B MILP oracle on
    feasibility and boundedness, and reach its optimal objective *)
 let solve_matches_oracle name spec =
-  match (Netopt.solve (system_of spec), Lp.solve (build_problem spec)) with
-  | `Optimal sol, `Optimal (sb : Lp.solution) ->
+  match (Netopt.solve (system_of spec), Milp.solve (build_problem spec)) with
+  | `Optimal sol, `Optimal (sb : Milp.solution) ->
       let obj = Netopt.objective ~cost:spec.sp_cost sol in
-      Rat.equal (rat obj) sb.Lp.objective
+      Rat.equal (rat obj) sb.Milp.objective
       || QCheck.Test.fail_reportf "%s: obj %d <> oracle obj %s" name obj
-           (Rat.to_string sb.Lp.objective)
+           (Rat.to_string sb.Milp.objective)
   | `Infeasible, `Infeasible | `Unbounded, `Unbounded -> true
   | got, oracle -> QCheck.Test.fail_reportf "%s: %s, oracle %s" name (show got) (show oracle)
 

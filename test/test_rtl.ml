@@ -1,7 +1,9 @@
 (* Tests for the RTL layer: netlist validation, the cycle-accurate
-   simulator, and SystemVerilog emission. *)
+   interpreter (the test oracle), the compiled engine against it, and
+   SystemVerilog emission. *)
 
 open Rtl
+module Sim = Oracle.Rtl_sim
 
 let u w = Bitvec.unsigned_ty w
 let bv w v = Bitvec.of_int (u w) v
@@ -142,7 +144,7 @@ let test_sv_generated_isax () =
 
 let test_vcd_trace () =
   let vcd =
-    Rtl.Vcd.trace counter_module ~cycles:8 ~drive:(fun _ -> [])
+    Rtl.Vcd.trace (Engine.create counter_module) ~cycles:8 ~drive:(fun _ -> [])
   in
   check_bool "header" true (contains vcd "$timescale 1ns $end");
   check_bool "module scope" true (contains vcd "$scope module counter $end");
@@ -155,10 +157,11 @@ let test_vcd_trace () =
 
 (* ---- compiled engine ---- *)
 
-let engines = [ ("interp", Engine.Interp); ("compiled", Engine.Compiled) ]
+(* the interpreting oracle and the compiled engine, as engine builders *)
+let engines = [ ("interp", Sim.engine); ("compiled", Engine.create) ]
 
 let test_compiled_counter () =
-  let s = Engine.create ~kind:Engine.Compiled counter_module in
+  let s = Engine.create counter_module in
   for expect = 0 to 20 do
     Engine.eval s;
     check_int (Printf.sprintf "count at %d" expect) (expect mod 16)
@@ -179,7 +182,7 @@ let test_compiled_stall_enable () =
       nodes = [ Netlist.Reg { out = "q"; width = 8; next = "d"; enable = Some "en"; init = None } ];
     }
   in
-  let s = Engine.create ~kind:Engine.Compiled m in
+  let s = Engine.create m in
   Engine.cycle s [ ("d", bv 8 0xAA); ("en", bv 1 1) ];
   Engine.eval s;
   check_int "loaded" 0xAA (Bitvec.to_int (Engine.output s "q"));
@@ -199,7 +202,7 @@ let test_compiled_rom () =
       nodes = [ Netlist.Rom { out = "o"; width = 8; table = [| bv 8 10; bv 8 20; bv 8 30; bv 8 40 |]; index = "i" } ];
     }
   in
-  let s = Engine.create ~kind:Engine.Compiled m in
+  let s = Engine.create m in
   List.iter
     (fun (i, expect) ->
       Engine.set_input s "i" (bv 2 i);
@@ -215,8 +218,8 @@ let check_traces_equal name a b =
         line l r
 
 let test_cross_engine_vcd_counter () =
-  let trace kind = Vcd.trace ~engine:kind counter_module ~cycles:12 ~drive:(fun _ -> []) in
-  check_traces_equal "counter" (trace Engine.Interp) (trace Engine.Compiled)
+  let trace make = Vcd.trace (make counter_module) ~cycles:12 ~drive:(fun _ -> []) in
+  check_traces_equal "counter" (trace Sim.engine) (trace Engine.create)
 
 (* the generated ISAX modules exercise extract/concat/mux/rom decoding
    paths absent from the handwritten fixtures *)
@@ -232,8 +235,8 @@ let test_cross_engine_vcd_isax () =
         (p.port_name, Bitvec.of_int (u p.port_width) (Hashtbl.hash (p.port_name, cycle))))
       m.Netlist.inputs
   in
-  let trace kind = Vcd.trace ~engine:kind m ~cycles:16 ~drive in
-  check_traces_equal "ADDI" (trace Engine.Interp) (trace Engine.Compiled)
+  let trace make = Vcd.trace (make m) ~cycles:16 ~drive in
+  check_traces_equal "ADDI" (trace Sim.engine) (trace Engine.create)
 
 (* [Engine.reset] after random cycles: the VCD trace of the reset engine
    equals a fresh engine's, on both kinds, for the counter and every
@@ -271,8 +274,8 @@ let test_reset_trace_equals_fresh () =
   List.iter
     (fun (name, m) ->
       List.iter
-        (fun kind ->
-          let eng = Engine.create ~kind m in
+        (fun (_, make) ->
+          let eng = make m in
           for cycle = 1 to 7 + (Hashtbl.hash name mod 9) do
             List.iter (fun (n, v) -> Engine.set_input eng n v) (random_inputs m (-cycle));
             Engine.eval eng;
@@ -283,13 +286,13 @@ let test_reset_trace_equals_fresh () =
           match
             Vcd.first_divergence
               (trace_on eng m ~cycles:12 ~drive)
-              (Vcd.trace ~engine:kind m ~cycles:12 ~drive)
+              (Vcd.trace (make m) ~cycles:12 ~drive)
           with
           | None -> ()
           | Some (line, l, r) ->
               Alcotest.failf "%s: reset trace diverges at VCD line %d: reset %S, fresh %S" name
                 line l r)
-        [ Engine.Compiled; Engine.Interp ])
+        engines)
     modules
 
 (* widths straddling the int-arena limit: 62 runs on the unboxed path,
@@ -326,8 +329,8 @@ let test_wide_boundary_arith () =
       let av = Bitvec.of_bn (u w) (Bn.sub (Bn.pow2 w) Bn.one) in
       let bv_ = Bitvec.of_bn (u w) (Bn.pow2 (w - 1)) in
       List.iter
-        (fun (kname, kind) ->
-          let s = Engine.create ~kind m in
+        (fun (kname, make) ->
+          let s = make m in
           Engine.set_input s "a" av;
           Engine.set_input s "b" bv_;
           Engine.eval s;
@@ -361,8 +364,8 @@ let test_wide_register_accumulate () =
   in
   let step = Bitvec.of_bn (u w) (Bn.pow2 64) in
   List.iter
-    (fun (kname, kind) ->
-      let s = Engine.create ~kind m in
+    (fun (kname, make) ->
+      let s = make m in
       Engine.set_input s "a" step;
       for _ = 1 to 3 do
         Engine.eval s;
@@ -485,8 +488,8 @@ let prop_engines_agree =
           ("c", Bitvec.of_int (u 1) (Hashtbl.hash (seed, cycle, "c")));
         ]
       in
-      let trace kind = Vcd.trace ~engine:kind m ~cycles:6 ~drive in
-      Vcd.traces_equal (trace Engine.Interp) (trace Engine.Compiled))
+      let trace make = Vcd.trace (make m) ~cycles:6 ~drive in
+      Vcd.traces_equal (trace Sim.engine) (trace Engine.create))
 
 (* property: the simulator agrees with direct Comb_eval on random two-input
    expressions *)

@@ -152,7 +152,7 @@ let test_start_time_in_cycle () =
 
 let test_ilp_text_dump () =
   let p = simple_chain () in
-  let txt = Sched.Ilp_scheduler.ilp_text p in
+  let txt = Oracle.Ilp_exact.ilp_text p in
   check_bool "has objective" true (String.length txt > 20);
   check_bool "starts with minimize" true (String.sub txt 0 8 = "minimize")
 
@@ -198,7 +198,7 @@ let prop_netflow_matches_exact =
         (fun cycle_time ->
           let p1 = random_problem ?cycle_time (Random.State.make [| seed |]) in
           let p2 = random_problem ?cycle_time (Random.State.make [| seed |]) in
-          match (Sched.Ilp_scheduler.schedule p1, Sched.Ilp_scheduler.schedule_exact p2) with
+          match (Sched.Ilp_scheduler.schedule p1, Oracle.Ilp_exact.schedule_exact p2) with
           | Sched.Ilp_scheduler.Infeasible, Sched.Ilp_scheduler.Infeasible -> true
           | Sched.Ilp_scheduler.Scheduled, Sched.Ilp_scheduler.Scheduled ->
               P.verify p1;

@@ -318,6 +318,9 @@ let test_unknown_knob_is_e0910 () =
       ({|{"sheduler":"asap"}|}, "sheduler", Some "did you mean 'scheduler'?");
       ({|{"narow":true}|}, "narow", Some "did you mean 'narrow'?");
       ({|{"sim-engine":"interp"}|}, "sim-engine", None);
+      (* retired: "cache-capacity":0 is the one way to ask for a cold
+         session, and like every cache knob it is daemon-side *)
+      ({|{"no-cache":true}|}, "no-cache", None);
     ]
 
 let test_compile_inline () =
