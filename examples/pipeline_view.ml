@@ -32,7 +32,7 @@ let () =
       for s = 1 to nstages do
         Printf.printf " | %-9s"
           (match p.Riscv.Pipeline.stages.(s) with
-          | Some sl -> sl.Riscv.Pipeline.s_ti.Coredsl.Tast.ti_name
+          | Some sl -> (Riscv.Pipeline.slot_instr sl).Coredsl.Tast.ti_name
           | None -> ".")
       done;
       Printf.printf " | %s\n"

@@ -129,28 +129,38 @@ let write_mem_elem st name addr v =
   let s = space_info st name in
   Hashtbl.replace (mem_table st name) addr (Bitvec.cast s.elem_ty v)
 
+type mem_port = {
+  read_elem : string -> int -> Bitvec.t;
+  write_elem : string -> int -> Bitvec.t -> unit;
+}
+
 (* little-endian multi-element read: element at [addr + elems - 1] is MSB *)
-let read_mem st name addr elems =
+let read_mem ?mem st name addr elems =
+  let elem a = match mem with Some p -> p.read_elem name a | None -> read_mem_elem st name a in
   (* concatenate from the MSB side: element addr+elems-1 :: ... :: addr *)
-  let v = ref (read_mem_elem st name (addr + elems - 1)) in
+  let v = ref (elem (addr + elems - 1)) in
   for k = elems - 2 downto 0 do
-    v := Bitvec.concat !v (read_mem_elem st name (addr + k))
+    v := Bitvec.concat !v (elem (addr + k))
   done;
   !v
 
-let write_mem st name addr elems v =
+(* little-endian multi-element write, element by element through [write_elem] *)
+let write_elems st write_elem name addr elems v =
   let s = space_info st name in
   let ew = s.elem_ty.Bitvec.width in
   for k = 0 to elems - 1 do
     let piece = Bitvec.extract (Bitvec.cast (Bitvec.unsigned_ty (elems * ew)) v) ~hi:(((k + 1) * ew) - 1) ~lo:(k * ew) in
-    write_mem_elem st name (addr + k) piece
+    write_elem name (addr + k) piece
   done
+
+let write_mem st = write_elems st (write_mem_elem st)
 
 (* ---- expression evaluation ---- *)
 
 type frame = {
   locals : (string, Bitvec.t) Hashtbl.t;
   fields : (string * Bitvec.t) list;  (* decoded encoding fields *)
+  mem : mem_port option;  (* where memory accesses go; committed memory if [None] *)
 }
 
 exception Return_exc of Bitvec.t option
@@ -171,7 +181,7 @@ let rec eval st (fr : frame) (e : texpr) : Bitvec.t =
   | T_rom (name, idx) -> read_regfile st name (Bitvec.to_int (eval st fr idx))
   | T_mem { space; addr; elems } ->
       let a = Bitvec.to_int (Bitvec.reinterpret_sign false (eval st fr addr)) in
-      Bitvec.cast e.tty (read_mem st space a elems)
+      Bitvec.cast e.tty (read_mem ?mem:fr.mem st space a elems)
   | T_binop (op, a, b) -> eval_binop st fr e.tloc op a b
   | T_unop (op, a) -> (
       let va = eval st fr a in
@@ -195,7 +205,7 @@ let rec eval st (fr : frame) (e : texpr) : Bitvec.t =
         | None -> runtime_error e.tloc "unknown function '%s'" name
       in
       let vargs = List.map (eval st fr) args in
-      match call_function st f vargs with
+      match call_function st fr.mem f vargs with
       | Some v -> v
       | None -> runtime_error e.tloc "void function '%s' in expression" name)
 
@@ -241,7 +251,8 @@ and exec_stmt st fr (s : tstmt) : unit =
       write_regfile st name i (eval st fr e)
   | S_assign_mem { space; addr; value; elems } ->
       let a = Bitvec.to_int (Bitvec.reinterpret_sign false (eval st fr addr)) in
-      write_mem st space a elems (eval st fr value)
+      let write = match fr.mem with Some p -> p.write_elem | None -> write_mem_elem st in
+      write_elems st write space a elems (eval st fr value)
   | S_if (c, thn, els) ->
       if Bitvec.to_bool (eval st fr c) then exec_stmts st fr thn else exec_stmts st fr els
   | S_for { init; cond; step; body } ->
@@ -262,10 +273,10 @@ and exec_stmt st fr (s : tstmt) : unit =
 
 and exec_stmts st fr stmts = List.iter (exec_stmt st fr) stmts
 
-and call_function st (f : tfunc) (args : Bitvec.t list) : Bitvec.t option =
+and call_function st mem (f : tfunc) (args : Bitvec.t list) : Bitvec.t option =
   let locals = Hashtbl.create 8 in
   List.iter2 (fun (name, ty) v -> Hashtbl.replace locals name (Bitvec.cast ty v)) f.tf_params args;
-  let fr = { locals; fields = [] } in
+  let fr = { locals; fields = []; mem } in
   try
     exec_stmts st fr f.tf_body;
     None
@@ -292,17 +303,18 @@ let matches (ti : tinstr) (instr_word : Bitvec.t) =
   Bitvec.width instr_word = ti.enc_width
   && Bitvec.equal_value (Bitvec.logand instr_word ti.mask) ti.match_bits
 
-(* Execute one instruction's behavior for a concrete instruction word;
-   afterwards [st.pc_written] tells whether the behavior wrote the PC. *)
-let exec_instr st (ti : tinstr) ~(instr_word : Bitvec.t) =
+(* Execute one instruction's behavior for a concrete instruction word,
+   its memory accesses through [mem] if given; afterwards
+   [st.pc_written] tells whether the behavior wrote the PC. *)
+let exec_instr ?mem st (ti : tinstr) ~(instr_word : Bitvec.t) =
   st.pc_written <- false;
   let fields = List.map (fun f -> (f.fld_name, decode_field instr_word f)) ti.fields in
-  let fr = { locals = Hashtbl.create 8; fields } in
+  let fr = { locals = Hashtbl.create 8; fields; mem } in
   exec_stmts st fr ti.ti_behavior
 
 (* Execute one evaluation of an always-block (one clock tick). *)
 let exec_always st (ta : talways) =
-  let fr = { locals = Hashtbl.create 8; fields = [] } in
+  let fr = { locals = Hashtbl.create 8; fields = []; mem = None } in
   exec_stmts st fr ta.ta_body
 
 (* The first instruction in [tinstrs] order whose encoding matches a word,

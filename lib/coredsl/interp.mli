@@ -7,8 +7,6 @@
 
 module Bn = Bitvec.Bn
 exception Runtime_error of Ast.loc * string
-val runtime_error :
-  Ast.loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** The decode table {!create} builds: one hash table per distinct
     (encoding width, fixed-bit mask) group of the unit's instructions. *)
@@ -30,35 +28,27 @@ val read_reg : state -> string -> Bitvec.t
 val write_reg : state -> string -> Bitvec.t -> unit
 val read_regfile : state -> string -> int -> Bitvec.t
 val write_regfile : state -> string -> int -> Bitvec.t -> unit
-val space_info : state -> string -> Elaborate.addr_space
-val mem_table : state -> string -> (int, Bitvec.t) Hashtbl.t
 val read_mem_elem : state -> string -> int -> Bitvec.t
 val write_mem_elem : state -> string -> int -> Bitvec.t -> unit
-val read_mem : state -> string -> int -> int -> Bitvec.t
-val write_mem : state -> string -> int -> int -> Bitvec.t -> unit
-type frame = {
-  locals : (string, Bitvec.t) Hashtbl.t;
-  fields : (string * Bitvec.t) list;
+
+(** Element reads and writes of an address space (its name, then the
+    address), standing in for the state's memory. *)
+type mem_port = {
+  read_elem : string -> int -> Bitvec.t;
+  write_elem : string -> int -> Bitvec.t -> unit;
 }
-exception Return_exc of Bitvec.t option
-val eval : state -> frame -> Tast.texpr -> Bitvec.t
-val eval_binop :
-  state ->
-  frame ->
-  Ast.loc ->
-  Ast.binop ->
-  Tast.texpr -> Tast.texpr -> Bitvec.t
-val exec_stmt : state -> frame -> Tast.tstmt -> unit
-val exec_stmts : state -> frame -> Tast.tstmt list -> unit
-val call_function :
-  state -> Tast.tfunc -> Bitvec.t list -> Bitvec.t option
+
+(** Little-endian multi-element access: [read_mem st space addr elems],
+    through [mem] if given. *)
+val read_mem : ?mem:mem_port -> state -> string -> int -> int -> Bitvec.t
+val write_mem : state -> string -> int -> int -> Bitvec.t -> unit
 val decode_field : Bitvec.t -> Tast.field_info -> Bitvec.t
 val matches : Tast.tinstr -> Bitvec.t -> bool
 
-(** Execute one instruction's behavior; clears and then sets
-    [pc_written]. *)
+(** Execute one instruction's behavior, its memory reads and writes
+    through [mem] if given; clears and then sets [pc_written]. *)
 val exec_instr :
-  state -> Tast.tinstr -> instr_word:Bitvec.t -> unit
+  ?mem:mem_port -> state -> Tast.tinstr -> instr_word:Bitvec.t -> unit
 
 val exec_always : state -> Tast.talways -> unit
 

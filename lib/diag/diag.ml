@@ -98,6 +98,7 @@ let all_codes =
     ("E0530", "translation validation failed: optimized IR is not equivalent");
     ("E0601", "assembly error");
     ("E0602", "program did not halt within the instruction budget");
+    ("E0603", "engine does not model this core");
     ("E0901", "internal error");
     ("E0902", "conflicting compile options");
     ("E0903", "lowering invariant violation");

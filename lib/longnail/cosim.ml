@@ -140,12 +140,13 @@ let ports p stage =
 let custreg_reads p ~stage =
   List.filter_map (function Read_custreg r -> Some r.reg | _ -> None) (ports p stage)
 
-let writes_custreg p reg ~from =
-  let rec go s =
-    s <= p.last_stage
-    && (List.exists (function Write_custreg w -> w.reg = reg | _ -> false) (ports p s)
-       || go (s + 1))
+let writes p target ~from =
+  let hits = function
+    | Write_custreg w -> target = `Custreg w.reg
+    | Write_mem _ -> target = `Mem
+    | _ -> false
   in
+  let rec go s = s <= p.last_stage && (List.exists hits (ports p s) || go (s + 1)) in
   go from
 
 (* ---- the per-cycle operations ---- *)

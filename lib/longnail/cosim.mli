@@ -55,9 +55,9 @@ val last_stage : plan -> int
 val custreg_reads : plan -> stage:int -> string list
 (** The custom registers the module reads in [stage]. *)
 
-val writes_custreg : plan -> string -> from:int -> bool
-(** [writes_custreg p reg ~from] holds when the module writes [reg] in
-    some stage [>= from]. *)
+val writes : plan -> [ `Custreg of string | `Mem ] -> from:int -> bool
+(** [writes p target ~from] holds when the module writes [target] (a
+    custom register, or memory) in some stage [>= from]. *)
 
 (** {1 Per-cycle operations} *)
 

@@ -8,8 +8,6 @@ module Interp = Coredsl.Interp
 module Tast = Coredsl.Tast
 module Cosim = Longnail.Cosim
 
-exception Pipeline_error of string
-
 let bv = Arch.bv
 
 type slot = {
@@ -26,10 +24,15 @@ type slot = {
   mutable s_value : int option;
       (* the forwardable rd value: a base instruction's from the operand
          stage on, an ISAX's once its WrRD to a nonzero rd was valid *)
-  mutable s_new_pc : Bitvec.t option;  (* ISAX: valid WrPC *)
+  mutable s_new_pc : Bitvec.t option;
+      (* the known redirect: a base instruction's PC write, an ISAX's valid WrPC *)
+  mutable s_stores : ((string * int) * Bitvec.t) list;
+      (* a base instruction's memory writes (space, address), youngest first *)
   mutable s_pending : Cosim.mem_response list;  (* ISAX: RdMem responses in flight *)
   mutable s_vstage : int;  (* virtual stage while held past writeback *)
 }
+
+let slot_instr s = s.s_ti
 
 type t = {
   compiled : Longnail.Flow.compiled;
@@ -47,7 +50,8 @@ type t = {
 let create (compiled : Longnail.Flow.compiled) =
   let core = compiled.Longnail.Flow.core in
   if core.Scaiev.Datasheet.is_fsm then
-    raise (Pipeline_error "the structural pipeline models pipelined cores only");
+    Diag.fatalf ~code:"E0603" "the structural pipeline does not model %s, an FSM-sequenced core"
+      core.core_name;
   let modules kind =
     List.filter_map
       (fun (f : Longnail.Flow.compiled_functionality) ->
@@ -105,6 +109,49 @@ let operand_hazard t ~upto r =
   in
   r <> 0 && (scan upto || List.exists unfinished t.detached)
 
+(* ---- in-flight memory and redirects ---- *)
+
+(* The memory port of slot [s]: its writes buffer in the slot until it
+   commits; its reads see the youngest byte buffered by [s] or an older
+   in-flight slot, else committed memory. *)
+let mem_port t (s : slot) =
+  let rec read space addr i seen =
+    if i >= Array.length t.stages then Interp.read_mem_elem t.st space addr
+    else
+      match t.stages.(i) with
+      | Some o when seen || o == s -> (
+          match List.assoc_opt (space, addr) o.s_stores with
+          | Some b -> b
+          | None -> read space addr (i + 1) true)
+      | _ -> read space addr (i + 1) seen
+  in
+  {
+    Interp.read_elem = (fun space addr -> read space addr 1 false);
+    write_elem = (fun space addr b -> s.s_stores <- ((space, addr), b) :: s.s_stores);
+  }
+
+(* A slot whose redirect is known squashes every younger slot; fetch
+   holds until it commits. *)
+let squash_younger t (s : slot) =
+  Array.find_index (function Some o -> o == s | None -> false) t.stages
+  |> Option.iter (fun i -> Array.fill t.stages 1 (i - 1) None)
+
+let redirect_pending t =
+  Array.exists (function Some s -> s.s_new_pc <> None | None -> false) t.stages
+
+(* Does an ISAX older than stage [older_than], in the pipe or detached,
+   still write [target] in a stage it has not serviced? [from i d] is
+   the first such stage of the in-pipe slot [d] at stage [i]. *)
+let pending_writer t ~older_than ~from target =
+  let writes (d : slot) from =
+    match d.s_isax with Some (plan, _) -> Cosim.writes plan target ~from | None -> false
+  in
+  let rec in_pipe i =
+    i < Array.length t.stages
+    && ((match t.stages.(i) with Some d -> writes d (from i d) | None -> false) || in_pipe (i + 1))
+  in
+  in_pipe (older_than + 1) || List.exists (fun (d : slot) -> writes d d.s_vstage) t.detached
+
 (* ---- ISAX module integration: the SCAIE-V host side lives in Cosim ---- *)
 
 (* The host answers for the instruction in [Some slot], whose GPR and PC
@@ -117,7 +164,9 @@ let operand_hazard t ~upto r =
 let host : (t * slot option) Cosim.host =
   {
     custreg = (fun (t, _) reg idx -> (Interp.reg_array t.st reg).(idx));
-    mem_read = (fun (t, _) addr _ elems -> Interp.read_mem t.st "MEM" addr elems);
+    mem_read =
+      (fun (t, s) addr _ elems ->
+        Interp.read_mem ?mem:(Option.map (mem_port t) s) t.st "MEM" addr elems);
     write_rd =
       (fun (_, s) data valid ->
         match s with
@@ -147,7 +196,9 @@ let drive (s : slot) stage =
 
 let service t (s : slot) stage =
   match s.s_isax with
-  | Some (plan, engine) -> s.s_pending <- Cosim.service plan engine ~stage host (t, Some s)
+  | Some (plan, engine) ->
+      s.s_pending <- Cosim.service plan engine ~stage host (t, Some s);
+      if s.s_new_pc <> None then squash_younger t s
   | None -> ()
 
 (* always-blocks evaluate against the fetch PC and committed state; their
@@ -160,7 +211,7 @@ let tick_always t =
     (fun (plan, engine) ->
       Cosim.drive plan engine ~stage:0 ~pending:[] (function
         | Cosim.Pc -> bv t.fetch_pc
-        | Instr_word | Rs1 | Rs2 -> raise (Pipeline_error "an always-block reads an instruction operand"));
+        | Instr_word | Rs1 | Rs2 -> invalid_arg "Pipeline: an always-block reads an instruction operand");
       Rtl.Engine.eval engine;
       ignore (Cosim.service plan engine ~stage:0 host (t, None));
       Rtl.Engine.clock engine)
@@ -168,45 +219,35 @@ let tick_always t =
 
 (* ---- base-instruction execution ---- *)
 
-(* produce the forwardable result at the operand stage using the native
-   ISS with the forwarded operands installed *)
+(* Run a base instruction's CoreDSL behaviour once, at the operand stage,
+   on the committed state with the forwarded operands installed, and
+   capture its effects in the slot: the rd value, a PC write and (through
+   the memory port) its stores. The registers are restored afterwards. *)
 let base_execute t (s : slot) =
-  let iss = Iss.create () in
-  if s.s_rs1 <> 0 then Iss.write_reg iss s.s_rs1 s.s_rs1v;
-  if s.s_rs2 <> 0 then Iss.write_reg iss s.s_rs2 s.s_rs2v;
-  iss.Iss.pc <- s.s_pc;
-  (* loads read the committed memory (no store-to-load forwarding) *)
-  (match s.s_ti.ti_name with
-  | "LB" | "LH" | "LW" | "LBU" | "LHU" ->
-      let imm = Iss.sext ((s.s_word lsr 20) land 0xFFF) 11 in
-      let addr = (s.s_rs1v + imm) land 0xFFFFFFFF in
-      Iss.write_word iss (addr land lnot 3) (Arch.load_word t.st (addr land lnot 3));
-      Iss.write_word iss ((addr land lnot 3) + 4) (Arch.load_word t.st ((addr land lnot 3) + 4))
-  | _ -> ());
-  (try Iss.step_word iss s.s_word with Iss.Unknown_instruction _ -> ());
-  s.s_value <- Some (if s.s_rd <> 0 then Iss.read_reg iss s.s_rd else 0)
+  let x = Interp.reg_array t.st "X" in
+  let saved = List.map (fun r -> (r, x.(r))) [ s.s_rs1; s.s_rs2; s.s_rd ] in
+  x.(s.s_rs1) <- bv s.s_rs1v;
+  x.(s.s_rs2) <- bv s.s_rs2v;
+  write_pc t s.s_pc;
+  Interp.exec_instr ~mem:(mem_port t s) t.st s.s_ti ~instr_word:(bv s.s_word);
+  s.s_value <- Some (Bitvec.to_int x.(s.s_rd));
+  if t.st.Interp.pc_written then begin
+    s.s_new_pc <- Some (Interp.read_reg t.st "PC");
+    squash_younger t s
+  end;
+  List.iter (fun (r, v) -> x.(r) <- v) saved
 
-(* commit the oldest instruction architecturally, in order *)
+(* commit the oldest instruction: its rd value and buffered stores, then
+   its redirect (younger slots are already squashed) *)
 let commit t (s : slot) =
   t.instret <- t.instret + 1;
-  match s.s_isax with
-  | Some _ ->
-      (* custom-register and memory writes already took effect in their
-         scheduled stages; the GPR result commits here in order *)
-      Option.iter (write_gpr t s.s_rd) s.s_value
-  | None ->
-      (* replay through the reference interpreter with the captured
-         operands (stores need the architectural memory) *)
-      let x = Interp.reg_array t.st "X" in
-      let saved =
-        List.filter_map
-          (fun r -> if r = 0 then None else Some (r, x.(r)))
-          [ s.s_rs1; s.s_rs2 ]
-      in
-      List.iter (fun (r, _) -> x.(r) <- bv (if r = s.s_rs1 then s.s_rs1v else s.s_rs2v)) saved;
-      write_pc t s.s_pc;
-      Interp.exec_instr t.st s.s_ti ~instr_word:(bv s.s_word);
-      List.iter (fun (r, old) -> if r <> s.s_rd then x.(r) <- old) saved
+  Option.iter (write_gpr t s.s_rd) s.s_value;
+  List.iter (fun ((space, addr), b) -> Interp.write_mem_elem t.st space addr b) (List.rev s.s_stores);
+  Option.iter
+    (fun pc' ->
+      t.fetch_pc <- Bitvec.to_int pc';
+      t.halted <- false)
+    s.s_new_pc
 
 (* One pipeline cycle. Returns false when halted and fully drained. *)
 let step t =
@@ -226,10 +267,22 @@ let step t =
           s.s_rd <> 0
           && List.exists (fun (d : slot) -> d.s_rd = s.s_rd && d.s_value = None) t.detached
         in
+        (* base and ISAX memory accesses in program order: a base load or
+           store waits for older ISAX memory writes, an ISAX writer for
+           older buffered base stores *)
+        let mem_wait =
+          match s.s_isax with
+          | None ->
+              List.mem s.s_ti.ti_name Machine.mem_instr_names
+              && pending_writer t ~older_than:opstage ~from:(fun i d -> max i d.s_vstage) `Mem
+          | Some (plan, _) ->
+              Cosim.writes plan `Mem ~from:0
+              && Array.exists (function Some o -> o.s_stores <> [] | None -> false) t.stages
+        in
         if
           operand_hazard t ~upto:(opstage + 1) s.s_rs1
           || operand_hazard t ~upto:(opstage + 1) s.s_rs2
-          || waw
+          || waw || mem_wait
         then stall := true
         else begin
           s.s_rs1v <- forwarded_operand t ~upto:(opstage + 1) s.s_rs1;
@@ -240,28 +293,12 @@ let step t =
     | _ -> ());
     (* 1b. custom-register data hazards (SCAIE-V hazard handling) *)
     let stall_point = ref (if !stall then opstage else 0) in
-    let pending_custreg_writer ~older_than reg =
-      let rec in_pipe i =
-        i < Array.length t.stages
-        &&
-        match t.stages.(i) with
-        | Some { s_isax = Some (plan, _); _ } when Cosim.writes_custreg plan reg ~from:(i + 1) -> true
-        | _ -> in_pipe (i + 1)
-      in
-      in_pipe (older_than + 1)
-      || List.exists
-           (fun (d : slot) ->
-             match d.s_isax with
-             | Some (plan, _) -> Cosim.writes_custreg plan reg ~from:d.s_vstage
-             | None -> false)
-           t.detached
-    in
     for stage = 1 to last do
       match t.stages.(stage) with
       | Some { s_isax = Some (plan, _); _ } ->
           List.iter
             (fun reg ->
-              if pending_custreg_writer ~older_than:stage reg then
+              if pending_writer t ~older_than:stage ~from:(fun i _ -> i + 1) (`Custreg reg) then
                 stall_point := max !stall_point stage)
             (Cosim.custreg_reads plan ~stage)
       | _ -> ()
@@ -328,7 +365,6 @@ let step t =
       | None -> ()
     end;
     (* 3. commit / detach from the end of the pipe *)
-    let redirect = ref None in
     (match t.stages.(last) with
     | Some _ when !hold_at_end -> ()
     | Some ({ s_isax = Some _; _ } as sl) when !detach_now ->
@@ -338,67 +374,45 @@ let step t =
         t.stages.(last) <- None
     | Some s ->
         commit t s;
-        (match s.s_isax with
-        | Some _ -> Option.iter (fun pc' -> redirect := Some (Bitvec.to_int pc')) s.s_new_pc
-        | None ->
-            (* the interpreter writes the PC only for taken control
-               transfers, a branch to its own address included *)
-            if t.st.Interp.pc_written then redirect := Some (Arch.read_pc t.st));
         t.stages.(last) <- None
     | None -> ());
     (* 4. advance: slots at or before the stall point hold; bubbles drain
        behind them *)
-    if frozen > 0 then begin
-      for stage = last - 1 downto frozen + 1 do
-        t.stages.(stage + 1) <- t.stages.(stage);
-        t.stages.(stage) <- None
-      done
-    end
-    else begin
-      for stage = last - 1 downto 1 do
-        t.stages.(stage + 1) <- t.stages.(stage);
-        t.stages.(stage) <- None
-      done;
-      (match !redirect with
-      | Some pc' ->
-          for i = 1 to last do
-            t.stages.(i) <- None
-          done;
-          t.fetch_pc <- pc';
-          t.halted <- false
-      | None -> ());
-      (* always-blocks observe (and may replace) the next fetch *)
-      if not t.halted then tick_always t;
-      if not t.halted then begin
-        let word = Interp.read_mem t.st "MEM" t.fetch_pc 4 in
-        match Interp.decode t.st word with
-        | Some ti when ti.ti_name = "EBREAK" -> t.halted <- true
-        | Some ti ->
-            let field name = Option.value ~default:0 (Arch.field_value ti word name) in
-            t.stages.(1) <-
-              Some
-                {
-                  s_pc = t.fetch_pc;
-                  s_word = Bitvec.to_int word;
-                  s_ti = ti;
-                  s_rs1 = field "rs1";
-                  s_rs2 = field "rs2";
-                  s_rd = field "rd";
-                  s_isax =
-                    List.find_opt
-                      (fun (plan, _) -> (Cosim.func plan).cf_name = ti.ti_name)
-                      t.isaxes;
-                  s_rs1v = 0;
-                  s_rs2v = 0;
-                  s_has_operands = false;
-                  s_value = None;
-                  s_new_pc = None;
-                  s_pending = [];
-                  s_vstage = 0;
-                };
-            t.fetch_pc <- (t.fetch_pc + 4) land 0xFFFFFFFF
-        | None -> t.halted <- true
-      end
+    for stage = last - 1 downto frozen + 1 do
+      t.stages.(stage + 1) <- t.stages.(stage);
+      t.stages.(stage) <- None
+    done;
+    (* always-blocks observe (and may replace) the next fetch, which holds
+       while a known redirect is in flight *)
+    if frozen = 0 && not (t.halted || redirect_pending t) then begin
+      tick_always t;
+      let word = Interp.read_mem t.st "MEM" t.fetch_pc 4 in
+      match Interp.decode t.st word with
+      | Some ti when ti.ti_name = "EBREAK" -> t.halted <- true
+      | Some ti ->
+          let field name = Option.value ~default:0 (Arch.field_value ti word name) in
+          t.stages.(1) <-
+            Some
+              {
+                s_pc = t.fetch_pc;
+                s_word = Bitvec.to_int word;
+                s_ti = ti;
+                s_rs1 = field "rs1";
+                s_rs2 = field "rs2";
+                s_rd = field "rd";
+                s_isax =
+                  List.find_opt (fun (plan, _) -> (Cosim.func plan).cf_name = ti.ti_name) t.isaxes;
+                s_rs1v = 0;
+                s_rs2v = 0;
+                s_has_operands = false;
+                s_value = None;
+                s_new_pc = None;
+                s_stores = [];
+                s_pending = [];
+                s_vstage = 0;
+              };
+          t.fetch_pc <- (t.fetch_pc + 4) land 0xFFFFFFFF
+      | None -> t.halted <- true
     end;
     List.iter (fun (_, engine) -> Rtl.Engine.clock engine) t.isaxes;
     true

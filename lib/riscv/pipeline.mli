@@ -16,8 +16,20 @@
      when the operand-stage interlock holds the front of the pipe, the
      corresponding module boundaries freeze with it while the back end
      keeps draining into bubbles;
-   - ISAX result/valid outputs are captured in the stage they are bound to
-     and committed architecturally in order at the end of the pipe;
+   - a base instruction executes once, at the operand stage: its CoreDSL
+     behaviour runs on the committed state with the forwarded operands
+     installed, and its slot captures the rd value, a PC write and its
+     stores, buffered through an {!Coredsl.Interp.mem_port} whose reads
+     see the youngest older in-flight store, else committed memory. ISAX
+     outputs are captured in the stage they are bound to; both commit in
+     order at the end of the pipe: rd, buffered stores, then the redirect;
+   - a slot whose redirect is known (a base instruction wrote the PC, or
+     an ISAX's WrPC was serviced valid) squashes every younger slot and
+     holds fetch until it commits;
+   - ISAX custom-register and memory writes apply in their scheduled
+     stage; a base load or store waits at the operand stage for older
+     ISAX memory writes, and an ISAX that writes memory for older
+     buffered base stores;
    - always-blocks evaluate on every fetch and may redirect it with zero
      overhead (ZOL);
    - tightly-coupled modules (deeper than the writeback stage, no spawn)
@@ -29,36 +41,19 @@
      scoreboard that stalls readers (and same-rd writers) until it lands —
      the paper's "lightweight out-of-order commit/writeback".
 
-   Limitations (documented, asserted by the tests only where respected):
-   pipelined cores only (no PicoRV32), and no store-to-load forwarding
-   inside the pipeline window — a dependent load must trail a store by at
-   least the pipe depth, which the test programs respect. *)
+   Limitations: pipelined cores only ({!create} rejects an FSM-sequenced
+   core such as PicoRV32 with E0603), and two ISAXes' memory accesses are
+   ordered only by their scheduled stages. *)
 
 module Interp = Coredsl.Interp
 module Tast = Coredsl.Tast
-exception Pipeline_error of string
 
-(** An instruction in flight. *)
-type slot = {
-  s_pc : int;
-  s_word : int;
-  s_ti : Tast.tinstr;
-  s_rs1 : int;  (** register fields, 0 when absent *)
-  s_rs2 : int;
-  s_rd : int;
-  s_isax : (Longnail.Cosim.plan * Rtl.Engine.t) option;
-      (** the ISAX module that executes the instruction *)
-  mutable s_rs1v : int;
-  mutable s_rs2v : int;
-  mutable s_has_operands : bool;
-  mutable s_value : int option;
-      (** the forwardable rd value: a base instruction's from the operand
-          stage on, an ISAX's once its WrRD to a nonzero rd was valid *)
-  mutable s_new_pc : Bitvec.t option;  (** ISAX: valid WrPC *)
-  mutable s_pending : Longnail.Cosim.mem_response list;
-      (** ISAX: RdMem responses not yet delivered *)
-  mutable s_vstage : int;  (** virtual stage while held past writeback *)
-}
+(** An instruction in flight, with its operands and captured effects. *)
+type slot
+
+(** The instruction a slot holds. *)
+val slot_instr : slot -> Tast.tinstr
+
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;  (** committed architectural state *)

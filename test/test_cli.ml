@@ -11,20 +11,27 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* run the CLI on an assembler program; returns the exit code and stderr *)
-let run_program args program =
-  let src = Filename.temp_file "longnail_prog" ".s" in
+(* run the CLI with [args]; returns the exit code, stdout and stderr *)
+let run_cli args =
+  let out = Filename.temp_file "longnail_out" ".txt" in
   let err = Filename.temp_file "longnail_err" ".txt" in
-  Out_channel.with_open_text src (fun oc -> output_string oc program);
   let code =
     Sys.command
-      (Printf.sprintf "%s run %s %s > /dev/null 2> %s" (Filename.quote cli) args (Filename.quote src)
-         (Filename.quote err))
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args (Filename.quote out) (Filename.quote err))
   in
-  let stderr = In_channel.with_open_text err In_channel.input_all in
-  Sys.remove src;
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  let stdout = read out and stderr = read err in
+  Sys.remove out;
   Sys.remove err;
-  (code, stderr)
+  (code, stdout, stderr)
+
+(* run the CLI on an assembler program; returns the exit code, stdout and stderr *)
+let run_program args program =
+  let src = Filename.temp_file "longnail_prog" ".s" in
+  Out_channel.with_open_text src (fun oc -> output_string oc program);
+  let result = run_cli (Printf.sprintf "run %s %s" args (Filename.quote src)) in
+  Sys.remove src;
+  result
 
 (* A program that never halts is a user error (E0602, exit 1), not an
    internal one (exit 3). The `j .` spin used to fall through to the next
@@ -34,7 +41,7 @@ let run_program args program =
 let test_run_out_of_fuel () =
   List.iter
     (fun (name, program) ->
-      let code, stderr =
+      let code, _, stderr =
         run_program "-c VexRiscv --engine rtl-loop --error-format json" program
       in
       check_int (name ^ ": exit code") 1 code;
@@ -44,11 +51,48 @@ let test_run_out_of_fuel () =
       ("long loop", "li a0, 1\nloop: addi a0, a0, 1\nbnez a0, loop\nebreak\n");
     ]
 
+(* Every registered core runs a trivial program (exit 0, a0 = 5) on every
+   engine, except that the pipeline engine rejects an FSM-sequenced core
+   with exactly E0603 (exit 1); none is an internal error (exit 3). *)
+let test_run_every_core_engine () =
+  let lines s = List.filter (( <> ) "") (String.split_on_char '\n' s) in
+  let _, names, _ = run_cli "cores --names" in
+  let _, listing, _ = run_cli "cores" in
+  (* the FSM cores of the datasheet listing, by slug *)
+  let fsm, _ =
+    List.fold_left
+      (fun (fsm, core) l ->
+        match String.split_on_char ' ' l with
+        | [ "core:"; name ] -> (fsm, String.lowercase_ascii name)
+        | _ when contains l "fsm: true" -> (core :: fsm, core)
+        | _ -> (fsm, core))
+      ([], "") (lines listing)
+  in
+  check_bool "an FSM core is listed" true (fsm <> []);
+  List.iter
+    (fun core ->
+      List.iter
+        (fun engine ->
+          let case = Printf.sprintf "%s/%s" core engine in
+          match
+            run_program
+              (Printf.sprintf "-c %s --engine %s --error-format json" core engine)
+              "li a0, 5\nebreak\n"
+          with
+          | 1, _, stderr when engine = "pipeline" && List.mem core fsm ->
+              check_bool (case ^ ": E0603 in " ^ stderr) true (contains stderr "\"code\":\"E0603\"")
+          | 0, stdout, _ when not (engine = "pipeline" && List.mem core fsm) ->
+              check_bool (case ^ ": a0 = 5 in " ^ stdout) true (contains stdout "a0 = 5 ")
+          | code, _, stderr -> Alcotest.failf "%s: exit %d: %s" case code stderr)
+        [ "cost"; "pipeline"; "rtl-loop" ])
+    (lines names)
+
 let () =
   Alcotest.run "cli"
     [
       ( "run",
         [
           Alcotest.test_case "out of fuel is E0602" `Quick test_run_out_of_fuel;
+          Alcotest.test_case "every core on every engine" `Quick test_run_every_core_engine;
         ] );
     ]

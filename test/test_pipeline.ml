@@ -1,5 +1,5 @@
 (* Tests for the structural pipeline simulator: base-ISA programs against
-   the native ISS, and ISAX programs (through the actual generated RTL,
+   the native ISS (Oracle.Iss), and ISAX programs (through the actual generated RTL,
    stage by stage) against the reference interpreter / cost-model runs. *)
 
 let check_int = Alcotest.(check int)
@@ -44,12 +44,18 @@ let test_base_loop_program () =
   check_int "sum 1..10" 55 (Riscv.Pipeline.read_gpr p 10)
 
 let test_base_memory_program () =
-  let p, _ =
-    run_pipeline (Lazy.force rv32i_compiled)
-      "li a1, 0x100\nli a2, 1234\nsw a2, 0(a1)\nnop\nnop\nnop\nnop\nnop\nlw a3, 0(a1)\nadd a4, a3, a3\nebreak"
-  in
-  check_int "store/load roundtrip" 1234 (Riscv.Pipeline.read_gpr p 13);
-  check_int "dependent use" 2468 (Riscv.Pipeline.read_gpr p 14)
+  (* with and without a gap: an adjacent load reads the byte the store
+     still has in flight *)
+  List.iter
+    (fun gap ->
+      let p, _ =
+        run_pipeline (Lazy.force rv32i_compiled)
+          (Printf.sprintf "li a1, 0x100\nli a2, 1234\nsw a2, 0(a1)\n%slw a3, 0(a1)\nadd a4, a3, a3\nebreak"
+             (String.concat "" (List.init gap (fun _ -> "nop\n"))))
+      in
+      check_int (Printf.sprintf "store/load roundtrip, %d nops" gap) 1234 (Riscv.Pipeline.read_gpr p 13);
+      check_int (Printf.sprintf "dependent use, %d nops" gap) 2468 (Riscv.Pipeline.read_gpr p 14))
+    [ 5; 0 ]
 
 let test_isax_dotprod_in_pipeline () =
   let tu = Isax.Registry.compile_by_name "dotprod" in
@@ -295,6 +301,53 @@ let test_decoupled_dependent_stalls () =
   ignore (Riscv.Pipeline.run p);
   check_int "sqrt" 42 (Riscv.Pipeline.read_gpr p 13);
   check_int "chained use" 84 (Riscv.Pipeline.read_gpr p 14)
+
+(* ---- in-flight effects ---- *)
+
+(* A taken branch or jump must keep the instructions behind it out of
+   architectural state, ISAX writes in their scheduled stage included,
+   and base and ISAX memory accesses must take effect in program order,
+   an ISAX load seeing an older store still in flight: the pipeline
+   agrees with the cost-model machine on the 32 GPRs, ADDR (where the unit
+   has it), MEM[0x200] and instret. *)
+let test_in_flight_effects () =
+  List.iter
+    (fun (name, isax, prog) ->
+      let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv (Isax.Registry.compile_by_name isax) in
+      let p, _ = run_pipeline c prog in
+      let m = Riscv.Machine.of_compiled c in
+      Riscv.Machine.load_program m (Riscv.Asm.assemble ~custom:(Riscv.Machine.isax_encoder c.unit_) prog);
+      ignore (Riscv.Machine.run m);
+      let state (st : Coredsl.Interp.state) read_gpr instret =
+        let addr = if Hashtbl.mem st.regs "ADDR" then [ Bitvec.to_int (Coredsl.Interp.read_reg st "ADDR") ] else [] in
+        ((List.init 32 read_gpr, addr, Bitvec.to_int (Coredsl.Interp.read_mem st "MEM" 0x200 4)), instret)
+      in
+      Alcotest.(check (pair (triple (list int) (list int) int) int))
+        (name ^ ": (GPRs, ADDR, MEM[0x200]), instret")
+        (state m.Riscv.Machine.st (Riscv.Machine.read_gpr m) m.instret)
+        (state p.Riscv.Pipeline.st (Riscv.Pipeline.read_gpr p) p.instret))
+    [
+      ( "j over two AI_SW",
+        "autoinc",
+        "li a1, 0x200\nli a2, 77\n.isax AI_SETUP rs1=a1, imm=0\nj over\n.isax AI_SW rs2=a2\n.isax AI_SW rs2=a2\nover:\nebreak"
+      );
+      ( "bnez loop exit before AI_SW",
+        "autoinc",
+        "li a1, 0x200\nli a2, 77\nli a3, 3\n.isax AI_SETUP rs1=a1, imm=0\nloop:\naddi a3, a3, -1\nbnez a3, loop\n.isax AI_SW rs2=a2\nebreak"
+      );
+      ( "AI_LW right behind sw",
+        "autoinc",
+        "li a1, 0x200\nli a2, 55\n.isax AI_SETUP rs1=a1, imm=0\nsw a2, 0(a1)\n.isax AI_LW rd=a3\nebreak" );
+      ( "lw right behind AI_SW",
+        "autoinc",
+        "li a1, 0x200\nli a2, 77\n.isax AI_SETUP rs1=a1, imm=0\n.isax AI_SW rs2=a2\nlw a3, 0(a1)\nadd a4, a3, a3\nebreak" );
+      ( "AI_SW right behind sw",
+        "autoinc",
+        "li a1, 0x200\nli a2, 77\nli a3, 5\n.isax AI_SETUP rs1=a1, imm=0\nsw a3, 0(a1)\n.isax AI_SW rs2=a2\nebreak" );
+      ( "beq after a detached SQRT_D",
+        "sqrt_decoupled",
+        "li a1, 1764\n.isax SQRT_D rs1=a1, rd=a2\nbeq x0, x0, skip\nadd a5, a2, a2\nli a6, 99\nskip:\nebreak" );
+    ]
 
 (* ---- pinned timing ---- *)
 
@@ -589,32 +642,80 @@ InstructionSet T extends RV32I {
            go 0)
          d.Diag.notes)
 
-(* random base-ISA programs: the pipeline must match the native ISS *)
+(* every registered pipelined core, compiled for the base ISA once *)
+let rv32i_pipelined =
+  lazy
+    (List.filter_map
+       (fun (core : Scaiev.Datasheet.t) ->
+         if core.is_fsm then None else Some (Longnail.Flow.compile core (Coredsl.compile_rv32i ())))
+       (Scaiev.Core_registry.datasheets ()))
+
+(* random base-ISA programs: ALU operations, loads and stores on a data
+   region (adjacent store -> load -> use included), taken and untaken
+   forward branches and jal; on every pipelined core the pipeline must
+   match the native ISS on the 32 GPRs and the data region *)
 let prop_pipeline_matches_iss =
   QCheck.Test.make ~name:"pipeline matches ISS on random ALU programs" ~count:30 QCheck.int
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let rnd n = Random.State.int rng n in
-      let lines =
-        List.init 20 (fun _ ->
-            match rnd 5 with
-            | 0 -> Printf.sprintf "addi x%d, x%d, %d" (1 + rnd 15) (rnd 16) (rnd 2048 - 1024)
-            | 1 -> Printf.sprintf "add x%d, x%d, x%d" (1 + rnd 15) (rnd 16) (rnd 16)
-            | 2 -> Printf.sprintf "sub x%d, x%d, x%d" (1 + rnd 15) (rnd 16) (rnd 16)
-            | 3 -> Printf.sprintf "xor x%d, x%d, x%d" (1 + rnd 15) (rnd 16) (rnd 16)
-            | _ -> Printf.sprintf "slli x%d, x%d, %d" (1 + rnd 15) (rnd 16) (rnd 32))
+      let data = 0x400 and data_bytes = 64 in
+      let reg () = rnd 16 and dst () = 1 + rnd 15 in
+      let pick l = List.nth l (rnd (List.length l)) in
+      let word () = 4 * rnd (data_bytes / 4) in
+      (* a load or store of register [r] at an aligned offset inside the
+         data word at [w]; x20 holds the data base *)
+      let access (op, width) r w = Printf.sprintf "%s x%d, %d(x20)" op r (w + (width * rnd (4 / width))) in
+      let stores = [ ("sb", 1); ("sh", 2); ("sw", 4) ] in
+      let loads = [ ("lb", 1); ("lbu", 1); ("lh", 2); ("lhu", 2); ("lw", 4) ] in
+      let n = 24 in
+      let targets = Array.make (n + 1) false in
+      let forward i =
+        let j = min n (i + 1 + rnd 4) in
+        targets.(j) <- true;
+        Printf.sprintf "L%d" j
       in
-      let prog = String.concat "\n" lines in
+      let item i =
+        match rnd 9 with
+        | 0 -> [ Printf.sprintf "addi x%d, x%d, %d" (dst ()) (reg ()) (rnd 2048 - 1024) ]
+        | 1 -> [ Printf.sprintf "%s x%d, x%d, x%d" (pick [ "add"; "sub"; "xor"; "sltu" ]) (dst ()) (reg ()) (reg ()) ]
+        | 2 -> [ Printf.sprintf "slli x%d, x%d, %d" (dst ()) (reg ()) (rnd 32) ]
+        | 3 -> [ access (pick stores) (reg ()) (word ()) ]
+        | 4 -> [ access (pick loads) (dst ()) (word ()) ]
+        | 5 ->
+            (* adjacent store -> load -> use on one data word *)
+            let w = word () and rd = dst () in
+            let st = access (pick stores) (reg ()) w in
+            let ld = access (pick loads) rd w in
+            [ st; ld; Printf.sprintf "add x%d, x%d, x%d" (dst ()) rd rd ]
+        | 6 | 7 ->
+            [ Printf.sprintf "%s x%d, x%d, %s" (pick [ "beq"; "bne"; "blt"; "bge"; "bltu"; "bgeu" ]) (reg ()) (reg ()) (forward i) ]
+        | _ -> [ Printf.sprintf "jal x%d, %s" (dst ()) (forward i) ]
+      in
+      let items = List.init n item in
+      let label i = if targets.(i) then [ Printf.sprintf "L%d:" i ] else [] in
+      let prog =
+        String.concat "\n"
+          ((Printf.sprintf "li x20, %d" data :: List.concat (List.mapi (fun i l -> label i @ l) items))
+          @ label n @ [ "ebreak" ])
+      in
       let words = Riscv.Asm.assemble prog in
-      let iss = Riscv.Iss.create () in
-      List.iteri (fun i w -> Riscv.Iss.write_word iss (4 * i) w) words;
-      List.iter (fun _ -> Riscv.Iss.step iss) words;
-      let p = Riscv.Pipeline.create (Lazy.force rv32i_compiled) in
-      Riscv.Pipeline.load_program p (words @ [ 0x00100073 (* ebreak *) ]);
-      ignore (Riscv.Pipeline.run p);
+      let halt = 4 * (List.length words - 1) in
+      let iss = Oracle.Iss.create () in
+      List.iteri (fun i w -> Oracle.Iss.write_word iss (4 * i) w) words;
+      while iss.pc <> halt do
+        Oracle.Iss.step iss
+      done;
+      let region read = List.init (data_bytes / 4) (fun k -> read (data + (4 * k))) in
+      let expected = (List.init 32 (Oracle.Iss.read_reg iss), region (Oracle.Iss.read_word iss)) in
       List.for_all
-        (fun r -> Riscv.Iss.read_reg iss r = Riscv.Pipeline.read_gpr p r)
-        (List.init 32 Fun.id))
+        (fun c ->
+          let p = Riscv.Pipeline.create c in
+          Riscv.Pipeline.load_program p words;
+          ignore (Riscv.Pipeline.run p);
+          let load a = Bitvec.to_int (Coredsl.Interp.read_mem p.Riscv.Pipeline.st "MEM" a 4) in
+          expected = (List.init 32 (Riscv.Pipeline.read_gpr p), region load))
+        (Lazy.force rv32i_pipelined))
 
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_pipeline_matches_iss ]
 
@@ -644,6 +745,7 @@ let () =
           Alcotest.test_case "decoupled dependent stalls" `Quick test_decoupled_dependent_stalls;
           Alcotest.test_case "pinned timing" `Quick test_pinned_timing;
           Alcotest.test_case "always-block memory write" `Quick test_always_block_memory_write;
+          Alcotest.test_case "in-flight effects match machine" `Quick test_in_flight_effects;
         ] );
       ( "diagnostics",
         [

@@ -41,12 +41,12 @@ let test_asm_li_values () =
     String.concat "\n" (List.map (fun (r, v) -> Printf.sprintf "li x%d, %d" r v) cases)
   in
   let words = Riscv.Asm.assemble src in
-  let t = Riscv.Iss.create () in
-  List.iteri (fun i w -> Riscv.Iss.write_word t (4 * i) w) words;
-  List.iter (fun _ -> Riscv.Iss.step t) words;
+  let t = Oracle.Iss.create () in
+  List.iteri (fun i w -> Oracle.Iss.write_word t (4 * i) w) words;
+  List.iter (fun _ -> Oracle.Iss.step t) words;
   List.iter
     (fun (r, v) ->
-      check_int (Printf.sprintf "li %d" v) (v land Riscv.Iss.mask32) (Riscv.Iss.read_reg t r))
+      check_int (Printf.sprintf "li %d" v) (v land Oracle.Iss.mask32) (Oracle.Iss.read_reg t r))
     cases
 
 let test_asm_errors () =
@@ -62,13 +62,13 @@ let test_asm_errors () =
 (* ---- native ISS ---- *)
 
 let test_iss_basic () =
-  let t = Riscv.Iss.create () in
+  let t = Oracle.Iss.create () in
   let words = Riscv.Asm.assemble "li a0, 5\n li a1, 7\n add a2, a0, a1\n ebreak" in
-  List.iteri (fun i w -> Riscv.Iss.write_word t (4 * i) w) words;
-  Riscv.Iss.step t;
-  Riscv.Iss.step t;
-  Riscv.Iss.step t;
-  check_int "a2" 12 (Riscv.Iss.read_reg t 12)
+  List.iteri (fun i w -> Oracle.Iss.write_word t (4 * i) w) words;
+  Oracle.Iss.step t;
+  Oracle.Iss.step t;
+  Oracle.Iss.step t;
+  check_int "a2" 12 (Oracle.Iss.read_reg t 12)
 
 (* cross-validation: run random short ALU programs through the native ISS
    and the CoreDSL-described RV32I interpreter; states must agree *)
@@ -104,9 +104,9 @@ let prop_iss_matches_coredsl =
       let prog = String.concat "\n" lines in
       let words = Riscv.Asm.assemble prog in
       (* native ISS *)
-      let iss = Riscv.Iss.create () in
-      List.iteri (fun i w -> Riscv.Iss.write_word iss (4 * i) w) words;
-      List.iter (fun _ -> Riscv.Iss.step iss) words;
+      let iss = Oracle.Iss.create () in
+      List.iteri (fun i w -> Oracle.Iss.write_word iss (4 * i) w) words;
+      List.iter (fun _ -> Oracle.Iss.step iss) words;
       (* CoreDSL interpreter *)
       let st = Coredsl.Interp.create tu in
       List.iteri
@@ -121,7 +121,7 @@ let prop_iss_matches_coredsl =
       (* compare the full register file *)
       List.for_all
         (fun r ->
-          Riscv.Iss.read_reg iss r
+          Oracle.Iss.read_reg iss r
           = Bitvec.to_int (Coredsl.Interp.read_regfile st "X" r))
         (List.init 32 Fun.id))
 
@@ -185,9 +185,9 @@ lui x5, 0xFFFFF
 " lines
       in
       let words = Riscv.Asm.assemble prog in
-      let iss = Riscv.Iss.create () in
-      List.iteri (fun i w -> Riscv.Iss.write_word iss (4 * i) w) words;
-      List.iter (fun _ -> Riscv.Iss.step iss) words;
+      let iss = Oracle.Iss.create () in
+      List.iteri (fun i w -> Oracle.Iss.write_word iss (4 * i) w) words;
+      List.iter (fun _ -> Oracle.Iss.step iss) words;
       let st = Coredsl.Interp.create tu in
       List.iteri (fun i w -> Coredsl.Interp.write_mem st "MEM" (4 * i) 4 (bv w)) words;
       List.iter
@@ -198,7 +198,7 @@ lui x5, 0xFFFFF
         words;
       List.for_all
         (fun r ->
-          Riscv.Iss.read_reg iss r = Bitvec.to_int (Coredsl.Interp.read_regfile st "X" r))
+          Oracle.Iss.read_reg iss r = Bitvec.to_int (Coredsl.Interp.read_regfile st "X" r))
         (List.init 32 Fun.id))
 
 (* ---- machine timing ---- *)
@@ -365,14 +365,14 @@ let test_self_branch_engines_agree () =
   List.iter
     (fun (name, src, spins) ->
       let words = Riscv.Asm.assemble src in
-      let iss = Riscv.Iss.create () in
-      List.iteri (fun i w -> Riscv.Iss.write_word iss (4 * i) w) words;
+      let iss = Oracle.Iss.create () in
+      List.iteri (fun i w -> Oracle.Iss.write_word iss (4 * i) w) words;
       let rec go n =
-        if Riscv.Iss.read_word iss iss.pc = ebreak then
-          Some (Riscv.Iss.read_reg iss 10, Riscv.Iss.read_reg iss 1)
+        if Oracle.Iss.read_word iss iss.pc = ebreak then
+          Some (Oracle.Iss.read_reg iss 10, Oracle.Iss.read_reg iss 1)
         else if n = 0 then None
         else (
-          Riscv.Iss.step iss;
+          Oracle.Iss.step iss;
           go (n - 1))
       in
       let expected = go fuel in
