@@ -35,10 +35,29 @@ let max_value_bn t = Bn.sub (Bn.pow2 (if t.signed then t.width - 1 else t.width)
 
 let in_range t v = Bn.compare v (min_value_bn t) >= 0 && Bn.compare v (max_value_bn t) <= 0
 
-(* Wrap an arbitrary integer into the range of [t] (two's-complement). *)
+(* Types of at most this many bits wrap on native ints: the unsigned
+   range [0, 2^w) and the signed one both fit an OCaml int. *)
+let native_width = Sys.int_size - 1
+
+(* Two's-complement wrap of a native int into a type of at most
+   [native_width] bits; [x] only matters modulo 2^w. *)
+let wrap_native t x =
+  let s = Sys.int_size - t.width in
+  if t.signed then (x lsl s) asr s else x land ((1 lsl t.width) - 1)
+
+(* Wrap an arbitrary integer into the range of [t] (two's-complement). A
+   narrow type wraps the low bits of the value natively. *)
 let wrap t v =
-  let m = Bn.mod_pow2 v t.width in
-  if t.signed && Bn.compare m (Bn.pow2 (t.width - 1)) >= 0 then Bn.sub m (Bn.pow2 t.width) else m
+  if t.width <= native_width then begin
+    let mag = v.Bn.mag and n = Array.length v.Bn.mag in
+    let limb i = if i < n then mag.(i) else 0 in
+    let low = limb 0 lor (limb 1 lsl Bn.limb_bits) lor (limb 2 lsl (2 * Bn.limb_bits)) in
+    Bn.of_int (wrap_native t (if v.Bn.sign < 0 then -low else low))
+  end
+  else begin
+    let m = Bn.mod_pow2 v t.width in
+    if t.signed && Bn.compare m (Bn.pow2 (t.width - 1)) >= 0 then Bn.sub m (Bn.pow2 t.width) else m
+  end
 
 let make ty v = { ty; v = wrap ty v }
 
@@ -49,7 +68,8 @@ let make_exact ty v =
          (Printf.sprintf "value %s does not fit in %s" (Bn.to_string v) (ty_to_string ty)));
   { ty; v }
 
-let of_int ty i = make ty (Bn.of_int i)
+let of_int ty i =
+  if ty.width <= native_width then { ty; v = Bn.of_int (wrap_native ty i) } else make ty (Bn.of_int i)
 let of_int_exact ty i = make_exact ty (Bn.of_int i)
 let of_bn = make
 let to_bn x = x.v
@@ -186,7 +206,8 @@ let replicate x n =
 (* Resize/reinterpret to [t], truncating or sign-/zero-extending the bit
    pattern exactly like a C-style cast in CoreDSL. *)
 let cast t x =
-  if t.width >= x.ty.width then
+  if ty_equal t x.ty then x
+  else if t.width >= x.ty.width then
     (* widening: value is preserved unless we drop the sign *)
     make t x.v
   else make t (pattern x)

@@ -56,6 +56,14 @@ val in_range : ty -> Bn.t -> bool
     (two's-complement wrap-around). *)
 val wrap : ty -> Bn.t -> Bn.t
 
+(** Types of at most this many bits (62 on a 64-bit host) hold every
+    value, and every unsigned bit pattern, in a native int. *)
+val native_width : int
+
+(** [wrap_native ty x] wraps the native int [x] into [ty], which must be
+    at most {!native_width} bits wide: what {!wrap} does on native ints. *)
+val wrap_native : ty -> int -> int
+
 (** {1 Construction and access} *)
 
 (** [make ty v] wraps [v] into [ty] (never fails). *)

@@ -33,8 +33,10 @@ let of_int i =
   else begin
     let sign = if i < 0 then -1 else 1 in
     let a = abs i in
-    norm sign
-      [| a land limb_mask; (a lsr limb_bits) land limb_mask; (a lsr (2 * limb_bits)) land limb_mask |]
+    (* exactly as many limbs as the magnitude needs: canonical as built *)
+    if a < limb_base then { sign; mag = [| a |] }
+    else if a lsr (2 * limb_bits) = 0 then { sign; mag = [| a land limb_mask; a lsr limb_bits |] }
+    else { sign; mag = [| a land limb_mask; (a lsr limb_bits) land limb_mask; a lsr (2 * limb_bits) |] }
   end
 
 let one = of_int 1

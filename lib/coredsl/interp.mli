@@ -1,9 +1,18 @@
-(** Reference interpreter for typed CoreDSL behaviors.
+(** Staged evaluator for typed CoreDSL behaviors.
 
    Executes instruction behaviors and always-blocks against an
-   architectural-state model. This is the golden model: the RTL generated
-   by Longnail is co-simulated against it in the integration tests
-   (Section 5.3 of the paper verifies extended cores by RTL simulation). *)
+   architectural-state model. This is the golden model: every program
+   engine runs the base instructions through it, and the generated RTL
+   is co-simulated against it (Section 5.3 of the paper).
+
+   Each instruction, always-block and function body is staged at most
+   once per {!state}, lazily on its first execution, into closures over a
+   frame: locals and encoding fields are slots, registers the state's
+   arrays, and a call jumps to the callee's staged body. Values of at
+   most {!Bitvec.native_width} bits run on native ints, wider ones on
+   {!Bitvec}. The tree-walker this replaced is the test oracle in
+   [oracle/], which must agree on every register, memory element,
+   [pc_written] and {!Runtime_error}. *)
 
 module Bn = Bitvec.Bn
 exception Runtime_error of Ast.loc * string
@@ -11,6 +20,9 @@ exception Runtime_error of Ast.loc * string
 (** The decode table {!create} builds: one hash table per distinct
     (encoding width, fixed-bit mask) group of the unit's instructions. *)
 type decoder
+
+(** The bodies staged so far. *)
+type staged
 
 type state = {
   unit_ : Tast.tunit;
@@ -20,6 +32,7 @@ type state = {
   pc_reg : Bitvec.t array option;  (** the [is_pc] register, if any *)
   mutable pc_written : bool;
       (** whether the last {!exec_instr} wrote the PC register *)
+  staged : staged;
 }
 
 val create : Tast.tunit -> state
@@ -43,6 +56,12 @@ type mem_port = {
 val read_mem : ?mem:mem_port -> state -> string -> int -> int -> Bitvec.t
 val write_mem : state -> string -> int -> int -> Bitvec.t -> unit
 val decode_field : Bitvec.t -> Tast.field_info -> Bitvec.t
+
+(** [decode_field_int f word]: {!decode_field} over the bit pattern of a
+    native-int word, for a field of at most {!Bitvec.native_width} bits
+    whose segments lie inside it (as every typechecked field does). *)
+val decode_field_int : Tast.field_info -> int -> int
+
 val matches : Tast.tinstr -> Bitvec.t -> bool
 
 (** Execute one instruction's behavior, its memory reads and writes

@@ -33,8 +33,9 @@ let load_program st ~base words =
   List.iteri (fun i w -> store_word st (base + (4 * i)) w) words;
   write_pc st base
 
+(* an encoding field of a 32-bit instruction word, decoded on native ints *)
 let field_value ti word name =
-  Option.map (fun fi -> Bitvec.to_int (Interp.decode_field word fi)) (Tast.find_field ti name)
+  Option.map (fun fi -> Interp.decode_field_int fi (Bitvec.to_int word)) (Tast.find_field ti name)
 
 let run_with_fuel ~fuel step =
   let rec go n = if n <= 0 then raise (Out_of_fuel fuel) else if step () then go (n - 1) in

@@ -80,9 +80,17 @@ type t = {
   mutable halted : bool;
   (* decoupled scoreboard: GPR index -> cycle at which the value commits *)
   pending : int array;
+  infos : (string, isax_timing option * bool) Hashtbl.t;
+      (* per instruction name: its ISAX timing and whether it accesses memory *)
 }
 
+let mem_instr_names = [ "LB"; "LH"; "LW"; "LBU"; "LHU"; "SB"; "SH"; "SW" ]
+
 let create ?(isax = []) ~(timing : timing) (tu : Tast.tunit) =
+  let info (ti : Tast.tinstr) =
+    let it = List.assoc_opt ti.ti_name isax in
+    (ti.ti_name, (it, List.mem ti.ti_name mem_instr_names || Option.fold ~none:false ~some:(fun i -> i.it_uses_mem) it))
+  in
   {
     tu;
     st = Interp.create tu;
@@ -92,6 +100,7 @@ let create ?(isax = []) ~(timing : timing) (tu : Tast.tunit) =
     instret = 0;
     halted = false;
     pending = Array.make 32 0;
+    infos = Hashtbl.of_seq (Seq.map info (List.to_seq tu.tinstrs));
   }
 
 (* build a machine for a core using a Longnail compile for ISAX timing *)
@@ -107,8 +116,6 @@ let write_gpr m i v = Arch.write_gpr m.st i v
 let load_program m ?(base = 0) words = Arch.load_program m.st ~base words
 let store_word m addr v = Arch.store_word m.st addr v
 let load_word m addr = Arch.load_word m.st addr
-
-let mem_instr_names = [ "LB"; "LH"; "LW"; "LBU"; "LHU"; "SB"; "SH"; "SW" ]
 
 (* Execute one instruction; returns false when halted. *)
 let step m =
@@ -130,7 +137,7 @@ let step m =
           false
         end
         else begin
-          let isax_info = List.assoc_opt ti.ti_name m.isax in
+          let isax_info, uses_mem = Hashtbl.find m.infos ti.ti_name in
           (* scoreboard: stall until pending writers of our sources commit *)
           let stall_until = ref m.cycles in
           List.iter
@@ -148,10 +155,6 @@ let step m =
           if not redirected then write_pc m ((pc + 4) land 0xFFFFFFFF);
           (* timing *)
           let cost = ref m.timing.fsm_base in
-          let uses_mem =
-            List.mem ti.ti_name mem_instr_names
-            || match isax_info with Some i -> i.it_uses_mem | None -> false
-          in
           if uses_mem then cost := !cost + m.timing.mem_wait;
           if redirected then cost := !cost + m.timing.branch_penalty;
           (match isax_info with

@@ -47,6 +47,8 @@ type t = {
   mutable instret : int;
   mutable halted : bool;
   pending : int array;
+  infos : (string, isax_timing option * bool) Hashtbl.t;
+      (** per instruction name: its ISAX timing, whether it accesses memory *)
 }
 val create :
   ?isax:(string * isax_timing) list -> timing:timing -> Tast.tunit -> t

@@ -267,9 +267,35 @@ let prop_bv_hex_width =
   QCheck.Test.make ~name:"bv hex string length matches width" ~count:300 arb_bv (fun x ->
       String.length (to_hex_string x) = 2 + ((width x + 3) / 4))
 
+(* The Bn reference for a two's-complement wrap, which types of at most
+   62 bits now take on native ints. *)
+let bn_wrap (t : ty) v =
+  let m = Bn.mod_pow2 v t.width in
+  if t.signed && Bn.compare m (Bn.pow2 (t.width - 1)) >= 0 then Bn.sub m (Bn.pow2 t.width) else m
+
+let prop_native_wrap =
+  QCheck.Test.make ~name:"of_int and wrap on native ints == the Bn wrap" ~count:300
+    (QCheck.triple (QCheck.int_range 1 62) QCheck.bool QCheck.int)
+    (fun (w, signed, x) ->
+      let t = ty ~width:w ~signed and p = Bn.pow2 w in
+      let ints = [ x; min_int; max_int; 0; -1; min_int + 1; 1 lsl (w - 1); -(1 lsl (w - 1)) ] in
+      let ints = if w <= 61 then (1 lsl w) :: -(1 lsl w) :: ints else ints in
+      let bns =
+        List.map Bn.of_int ints
+        @ [ p; Bn.neg p; Bn.add p Bn.one; Bn.sub p Bn.one; Bn.neg (Bn.add p Bn.one) ]
+        @ [ Bn.add (Bn.pow2 100) (Bn.of_int x); Bn.neg (Bn.add (Bn.pow2 100) (Bn.of_int x)) ]
+      in
+      List.for_all
+        (fun i ->
+          let v = of_int t i in
+          ty_equal (typ v) t && Bn.equal (to_bn v) (bn_wrap t (Bn.of_int i)))
+        ints
+      && List.for_all (fun v -> Bn.equal (wrap t v) (bn_wrap t v)) bns)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_native_wrap;
       prop_bn_add_commutes;
       prop_bn_mul_distributes;
       prop_bn_divmod_identity;

@@ -685,9 +685,58 @@ let prop_decode_table_matches_scan =
                tu.tinstrs)
         (Lazy.force decode_units))
 
+(* ---- the staged evaluator against its tree-walking oracle ---- *)
+
+let diff_units =
+  lazy (compile_rv32i () :: compile_rv32im () :: List.map Isax.Registry.compile Isax.Registry.all)
+
+(* An instruction whose behaviour calls [f] on literal arguments, a value
+   result cast into X[1]: every function runs on its own, not only on the
+   arguments its callers pass. The arguments stay in [0, 32]: a rotate
+   amount n shifts by 32 - n, and the oracle's Bitvec shift allocates the
+   whole shifted value. *)
+let call_instr rng (f : Tast.tfunc) : Tast.tinstr =
+  let node te tty : Tast.texpr = { te; tty; tloc = Ast.no_loc } in
+  let arg ty = Bitvec.of_int ty (Random.State.int rng 33) in
+  let args = List.map (fun (_, ty) -> node (Tast.T_lit (arg ty)) ty) f.tf_params in
+  let stmt ts : Tast.tstmt = { ts; tsloc = Ast.no_loc } in
+  let call ty = node (Tast.T_call (f.tf_name, args)) ty in
+  let body =
+    match f.tf_ret with
+    | None -> Tast.S_expr (call Bitvec.bool_ty)
+    | Some ty -> Tast.S_assign_regfile ("X", node (Tast.T_lit (bv 5 1)) (u 5), node (Tast.T_cast (call ty)) (u 32))
+  in
+  { ti_name = "CALL_" ^ f.tf_name; enc_width = 32; mask = bv 32 0; match_bits = bv 32 0; fields = [];
+    ti_behavior = [ stmt body ] }
+
+(* Every instruction, always-block and function of RV32I, RV32IM and each
+   bundled ISAX unit, from random registers and memory with random field
+   values, directly and through a memory port. *)
+let prop_staged_matches_oracle =
+  QCheck.Test.make ~name:"staged evaluator == tree-walking oracle" ~count:25 QCheck.small_nat
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun (tu : Tast.tunit) ->
+          let instrs = tu.tinstrs @ List.map (call_instr rng) tu.tfuncs in
+          List.for_all
+            (fun (ti : Tast.tinstr) ->
+              let free = lnot (Bitvec.to_int ti.mask) land ((1 lsl ti.enc_width) - 1) in
+              let instr_word = bv ti.enc_width (Bitvec.to_int ti.match_bits lor (Random.State.bits rng land free)) in
+              let port = Random.State.bool rng in
+              Interp_diff.instr_agrees tu (Random.State.bits rng) ~port ti ~instr_word)
+            instrs
+          && List.for_all (Interp_diff.always_agrees tu (Random.State.bits rng)) tu.talways)
+        (Lazy.force diff_units))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_encode_decode_roundtrip; prop_decode_unique; prop_decode_table_matches_scan ]
+    [
+      prop_encode_decode_roundtrip;
+      prop_decode_unique;
+      prop_decode_table_matches_scan;
+      prop_staged_matches_oracle;
+    ]
 
 (* Overlapping encodings: nothing rejects them, and decode must keep the
    linear scan's priority. SPEC_A (imm = 0) precedes GEN_A, so it wins
