@@ -180,70 +180,61 @@ let compile_cmd =
          target, so the profile schema (parallel_compile / target:* spans)
          is identical at any --jobs value *)
       let request = Longnail.Knob_flags.request ~session ?obs kf in
-      (match Longnail.Flow.session_disk session with
-      | Some disk ->
-          (* disk-backed path: compile (or reload) the portable output
-             projection; a warm hit never rebuilds netlists, so the full
-             artifacts --dot needs do not exist here *)
-          if dot then
-            Diag.fatalf ~code:"E0902"
-              "--dot needs the full compile artifacts and cannot be combined with --store";
-          let o =
-            match Longnail.Flow.compile_many_outputs ~request [ (core, tu) ] with
-            | [ o ] -> o
-            | _ -> Diag.fatalf ~code:"E0901" "internal: compile_many_outputs lost the target"
-          in
-          if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
-          List.iter
-            (fun (f : Longnail.Flow.output_func) ->
-              let path =
-                Filename.concat outdir
-                  (f.of_name ^ "." ^ Rtl.Backend.file_ext kf.Longnail.Knob_flags.knobs.k_backend)
+      let disk = Longnail.Flow.session_disk session in
+      (* the disk-backed path compiles (or reloads) only the portable
+         output projection: a warm hit never rebuilds netlists, so the
+         full artifacts --dot needs exist only without --store *)
+      let outputs, write_dot =
+        match disk with
+        | Some _ ->
+            if dot then
+              Diag.fatalf ~code:"E0902"
+                "--dot needs the full compile artifacts and cannot be combined with --store";
+            ( (match Longnail.Flow.compile_many_outputs ~request [ (core, tu) ] with
+              | [ o ] -> o
+              | _ -> Diag.fatalf ~code:"E0901" "internal: compile_many_outputs lost the target"),
+              ignore )
+        | None ->
+            let c =
+              match Longnail.Flow.compile_many ~request [ (core, tu) ] with
+              | [ c ] -> c
+              | _ -> Diag.fatalf ~code:"E0901" "internal: compile_many lost the target"
+            in
+            let write_dot name =
+              let f = List.find (fun (f : Longnail.Flow.compiled_functionality) -> f.cf_name = name) c.funcs in
+              let dpath = Filename.concat outdir (name ^ ".dot") in
+              let time_of oid =
+                try
+                  Some
+                    (Longnail.Sched_build.start_time f.cf_built
+                       (List.find (fun (o : Ir.Mir.op) -> o.oid = oid) (Ir.Mir.all_ops f.cf_lil)))
+                with _ -> None
               in
-              write_file path f.of_sv;
-              note "wrote %s (%s, last stage %d)\n" path f.of_mode f.of_max_stage)
-            o.o_funcs;
-          let cfg_path = Filename.concat outdir "scaiev_config.yaml" in
-          write_file cfg_path o.o_yaml;
-          note "wrote %s\n" cfg_path;
+              write_file dpath (Ir.Dot.of_graph ~time_of f.cf_lil);
+              note "wrote %s\n" dpath
+            in
+            (Longnail.Flow.outputs_of_compiled c, if dot then write_dot else ignore)
+      in
+      if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
+      List.iter
+        (fun (f : Longnail.Flow.output_func) ->
+          let path =
+            Filename.concat outdir
+              (f.of_name ^ "." ^ Rtl.Backend.file_ext kf.Longnail.Knob_flags.knobs.k_backend)
+          in
+          write_file path f.of_sv;
+          note "wrote %s (%s, last stage %d)\n" path f.of_mode f.of_max_stage;
+          write_dot f.of_name)
+        outputs.o_funcs;
+      let cfg_path = Filename.concat outdir "scaiev_config.yaml" in
+      write_file cfg_path outputs.o_yaml;
+      note "wrote %s\n" cfg_path;
+      Option.iter
+        (fun disk ->
           let st = Cache.Disk.stats disk in
           note "disk-store: hits=%d misses=%d stores=%d evictions=%d corrupt=%d\n"
-            st.Cache.Disk.hits st.misses st.stores st.evictions st.corrupt
-      | None ->
-          let c =
-            match Longnail.Flow.compile_many ~request [ (core, tu) ] with
-            | [ c ] -> c
-            | _ -> Diag.fatalf ~code:"E0901" "internal: compile_many lost the target"
-          in
-          if not (Sys.file_exists outdir) then Sys.mkdir outdir 0o755;
-          List.iter
-            (fun (f : Longnail.Flow.compiled_functionality) ->
-              let path =
-                Filename.concat outdir
-                  (f.cf_name ^ "." ^ Rtl.Backend.file_ext kf.Longnail.Knob_flags.knobs.k_backend)
-              in
-              write_file path f.cf_sv;
-              note "wrote %s (%s, last stage %d)\n" path
-                (Scaiev.Config.mode_to_string f.cf_mode)
-                f.cf_hw.Longnail.Hwgen.max_stage;
-              if dot then begin
-                let dpath = Filename.concat outdir (f.cf_name ^ ".dot") in
-                let time_of oid =
-                  try
-                    Some
-                      (Longnail.Sched_build.start_time f.cf_built
-                         (List.find
-                            (fun (o : Ir.Mir.op) -> o.oid = oid)
-                            (Ir.Mir.all_ops f.cf_lil)))
-                  with _ -> None
-                in
-                write_file dpath (Ir.Dot.of_graph ~time_of f.cf_lil);
-                note "wrote %s\n" dpath
-              end)
-            c.funcs;
-          let cfg_path = Filename.concat outdir "scaiev_config.yaml" in
-          write_file cfg_path c.config_yaml;
-          note "wrote %s\n" cfg_path);
+            st.Cache.Disk.hits st.misses st.stores st.evictions st.corrupt)
+        disk;
       Option.iter Obs.finish obs;
       (match (profile, obs) with
       | Some `Pretty, Some s ->
@@ -407,7 +398,7 @@ let run_cmd =
         | Some d -> d.Scaiev.Core_registry.sim
         | None -> { Scaiev.Core_registry.reset_pc = 0; sp_init = 0x10000 }
       in
-      let enc = Riscv.Machine.isax_encoder tu in
+      let enc = Riscv.Asm.encoder tu in
       let words = Riscv.Asm.assemble ~custom:enc (read_file prog) in
       let dump_regs read =
         for r = 10 to 17 do
@@ -601,12 +592,7 @@ let diag_cmd =
             List.iter (Printf.printf "  note: %s\n") (Diag.explain_notes code);
             `Ok ()
         | None ->
-            let names = List.map fst Diag.all_codes in
-            let hint =
-              match Rtl.Choice.suggest ~names code with
-              | [] -> ""
-              | cs -> Printf.sprintf "; did you mean %s?" (String.concat " or " cs)
-            in
+            let hint = Diag.Choice.hint ~names:(List.map fst Diag.all_codes) code in
             `Error (false, Printf.sprintf "unknown diagnostic code '%s'%s" code hint))
     | None ->
         if list then begin

@@ -131,7 +131,7 @@ skip:
     (cycles, Riscv.Machine.read_gpr machine 10)
   in
   let m_isax = Riscv.Machine.of_compiled c in
-  let isax_cycles, isax_sum = run_with prog_isax m_isax (Some (Riscv.Machine.isax_encoder tu)) in
+  let isax_cycles, isax_sum = run_with prog_isax m_isax (Some (Riscv.Asm.encoder tu)) in
   let m_base = Riscv.Machine.create ~timing:Riscv.Machine.vexriscv_timing (Coredsl.compile_rv32i ()) in
   let base_cycles, base_sum = run_with prog_base m_base None in
   Printf.printf "\n%d-element byte dot product on the VexRiscv model:\n" (4 * n_words);

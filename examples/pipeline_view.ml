@@ -8,7 +8,7 @@
 let () =
   let tu = Isax.Registry.compile_by_name "zol" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let words =
     Riscv.Asm.assemble ~custom:enc
       "li a0, 0\n.isax setup_zol uimmL=2, uimmS=6\nbody:\naddi a0, a0, 1\naddi a0, a0, 2\nebreak"

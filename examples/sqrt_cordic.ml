@@ -43,7 +43,7 @@ let () =
      depend on its result *)
   let tu = Isax.Registry.compile_by_name "sqrt_decoupled" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let run prog =
     let m = Riscv.Machine.of_compiled c in
     Riscv.Machine.load_program m (Riscv.Asm.assemble ~custom:enc prog);

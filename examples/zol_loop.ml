@@ -83,7 +83,7 @@ body:
       if isax then Riscv.Machine.of_compiled c
       else Riscv.Machine.create ~timing:Riscv.Machine.vexriscv_timing (Coredsl.compile_rv32i ())
     in
-    let enc = if isax then Some (Riscv.Machine.isax_encoder tu) else None in
+    let enc = if isax then Some (Riscv.Asm.encoder tu) else None in
     Riscv.Machine.load_program m (Riscv.Asm.assemble ?custom:enc prog);
     let cycles = Riscv.Machine.run m in
     (cycles, Riscv.Machine.read_gpr m 10)

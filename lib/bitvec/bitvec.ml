@@ -162,7 +162,9 @@ let logxor = bitwise2 ( lxor )
 
 let shift_left a k =
   if k < 0 then invalid_arg "Bitvec.shift_left: negative amount";
-  make (shl_result_ty a.ty k) (Bn.shift_left a.v k)
+  (* every bit leaves the width: skip building the wide bignum shift *)
+  if k >= a.ty.width then zero (shl_result_ty a.ty k)
+  else make (shl_result_ty a.ty k) (Bn.shift_left a.v k)
 
 let shift_right a k =
   if k < 0 then invalid_arg "Bitvec.shift_right: negative amount";

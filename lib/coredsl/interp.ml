@@ -376,22 +376,29 @@ let rec expr cx (e : texpr) : code =
       let fc = to_b (expr cx c) and ct = expr cx t and cf = expr cx f in
       let pick ft ff env = if fc env then ft env else ff env in
       if narrow ty then I (pick (to_i ct) (to_i cf)) else W (pick (to_w t.tty ct) (to_w f.tty cf))
-  | T_call (name, args) -> (
-      match find_tfunc cx.st.unit_ name with
-      | None -> I (fun _ -> runtime_error e.tloc "unknown function '%s'" name)
-      | Some f ->
-          (* the arguments, cast to the parameter types, go into the callee's frame *)
-          let body = func_body cx.st f and lay = param_layout f in
-          let sets = List.map2 (fun a (p, pty) -> assign (local_slot lay p pty) (cast pty a.tty (expr cx a))) args f.tf_params in
-          let call env =
-            let b = Lazy.force body in
-            let fr = frame b env.mem in
-            List.iter (fun set -> set env fr) sets;
-            b.run fr;
-            if not fr.returned then runtime_error e.tloc "void function '%s' in expression" name;
-            fr
-          in
-          if narrow ty then I (fun env -> (call env).ints.(0)) else W (fun env -> (call env).wides.(0)))
+  | T_call (name, args) ->
+      let call = call cx e name args in
+      let call env =
+        let fr = call env in
+        if not fr.returned then runtime_error e.tloc "void function '%s' in expression" name;
+        fr
+      in
+      if narrow ty then I (fun env -> (call env).ints.(0)) else W (fun env -> (call env).wides.(0))
+
+(* a call returns the callee's frame, whose slot 0 holds a returned value *)
+and call cx (e : texpr) name args : env -> env =
+  match find_tfunc cx.st.unit_ name with
+  | None -> fun _ -> runtime_error e.tloc "unknown function '%s'" name
+  | Some f ->
+      (* the arguments, cast to the parameter types, go into the callee's frame *)
+      let body = func_body cx.st f and lay = param_layout f in
+      let sets = List.map2 (fun a (p, pty) -> assign (local_slot lay p pty) (cast pty a.tty (expr cx a))) args f.tf_params in
+      fun env ->
+        let b = Lazy.force body in
+        let fr = frame b env.mem in
+        List.iter (fun set -> set env fr) sets;
+        b.run fr;
+        fr
 
 and func_body st (f : tfunc) =
   match Hashtbl.find_opt st.staged.funcs f.tf_name with
@@ -452,6 +459,10 @@ and stmt cx (s : tstmt) : env -> unit =
         set env env;
         env.returned <- true;
         raise Return
+  | S_expr ({ te = T_call (name, args); _ } as e) ->
+      (* a call statement needs no returned value *)
+      let c = call cx e name args in
+      fun env -> ignore (c env)
   | S_expr e -> ( match expr cx e with I f -> fun env -> ignore (f env) | W f -> fun env -> ignore (f env))
 
 and block cx stmts =
@@ -527,7 +538,7 @@ let decode st (instr_word : Bitvec.t) =
   end
 
 (* Encode an instruction word from field values (inverse of decode_field);
-   used by tests and the assembler for custom instructions. *)
+   the assembler's one encoder, for base and custom instructions alike. *)
 let encode (ti : tinstr) (field_values : (string * Bitvec.t) list) : Bitvec.t =
   let u = Bitvec.unsigned_ty ti.enc_width in
   let place w (f : field_info) =

@@ -77,4 +77,10 @@ val exec_always : state -> Tast.talways -> unit
     encodings overlap. *)
 val decode : state -> Bitvec.t -> Tast.tinstr option
 
+(** [encode ti fields]: the instruction word of [ti] with each encoding
+    field's value (cast to the field's width) placed at its segments over
+    the fixed bits. The one encoder of the project: [Riscv.Asm] encodes
+    every base mnemonic through it on the RV32IM unit and every [.isax]
+    line on its ISAX unit. Raises {!Runtime_error} for a field missing
+    from [fields]; names not in the encoding are ignored. *)
 val encode : Tast.tinstr -> (string * Bitvec.t) list -> Bitvec.t

@@ -275,16 +275,46 @@ let to_json ds = Json.to_string (json ds)
 
 (* ---- did-you-mean support ---- *)
 
-let levenshtein a b =
-  let la = String.length a and lb = String.length b in
-  let prev = Array.init (lb + 1) Fun.id in
-  let cur = Array.make (lb + 1) 0 in
-  for i = 1 to la do
-    cur.(0) <- i;
-    for j = 1 to lb do
-      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-      cur.(j) <- min (min (prev.(j) + 1) (cur.(j - 1) + 1)) (prev.(j - 1) + cost)
+module Choice = struct
+  (* edit distance: insertions, deletions, substitutions *)
+  let levenshtein a b =
+    let la = String.length a and lb = String.length b in
+    let prev = Array.init (lb + 1) Fun.id in
+    let cur = Array.make (lb + 1) 0 in
+    for i = 1 to la do
+      cur.(0) <- i;
+      for j = 1 to lb do
+        let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
+        cur.(j) <- min (min (prev.(j) + 1) (cur.(j - 1) + 1)) (prev.(j - 1) + cost)
+      done;
+      Array.blit cur 0 prev 0 (lb + 1)
     done;
-    Array.blit cur 0 prev 0 (lb + 1)
-  done;
-  prev.(lb)
+    prev.(lb)
+
+  let suggest ~names s =
+    let budget = max 2 (String.length s / 3) in
+    names
+    |> List.filter_map (fun n ->
+           let d = levenshtein s n in
+           if d <= budget || (s <> "" && String.starts_with ~prefix:s n) then Some (d, n) else None)
+    |> List.sort compare
+    |> List.filteri (fun i _ -> i < 3)
+    |> List.map snd
+
+  let hint ~names s =
+    match suggest ~names s with
+    | [] -> ""
+    | [ one ] -> Printf.sprintf "; did you mean '%s'?" one
+    | several ->
+        Printf.sprintf "; did you mean one of %s?"
+          (String.concat ", " (List.map (Printf.sprintf "'%s'") several))
+
+  let parse ~what ~choices s =
+    match List.assoc_opt s choices with
+    | Some v -> Ok v
+    | None ->
+        let names = List.map fst choices in
+        Error
+          (Printf.sprintf "unknown %s '%s' (available: %s)%s" what s (String.concat ", " names)
+             (hint ~names s))
+end

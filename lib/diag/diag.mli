@@ -130,6 +130,20 @@ val json : t list -> Json.t
 val to_json : t list -> string
 (** [Json.to_string (json ds)]. *)
 
-val levenshtein : string -> string -> int
-(** Edit distance (insertions, deletions, substitutions), the metric
-    behind every did-you-mean hint. *)
+(** Closed-name-set lookup with did-you-mean hints: the one helper
+    behind every "unknown X" message (cores, knobs, emission backends,
+    diagnostic codes), so they all read the same way. *)
+module Choice : sig
+  val suggest : names:string list -> string -> string list
+  (** Up to three of [names] within an edit distance of
+      [max 2 (length / 3)] of the query, or that the query is a prefix
+      of, closest first (ties in name order). *)
+
+  val hint : names:string list -> string -> string
+  (** [""] when {!suggest} finds nothing, else ["; did you mean 'a'?"]
+      or ["; did you mean one of 'a', 'b'?"]. *)
+
+  val parse : what:string -> choices:(string * 'a) list -> string -> ('a, string) result
+  (** Look a name up; the error reads
+      ["unknown WHAT 'NAME' (available: a, b, ...)"] plus {!hint}. *)
+end

@@ -108,7 +108,7 @@ let set t name value =
       | _ -> err "--cycle-time expects a positive number of ns, got '%s'" v)
   | "no-hazard-handling", None -> knob t (fun k -> { k with k_hazard_handling = false })
   | "emit", Some v -> (
-      (* Rtl.Choice supplies the did-you-mean hint; front ends map this
+      (* Diag.Choice supplies the did-you-mean hint; front ends map this
          to the structured E0913 diagnostic via [error_code]. *)
       match Rtl.Backend.of_string v with
       | Ok b -> knob t (fun k -> { k with k_backend = b })
@@ -135,7 +135,7 @@ let set t name value =
       (* an unknown name (a misspelt serve knob) is named as such, with a
          did-you-mean hint, before any complaint about its value *)
       let names = List.map (fun s -> (s.name, ())) specs in
-      match Rtl.Choice.parse ~what:"knob" ~choices:names name with
+      match Diag.Choice.parse ~what:"knob" ~choices:names name with
       | Error m -> Error m
       | Ok () when v = None -> err "--%s requires a value" name
       | Ok () -> err "--%s does not take a value" name)

@@ -1,31 +1,30 @@
-(** A small RV32I assembler.
+(** A small RV32IM assembler, encoded from the CoreDSL description.
 
-   Supports the full RV32I base set, the usual pseudo-instructions, labels,
-   and a directive for custom ISAX instructions:
+   Supports the RV32IM base set, the usual pseudo-instructions, labels,
+   [.word], and a directive for custom ISAX instructions:
 
      .isax NAME field=value field=value ...
 
    where NAME is an instruction defined in a CoreDSL unit and the fields
    are its encoding fields (register fields take x-register numbers or ABI
-   names, immediates take integers or label references). Used to write the
-   "handwritten assembler programs" with which the paper verifies the
-   extended cores (Section 5.3) and the Section 5.5 case study. *)
+   names, immediates take integers). Every base mnemonic is turned into
+   field values for the instruction of the same, upper-cased name in the
+   RV32IM unit ({!Coredsl.compile_rv32im}) and encoded by
+   {!Coredsl.Interp.encode}, the path an [.isax] line takes through its
+   own unit: one description gives both the encoding and the behaviour.
+   Used to write the "handwritten assembler programs" with which the
+   paper verifies the extended cores (Section 5.3) and the Section 5.5
+   case study. *)
 
+(** Every malformed program: syntax, operands, unknown mnemonics and
+    instructions, missing encoding fields and undefined labels. *)
 exception Asm_error of string
-val asm_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-val abi_names : (string * int) list
-val parse_reg : string -> int
-type operand = Reg of int | Imm of int | Label of string | Mem of int * int
-val parse_operand : string -> operand
-val r_type :
-  funct7:int ->
-  rs2:int -> rs1:int -> funct3:int -> rd:int -> opcode:int -> int
-val i_type : imm:int -> rs1:int -> funct3:int -> rd:int -> opcode:int -> int
-val s_type : imm:int -> rs2:int -> rs1:int -> funct3:int -> opcode:int -> int
-val b_type : imm:int -> rs2:int -> rs1:int -> funct3:int -> opcode:int -> int
-val u_type : imm:int -> rd:int -> opcode:int -> int
-val j_type : imm:int -> rd:int -> opcode:int -> int
-type item = Word of int | Needs_label of (int -> (string -> int) -> int)
+
+(** ISAX encoder: instruction name, field assignments -> word. *)
 type custom_encoder = string -> (string * int) list -> int
-val split_operands : string -> string list
+
+(** The encoder of a CoreDSL unit's instructions; raises {!Asm_error}
+    for a name the unit does not define or a field left unassigned. *)
+val encoder : Coredsl.Tast.tunit -> custom_encoder
+
 val assemble : ?base:int -> ?custom:custom_encoder -> string -> int list

@@ -80,7 +80,7 @@ let run_baseline ~n : run_result =
 let run_isax ~n (compiled : Longnail.Flow.compiled) : run_result =
   let m = Machine.of_compiled compiled in
   Machine.write_gpr m 2 0x8000;
-  let enc = Machine.isax_encoder compiled.Longnail.Flow.unit_ in
+  let enc = Asm.encoder compiled.Longnail.Flow.unit_ in
   let words = Asm.assemble ~custom:enc (isax_program n) in
   Machine.load_program m words;
   fill_array m n;

@@ -180,11 +180,5 @@ let run ?(fuel = 1_000_000) m =
   Arch.run_with_fuel ~fuel (fun () -> step m);
   m.cycles
 
-(* assemble and run a program with the machine's ISAX encoder available *)
-let isax_encoder (tu : Tast.tunit) : Asm.custom_encoder =
- fun name fields ->
-  match Tast.find_tinstr tu name with
-  | None -> raise (Machine_error (Printf.sprintf "unknown ISAX instruction '%s'" name))
-  | Some ti ->
-      let bvs = List.map (fun (k, v) -> (k, Arch.bv v)) fields in
-      Bitvec.to_int (Interp.encode ti bvs)
+(* kept for callers that name the encoder through the machine *)
+let isax_encoder = Asm.encoder

@@ -18,6 +18,7 @@ exception Machine_error of string
     the budget, which is the payload: instructions for {!run} and
     {!Rtl_loop.run}, cycles for {!Pipeline.run}. *)
 exception Out_of_fuel of int
+
 (** The registry's per-core cycle-cost parameters. *)
 type timing = Scaiev.Core_registry.timing = {
   fsm_base : int;
@@ -65,4 +66,6 @@ val step : t -> bool
 val run : ?fuel:int -> t -> int
 (** Step until the program halts and return the cycle count; raises
     {!Out_of_fuel} after [fuel] instructions without halting. *)
+
+(** {!Asm.encoder}, under its older name. *)
 val isax_encoder : Tast.tunit -> Asm.custom_encoder

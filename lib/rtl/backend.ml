@@ -7,7 +7,7 @@ type kind = Sv | V2001
 let to_string = function Sv -> "sv" | V2001 -> "v2001"
 let all_kinds = [ ("sv", Sv); ("v2001", V2001) ]
 
-let of_string s = Choice.parse ~what:"emission backend" ~choices:all_kinds s
+let of_string s = Diag.Choice.parse ~what:"emission backend" ~choices:all_kinds s
 
 (* Output file extension: .sv for SystemVerilog, .v for Verilog-2001. *)
 let file_ext = function Sv -> "sv" | V2001 -> "v"

@@ -11,7 +11,7 @@ val to_string : kind -> string
 val all_kinds : (string * kind) list
 
 (** Parse a backend name; errors carry did-you-mean suggestions in the
-    standard registry shape (see {!Choice.parse}). *)
+    standard registry shape (see {!Diag.Choice.parse}). *)
 val of_string : string -> (kind, string) result
 
 (** ["sv"] for SystemVerilog, ["v"] for Verilog-2001. *)

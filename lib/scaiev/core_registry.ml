@@ -122,33 +122,16 @@ let find_datasheet name = Option.map (fun d -> d.datasheet) (find name)
 
 let of_datasheet (ds : Datasheet.t) = find ds.core_name
 
-(* ---- did-you-mean ---- *)
-
-let suggest name =
-  let n = String.lowercase_ascii name in
-  !registered
-  |> List.filter_map (fun d ->
-         let dist = Diag.levenshtein n d.slug in
-         let budget = max 2 (String.length d.slug / 3) in
-         if dist <= budget || (n <> "" && String.starts_with ~prefix:n d.slug) then
-           Some (dist, d.slug)
-         else None)
-  |> List.stable_sort (fun (d1, _) (d2, _) -> compare d1 d2)
-  |> List.map snd
-  |> fun l -> List.filteri (fun i _ -> i < 3) l
+(* ---- one unknown-core message ---- *)
 
 let resolve name =
   match find name with
   | Some d -> Ok d
   | None ->
-      let available = String.concat ", " (slugs ~include_outlook:true ()) in
-      let hint =
-        match suggest name with
-        | [] -> ""
-        | [ s ] -> Printf.sprintf "; did you mean '%s'?" s
-        | ss -> Printf.sprintf "; did you mean one of %s?" (String.concat ", " ss)
-      in
-      Error (Printf.sprintf "unknown core '%s' (available: %s)%s" name available hint)
+      let slugs = slugs ~include_outlook:true () in
+      Error
+        (Printf.sprintf "unknown core '%s' (available: %s)%s" name (String.concat ", " slugs)
+           (Diag.Choice.hint ~names:slugs (String.lowercase_ascii name)))
 
 let validate_all () =
   List.filter_map

@@ -90,16 +90,11 @@ val of_datasheet : Datasheet.t -> t option
 (** The descriptor registered under a datasheet's [core_name], if any —
     the bridge for consumers holding only a [Datasheet.t]. *)
 
-val suggest : string -> string list
-(** Did-you-mean candidates for a misspelled core name: registered
-    slugs within a small edit distance (or sharing a prefix), closest
-    first, at most three. *)
-
 val resolve : string -> (t, string) result
 (** {!find}, with the uniform error message every front end shows for
-    an unknown core: the available slug list plus {!suggest}
-    candidates. The CLI [--core] converter and the serve daemon both
-    use this, so their messages can never drift apart. *)
+    an unknown core: the available slug list plus the {!Diag.Choice.hint}
+    for the lower-cased name. The CLI [--core] converter and the serve
+    daemon both use this, so their messages can never drift apart. *)
 
 (** {1 Well-formedness} *)
 

@@ -64,15 +64,17 @@ let rec eval st (fr : frame) (e : texpr) : Bitvec.t =
       Bitvec.extract v ~hi:(l + width - 1) ~lo:l
   | T_ternary (c, t, f) -> if Bitvec.to_bool (eval st fr c) then eval st fr t else eval st fr f
   | T_call (name, args) -> (
-      let f =
-        match find_tfunc st.Interp.unit_ name with
-        | Some f -> f
-        | None -> runtime_error e.tloc "unknown function '%s'" name
-      in
-      let vargs = List.map (eval st fr) args in
-      match call_function st fr.mem f vargs with
+      match call st fr e name args with
       | Some v -> v
       | None -> runtime_error e.tloc "void function '%s' in expression" name)
+
+and call st fr (e : texpr) name args =
+  let f =
+    match find_tfunc st.Interp.unit_ name with
+    | Some f -> f
+    | None -> runtime_error e.tloc "unknown function '%s'" name
+  in
+  call_function st fr.mem f (List.map (eval st fr) args)
 
 and eval_binop st fr loc op a b =
   let module B = Bitvec in
@@ -136,6 +138,7 @@ and exec_stmt st fr (s : tstmt) : unit =
          as inline execution; timing differences only exist in hardware *)
       exec_stmts st fr body
   | S_return e -> raise (Return_exc (Option.map (eval st fr) e))
+  | S_expr ({ te = T_call (name, args); _ } as e) -> ignore (call st fr e name args)
   | S_expr e -> ignore (eval st fr e)
 
 and exec_stmts st fr stmts = List.iter (exec_stmt st fr) stmts

@@ -185,6 +185,22 @@ let test_word_boundary_widths () =
 
 (* ---- qcheck properties ---- *)
 
+
+(* A left shift by the width or more is the zero of the value's type,
+   without building the shifted bignum (2^40 bits would take 128 GiB). *)
+let test_shift_left_past_width () =
+  List.iter
+    (fun ty ->
+      let x = of_bn ty (Bn.of_string "0x1234567890abcdef1234567890abcdef") in
+      List.iter
+        (fun k ->
+          let r = shift_left x k in
+          check_bool (Printf.sprintf "<< %d is zero at %d bits" k ty.width) true (is_zero r);
+          check_bool "keeps the type" true (typ r = ty))
+        [ ty.width; ty.width + 1; 1 lsl 40 ];
+      check_bool "one bit short keeps the low bit" false
+        (is_zero (shift_left (of_int ty 1) (ty.width - 1))))
+    [ u 64; s 64; u 130; s 130 ]
 let arb_small_int = QCheck.int_range (-1_000_000_000) 1_000_000_000
 
 let prop_bn_add_commutes =
@@ -339,6 +355,7 @@ let () =
           Alcotest.test_case "division" `Quick test_division;
           Alcotest.test_case "exact errors" `Quick test_exact_errors;
           Alcotest.test_case "62/63/64/65-bit boundaries" `Quick test_word_boundary_widths;
+          Alcotest.test_case "shift left past the width" `Quick test_shift_left_past_width;
         ] );
       ("properties", qcheck_cases);
     ]

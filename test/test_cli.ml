@@ -51,6 +51,28 @@ let test_run_out_of_fuel () =
       ("long loop", "li a0, 1\nloop: addi a0, a0, 1\nbnez a0, loop\nebreak\n");
     ]
 
+(* Every malformed program is a user error with exactly E0601 (exit 1):
+   an unknown .isax instruction, an .isax line that leaves a field out
+   and a non-numeric load offset used to escape as internal errors. *)
+let test_run_malformed_program () =
+  let codes s =
+    String.split_on_char '"' s
+    |> List.filter (fun t -> String.length t = 5 && t.[0] = 'E')
+  in
+  List.iter
+    (fun (name, args, program) ->
+      let code, _, stderr =
+        run_program ("-c vexriscv --error-format json " ^ args) (program ^ "\nebreak\n")
+      in
+      check_int (name ^ ": exit code") 1 code;
+      Alcotest.(check (list string)) (name ^ ": codes in " ^ stderr) [ "E0601" ] (codes stderr);
+      check_bool (name ^ ": no internal error") false (contains stderr "internal error"))
+    [
+      ("unknown .isax", "", ".isax NOPE rd=a0");
+      ("missing .isax field", "-n autoinc", ".isax AI_LW");
+      ("bad offset", "", "lw a0, foo(a1)");
+    ]
+
 (* Every registered core runs a trivial program (exit 0, a0 = 5) on every
    engine, except that the pipeline engine rejects an FSM-sequenced core
    with exactly E0603 (exit 1); none is an internal error (exit 3). *)
@@ -94,5 +116,6 @@ let () =
         [
           Alcotest.test_case "out of fuel is E0602" `Quick test_run_out_of_fuel;
           Alcotest.test_case "every core on every engine" `Quick test_run_every_core_engine;
+          Alcotest.test_case "malformed programs are E0601" `Quick test_run_malformed_program;
         ] );
     ]

@@ -624,6 +624,47 @@ let test_while_through_hls () =
         (Bitvec.equal_value data (Interp.read_regfile st "X" 2))
   | _ -> Alcotest.fail "no rd write"
 
+(* A call statement of a void function runs the body for its effects
+   and needs no returned value: the staged evaluator, the tree-walking
+   oracle and the generated RTL agree on such a behaviour. *)
+let test_void_call_statement () =
+  let tu =
+    compile ~target:"T"
+      {|
+import "RV32I.core_desc"
+InstructionSet T extends RV32I {
+  functions {
+    void nothing(unsigned<32> x) { }
+  }
+  instructions {
+    TEST {
+      encoding: 12'd0 :: rs1[4:0] :: 3'b111 :: rd[4:0] :: 7'b1111011;
+      behavior: { nothing(X[rs1]); if (rd != 0) X[rd] = (unsigned<32>)(X[rs1] + 1); }
+    }
+  }
+}
+|}
+  in
+  let ti = Option.get (Tast.find_tinstr tu "TEST") in
+  let word = Interp.encode ti [ ("rs1", bv 32 1); ("rd", bv 32 2) ] in
+  let input = bv 32 41 in
+  let run exec =
+    let st = Interp.create tu in
+    Interp.write_regfile st "X" 1 input;
+    exec st;
+    Bitvec.to_int (Interp.read_regfile st "X" 2)
+  in
+  check_int "staged" 42 (run (fun st -> Interp.exec_instr st ti ~instr_word:word));
+  check_int "oracle" 42 (run (fun st -> Oracle.Coredsl_interp.exec_instr st ti ~instr_word:word));
+  let f = Longnail.Flow.compile_functionality Scaiev.Datasheet.vexriscv tu (`Instr ti) in
+  let resp =
+    Longnail.Cosim.run f
+      { Longnail.Cosim.default_stimulus with instr_word = Some word; rs1 = Some input }
+  in
+  match resp.rd_write with
+  | Some (data, true) -> check_int "rtl" 42 (Bitvec.to_int data)
+  | _ -> Alcotest.fail "no rd write"
+
 (* ---- encode/decode properties ---- *)
 
 let prop_encode_decode_roundtrip =
@@ -833,6 +874,7 @@ let () =
           Alcotest.test_case "switch" `Quick test_switch;
           Alcotest.test_case "single default" `Quick test_switch_requires_single_default;
           Alcotest.test_case "while through HLS" `Quick test_while_through_hls;
+          Alcotest.test_case "void call statement" `Quick test_void_call_statement;
         ] );
       ( "interp-isax",
         [

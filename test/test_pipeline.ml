@@ -7,7 +7,7 @@ let check_bool = Alcotest.(check bool)
 
 let run_pipeline compiled ?(setup = fun _ -> ()) prog =
   let tu = compiled.Longnail.Flow.unit_ in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let words = Riscv.Asm.assemble ~custom:enc prog in
   let p = Riscv.Pipeline.create compiled in
   Riscv.Pipeline.load_program p words;
@@ -125,7 +125,7 @@ let test_pipeline_matches_machine () =
   let tu = Isax.Registry.compile_by_name "autoinc+zol" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
   let n = 8 in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let words = Riscv.Asm.assemble ~custom:enc (Riscv.Case_study.isax_program n) in
   let p = Riscv.Pipeline.create c in
   Riscv.Pipeline.load_program p words;
@@ -155,7 +155,7 @@ let test_pipeline_other_cores () =
     (fun core ->
       let tu = Isax.Registry.compile_by_name "dotprod" in
       let c = Longnail.Flow.compile core tu in
-      let enc = Riscv.Machine.isax_encoder tu in
+      let enc = Riscv.Asm.encoder tu in
       let words =
         Riscv.Asm.assemble ~custom:enc
           "li a0, 67305985\nli a2, 673059850\n.isax DOTP rs1=a0, rs2=a2, rd=a4\nebreak"
@@ -179,7 +179,7 @@ let test_mriscv_case_study_engines () =
   let tu = Isax.Registry.compile_by_name "autoinc+zol" in
   let c = Longnail.Flow.compile core tu in
   let n = 6 in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let words = Riscv.Asm.assemble ~custom:enc (Riscv.Case_study.isax_program n) in
   let expect = Riscv.Case_study.expected_sum n in
   let p = Riscv.Pipeline.create c in
@@ -212,7 +212,7 @@ let test_pipeline_sparkle_orca () =
   (* ORCA reads operands late (stage 3): the module ports follow *)
   let tu = Isax.Registry.compile_by_name "sparkle" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.orca tu in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let words =
     Riscv.Asm.assemble ~custom:enc
       "li a0, 3\nli a1, 4\n.isax ALZ_X rs1=a0, rs2=a1, rd=a2\n.isax ALZ_Y rs1=a0, rs2=a1, rd=a3\nebreak"
@@ -243,7 +243,7 @@ let test_pipeline_arbitration () =
      reflect the deterministic (program) order, Section 3.3 *)
   let tu = Isax.Registry.compile_by_name "autoinc" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let words =
     Riscv.Asm.assemble ~custom:enc
       "li a1, 0x300\nli a2, 77\n.isax AI_SETUP rs1=a1, imm=0\n.isax AI_SW rs2=a2\n.isax AI_SW rs2=a2\nebreak"
@@ -267,7 +267,7 @@ let test_decoupled_overtaking () =
   let run isax instr =
     let tu = Isax.Registry.compile_by_name isax in
     let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
-    let enc = Riscv.Machine.isax_encoder tu in
+    let enc = Riscv.Asm.encoder tu in
     let words =
       Riscv.Asm.assemble ~custom:enc
         (Printf.sprintf "li a1, 1764\n.isax %s rs1=a1, rd=a2\n%s\nsrli a3, a2, 16\nebreak" instr
@@ -291,7 +291,7 @@ let test_decoupled_dependent_stalls () =
      scoreboard but still gets the correct RTL result *)
   let tu = Isax.Registry.compile_by_name "sqrt_decoupled" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let words =
     Riscv.Asm.assemble ~custom:enc
       "li a1, 1764\n.isax SQRT_D rs1=a1, rd=a2\nsrli a3, a2, 16\nadd a4, a3, a3\nebreak"
@@ -316,7 +316,7 @@ let test_in_flight_effects () =
       let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv (Isax.Registry.compile_by_name isax) in
       let p, _ = run_pipeline c prog in
       let m = Riscv.Machine.of_compiled c in
-      Riscv.Machine.load_program m (Riscv.Asm.assemble ~custom:(Riscv.Machine.isax_encoder c.unit_) prog);
+      Riscv.Machine.load_program m (Riscv.Asm.assemble ~custom:(Riscv.Asm.encoder c.unit_) prog);
       ignore (Riscv.Machine.run m);
       let state (st : Coredsl.Interp.state) read_gpr instret =
         let addr = if Hashtbl.mem st.regs "ADDR" then [ Bitvec.to_int (Coredsl.Interp.read_reg st "ADDR") ] else [] in
@@ -468,7 +468,7 @@ let test_always_block_memory_write () =
   let tu = Coredsl.compile ~file:"armst.core_desc" ~target:"X_ARMST" armed_store_src in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
   let words =
-    Riscv.Asm.assemble ~custom:(Riscv.Machine.isax_encoder tu)
+    Riscv.Asm.assemble ~custom:(Riscv.Asm.encoder tu)
       "li a0, 1\n.isax ARM rs1=a0\nnop\nnop\nnop\nnop\nnop\nnop\nebreak"
   in
   let stored st = Bitvec.to_int (Coredsl.Interp.read_mem st "MEM" 0x400 4) in

@@ -50,14 +50,156 @@ let test_asm_li_values () =
     cases
 
 let test_asm_errors () =
-  (try
-     ignore (Riscv.Asm.assemble "frobnicate x1");
-     Alcotest.fail "expected error"
-   with Riscv.Asm.Asm_error _ -> ());
-  try
-    ignore (Riscv.Asm.assemble "beq x1, x2, nowhere");
-    Alcotest.fail "expected undefined label"
-  with Riscv.Asm.Asm_error _ -> ()
+  let custom = Riscv.Asm.encoder (Isax.Registry.compile_by_name "autoinc") in
+  List.iter
+    (fun src ->
+      match Riscv.Asm.assemble ~custom src with
+      | _ -> Alcotest.failf "expected Asm_error for %S" src
+      | exception Riscv.Asm.Asm_error _ -> ())
+    [
+      "frobnicate x1";
+      "beq x1, x2, nowhere";
+      "lw a0, foo(a1)";
+      "add a0, a1";
+      ".isax NOPE rd=a0";
+      ".isax AI_LW";
+    ]
+
+(* Every accepted mnemonic, pseudo-instruction and directive, with edge
+   immediates, forward and backward labels and both jalr forms. The words
+   are those of the hand-written RV32IM format encoders that preceded the
+   CoreDSL-derived encoding; a wrong encoding in Base_isa changes them. *)
+let asm_corpus = {|# every accepted mnemonic, pseudo-instruction and directive
+top:
+  add a0, a1, a2
+  sub t0, t1, t2
+  sll s0, s1, s2
+  slt x31, x30, x29
+  sltu zero, ra, sp
+  xor gp, tp, fp
+  srl a3, a4, a5
+  sra a6, a7, s3
+  or s4, s5, s6
+  and s7, s8, s9
+  mul s10, s11, t3
+  mulh t4, t5, t6
+  mulhsu x1, x2, x3
+  mulhu x4, x5, x6
+  div x7, x8, x9
+  divu x10, x11, x12
+  rem x13, x14, x15
+  remu x16, x17, x18
+  addi a0, a0, -2048
+  addi a0, a0, 2047
+  slti a1, a2, -1
+  sltiu a1, a2, 2048
+  xori a3, a4, 0x800
+  ori a5, a6, -2049
+  andi a7, zero, 0x7ff
+  slli t0, t1, 0
+  slli t0, t1, 31
+  srli t2, s0, 17
+  srai s1, s2, 31
+  srai s1, s2, 1
+back:
+  lb a0, -2048(a1)
+  lh a2, 2047(a3)
+  lw a4, (a5)
+  lbu a6, -1(sp)
+  lhu a7, 0x800(s0)
+  sb a0, -2048(a1)
+  sh a2, 2047(a3)
+  sw a4, -1(sp)
+  sw ra, 0x7e0(s0)
+  beq a0, a1, fwd
+  bne a2, a3, back
+  blt a4, a5, top
+  bge a6, a7, fwd
+  bltu t0, t1, back
+  bgeu t2, s0, fwd
+  beq x0, x0, -4096
+  bne x1, x2, 4094
+  blt x3, x4, -2
+  bgeu x5, x6, 8
+  lui a0, 0
+  lui a1, 0xFFFFF
+  lui a2, -1
+  lui a3, 0x80000
+  lui a4, -524288
+  auipc a5, 0x12345
+  auipc a6, -2
+  jal ra, fwd
+  jal t0, back
+  jal fwd
+  jal top
+  jalr ra, 0(a0)
+  jalr x0, -4(t1)
+  jalr t0, 2047(t2)
+  jalr ra, a0, 8
+  jalr t0, t1, -2048
+  jalr s0, (s1)
+  ecall
+  ebreak
+fwd:
+  nop
+  li a0, 0
+  li a1, -1
+  li a2, 2047
+  li a3, -2048
+  li a4, 2048
+  li a5, -2049
+  li a6, 0x12345800
+  li a7, 0x7ffff800
+  li t0, 0xFFFFFFFF
+  li t1, 0x80000000
+  li t2, 100000
+  mv s0, s1
+  mv a0, zero
+  j back
+  j end
+  jal end
+  ret
+  beqz a0, back
+  bnez a1, end
+  beqz t6, top
+  bnez x31, fwd
+  .word 0xDEADBEEF
+  .word -1
+  .word 0
+  .isax AI_SETUP rs1=a0, imm=-4
+  .isax AI_SETUP rs1=x5 imm=2047
+  .isax AI_LW rd=a1
+  .isax AI_SW rs2=t0
+  .isax setup_zol uimmL=4095, uimmS=31
+end: ebreak
+|}
+
+let asm_corpus_words =
+  {|
+     00c58533 407302b3 01249433 01df2fb3 0020b033 008241b3 00f756b3 4138d833
+     016aea33 019c7bb3 03cd8d33 03ff1eb3 023120b3 0262b233 029443b3 02c5d533
+     02f766b3 0328f833 80050513 7ff50513 fff62593 80063593 80074693 7ff86793
+     7ff07893 00031293 01f31293 01145393 41f95493 40195493 80058503 7ff69603
+     0007a703 fff14803 80045883 80a58023 7ec69fa3 fee12fa3 7e142023 06b50a63
+     fcd61ce3 f4f74ee3 07185463 fc62e6e3 0683f063 80000063 7e209fe3 fe41cfe3
+     0062f463 00000537 fffff5b7 fffff637 800006b7 80000737 12345797 ffffe817
+     030000ef f95ff2ef 028000ef f15ff0ef 000500e7 ffc30067 7ff382e7 008500e7
+     800302e7 00048467 00000073 00100073 00000013 00000513 fff00593 7ff00613
+     80000693 00001737 80070713 fffff7b7 7ff78793 12346837 80080813 800008b7
+     80088893 000002b7 fff28293 80000337 00030313 000183b7 6a038393 00048413
+     00000513 f15ff06f 03c0006f 038000ef 00008067 f00502e3 02059663 e80f82e3
+     f80f98e3 deadbeef ffffffff 00000000 ffc5002b 7ff2802b 000015ab 0050202b
+     ffffe02b 00100073
+  |}
+
+let test_asm_corpus () =
+  let tu = Isax.Registry.compile_by_name "autoinc+zol" in
+  let words = Riscv.Asm.assemble ~custom:(Riscv.Asm.encoder tu) asm_corpus in
+  let expected =
+    String.split_on_char ' ' (String.concat " " (String.split_on_char '\n' asm_corpus_words))
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) "corpus words" expected (List.map (Printf.sprintf "%08x") words)
 
 (* ---- native ISS ---- *)
 
@@ -246,7 +388,7 @@ let test_machine_zol_redirect_free () =
   let tu = Isax.Registry.compile_by_name "zol" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
   let m = Riscv.Machine.of_compiled c in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   (* run 10 iterations of a 2-instruction body *)
   let words =
     Riscv.Asm.assemble ~custom:enc
@@ -265,7 +407,7 @@ let test_machine_decoupled_scoreboard () =
      result commits; an independent one does not *)
   let tu = Isax.Registry.compile_by_name "sqrt_decoupled" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tu in
-  let enc = Riscv.Machine.isax_encoder tu in
+  let enc = Riscv.Asm.encoder tu in
   let run prog =
     let m = Riscv.Machine.of_compiled c in
     let words = Riscv.Asm.assemble ~custom:enc prog in
@@ -293,7 +435,7 @@ let test_rtl_in_the_loop_case_study () =
   let tuq = Isax.Registry.compile_by_name "autoinc+zol" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tuq in
   let n = 8 in
-  let enc = Riscv.Machine.isax_encoder tuq in
+  let enc = Riscv.Asm.encoder tuq in
   let words = Riscv.Asm.assemble ~custom:enc (Riscv.Case_study.isax_program n) in
   (* RTL-in-the-loop run *)
   let rl = Riscv.Rtl_loop.create c in
@@ -325,7 +467,7 @@ let test_rtl_in_the_loop_sqrt () =
   (* a program mixing base instructions and the decoupled sqrt *)
   let tuq = Isax.Registry.compile_by_name "sqrt_decoupled" in
   let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv tuq in
-  let enc = Riscv.Machine.isax_encoder tuq in
+  let enc = Riscv.Asm.encoder tuq in
   let words =
     Riscv.Asm.assemble ~custom:enc
       "li a1, 1764
@@ -420,6 +562,7 @@ let () =
           Alcotest.test_case "pseudo instructions" `Quick test_asm_pseudo;
           Alcotest.test_case "li immediates" `Quick test_asm_li_values;
           Alcotest.test_case "errors" `Quick test_asm_errors;
+          Alcotest.test_case "corpus of every form" `Quick test_asm_corpus;
         ] );
       ( "iss",
         [

@@ -97,12 +97,10 @@ let test_registry_lookup () =
     (Scaiev.Core_registry.find_datasheet "mriscv" = Some Scaiev.Core_registry.mriscv)
 
 let test_registry_suggest_resolve () =
-  check_bool "typo suggests vexriscv" true
-    (List.mem "vexriscv" (Scaiev.Core_registry.suggest "vexrisc"));
-  check_bool "typo suggests mriscv" true
-    (List.mem "mriscv" (Scaiev.Core_registry.suggest "mricsv"));
-  check_bool "prefix suggests picorv32" true
-    (List.mem "picorv32" (Scaiev.Core_registry.suggest "pico"));
+  let suggest = Diag.Choice.suggest ~names:(Scaiev.Core_registry.slugs ~include_outlook:true ()) in
+  check_bool "typo suggests vexriscv" true (List.mem "vexriscv" (suggest "vexrisc"));
+  check_bool "typo suggests mriscv" true (List.mem "mriscv" (suggest "mricsv"));
+  check_bool "prefix suggests picorv32" true (List.mem "picorv32" (suggest "pico"));
   (match Scaiev.Core_registry.resolve "piccolo" with
   | Ok d -> check_str "resolve ok" "piccolo" d.Scaiev.Core_registry.slug
   | Error _ -> Alcotest.fail "resolve of a registered core failed");
