@@ -738,10 +738,6 @@ let () =
   | exception Diag.Fatal ds ->
       render_fatal ds;
       exit 1
-  | exception Coredsl.Error m ->
-      (* legacy string-rendering entry points (bundled ISAX registry) *)
-      prerr_endline m;
-      exit 1
   | exception e ->
       Printf.eprintf "longnail: internal error: %s\n" (Printexc.to_string e);
       prerr_endline "this is a bug; re-run with OCAMLRUNPARAM=b for a backtrace";

@@ -126,7 +126,7 @@ let read_before_assign ~what ?(pre = []) (body : tstmt list) =
             Hashtbl.replace reported n ();
             warns :=
               warn ~span:(span_of e.tloc) "W1006"
-                "%s: local '%s' is read before any assignment" what n
+                "%s: local '%s' is read before any assignment" what (source_name n)
               :: !warns
         | _ -> ())
       e

@@ -1,14 +1,13 @@
-(* Content-addressed compilation artifacts: stable structural
-   fingerprints plus a generic keyed store (docs/CACHING.md).
+(* Content-addressed compilation artifacts: key fingerprints plus a
+   generic keyed store (docs/CACHING.md).
 
-   Fingerprints are the invalidation mechanism of the compilation
-   sessions in Longnail.Flow: equal fingerprint => the stage would
-   recompute an identical artifact. The serialization therefore covers
-   exactly the semantic content a stage consumes and nothing incidental:
-   no source locations (same unit from another file re-uses artifacts),
-   no SSA value ids (rewrites renumber freely), no cosmetic name hints,
-   and never [Hashtbl.hash], which is neither stable nor total on the
-   cyclic/functional values in these structures. *)
+   Keys are the invalidation mechanism of the compilation sessions in
+   Longnail.Flow: equal key => the stage would recompute an identical
+   artifact. A CoreDSL unit is keyed by the digest of the source bytes
+   its elaboration read (Coredsl.Elaborate); [Fp] supplies the canonical
+   serialization for everything else a key folds in — datasheets, knobs,
+   caller-supplied frontend keys — and never uses [Hashtbl.hash], which
+   is neither stable nor total. *)
 
 module Fp = struct
   type t = string
@@ -59,253 +58,6 @@ module Fp = struct
     let b = create () in
     f b;
     finish b
-
-  (* ---- bit vectors ---- *)
-
-  let add_bitvec_ty b (t : Bitvec.ty) =
-    add_bool b t.signed;
-    add_int b t.width
-
-  let add_bitvec b (v : Bitvec.t) =
-    add_bitvec_ty b (Bitvec.typ v);
-    add_string b (Bitvec.Bn.to_string (Bitvec.to_bn v))
-
-  (* ---- typed AST (locations excluded by construction) ---- *)
-
-  let unop_name = function Coredsl.Ast.Neg -> "neg" | Not -> "not" | Lnot -> "lnot"
-
-  let rec add_texpr b (e : Coredsl.Tast.texpr) =
-    add_bitvec_ty b e.tty;
-    match e.te with
-    | T_lit v ->
-        add_tag b "lit";
-        add_bitvec b v
-    | T_local n ->
-        add_tag b "local";
-        add_string b n
-    | T_field n ->
-        add_tag b "fld";
-        add_string b n
-    | T_reg n ->
-        add_tag b "reg";
-        add_string b n
-    | T_regfile (n, i) ->
-        add_tag b "regf";
-        add_string b n;
-        add_texpr b i
-    | T_rom (n, i) ->
-        add_tag b "rom";
-        add_string b n;
-        add_texpr b i
-    | T_mem { space; addr; elems } ->
-        add_tag b "mem";
-        add_string b space;
-        add_texpr b addr;
-        add_int b elems
-    | T_binop (op, l, r) ->
-        add_tag b "bin";
-        add_string b (Coredsl.Tast.binop_name op);
-        add_texpr b l;
-        add_texpr b r
-    | T_unop (op, x) ->
-        add_tag b "un";
-        add_string b (unop_name op);
-        add_texpr b x
-    | T_cast x ->
-        add_tag b "cast";
-        add_texpr b x
-    | T_concat (l, r) ->
-        add_tag b "cat";
-        add_texpr b l;
-        add_texpr b r
-    | T_extract { value; lo; width } ->
-        add_tag b "ext";
-        add_texpr b value;
-        add_texpr b lo;
-        add_int b width
-    | T_ternary (c, t, f) ->
-        add_tag b "tern";
-        add_texpr b c;
-        add_texpr b t;
-        add_texpr b f
-    | T_call (n, args) ->
-        add_tag b "call";
-        add_string b n;
-        add_list add_texpr b args
-
-  let rec add_tstmt b (s : Coredsl.Tast.tstmt) =
-    match s.ts with
-    | S_local_decl (n, ty, init) ->
-        add_tag b "decl";
-        add_string b n;
-        add_bitvec_ty b ty;
-        add_opt add_texpr b init
-    | S_assign_local (n, e) ->
-        add_tag b "asgl";
-        add_string b n;
-        add_texpr b e
-    | S_assign_reg (n, e) ->
-        add_tag b "asgr";
-        add_string b n;
-        add_texpr b e
-    | S_assign_regfile (n, i, e) ->
-        add_tag b "asgf";
-        add_string b n;
-        add_texpr b i;
-        add_texpr b e
-    | S_assign_mem { space; addr; value; elems } ->
-        add_tag b "asgm";
-        add_string b space;
-        add_texpr b addr;
-        add_texpr b value;
-        add_int b elems
-    | S_if (c, t, e) ->
-        add_tag b "if";
-        add_texpr b c;
-        add_list add_tstmt b t;
-        add_list add_tstmt b e
-    | S_for { init; cond; step; body } ->
-        add_tag b "for";
-        add_list add_tstmt b init;
-        add_texpr b cond;
-        add_list add_tstmt b step;
-        add_list add_tstmt b body
-    | S_spawn body ->
-        add_tag b "spawn";
-        add_list add_tstmt b body
-    | S_return e ->
-        add_tag b "ret";
-        add_opt add_texpr b e
-    | S_expr e ->
-        add_tag b "expr";
-        add_texpr b e
-
-  let add_field b (f : Coredsl.Tast.field_info) =
-    add_string b f.fld_name;
-    add_int b f.fld_width;
-    add_list
-      (fun b (s : Coredsl.Tast.field_segment) ->
-        add_int b s.instr_lo;
-        add_int b s.fld_lo;
-        add_int b s.seg_len)
-      b f.segments
-
-  let add_tinstr b (ti : Coredsl.Tast.tinstr) =
-    add_tag b "instr";
-    add_string b ti.ti_name;
-    add_int b ti.enc_width;
-    add_bitvec b ti.mask;
-    add_bitvec b ti.match_bits;
-    add_list add_field b ti.fields;
-    add_list add_tstmt b ti.ti_behavior
-
-  let add_talways b (ta : Coredsl.Tast.talways) =
-    add_tag b "always";
-    add_string b ta.ta_name;
-    add_list add_tstmt b ta.ta_body
-
-  let add_tfunc b (tf : Coredsl.Tast.tfunc) =
-    add_tag b "func";
-    add_string b tf.tf_name;
-    add_opt add_bitvec_ty b tf.tf_ret;
-    add_list
-      (fun b (n, ty) ->
-        add_string b n;
-        add_bitvec_ty b ty)
-      b tf.tf_params;
-    add_list add_tstmt b tf.tf_body
-
-  let add_elab b (e : Coredsl.Elaborate.elaborated) =
-    add_tag b "elab";
-    add_string b e.ename;
-    add_list
-      (fun b (n, v) ->
-        add_string b n;
-        add_bitvec b v)
-      b e.params;
-    add_list
-      (fun b (r : Coredsl.Elaborate.reg) ->
-        add_string b r.rname;
-        add_bitvec_ty b r.rty;
-        add_int b r.elems;
-        add_bool b r.is_pc;
-        add_bool b r.rconst;
-        add_opt (fun b a -> add_list add_bitvec b (Array.to_list a)) b r.rinit)
-      b e.regs;
-    add_list
-      (fun b (s : Coredsl.Elaborate.addr_space) ->
-        add_string b s.sname;
-        add_bitvec_ty b s.elem_ty;
-        add_string b (Bitvec.Bn.to_string s.space_size);
-        add_bool b s.is_main_mem)
-      b e.spaces
-
-  let tunit (tu : Coredsl.Tast.tunit) =
-    digest (fun b ->
-        add_tag b "tunit";
-        add_string b tu.tu_name;
-        add_elab b tu.elab;
-        add_list add_tinstr b tu.tinstrs;
-        add_list add_talways b tu.talways;
-        add_list add_tfunc b tu.tfuncs)
-
-  (* ---- MIR graphs ----
-
-     SSA value ids are renumbered densely in order of first occurrence
-     (defs precede uses in a verified graph), so two alpha-equivalent
-     graphs serialize identically. Hints, op ids and source spans are
-     cosmetic/diagnostic and excluded. *)
-
-  let graph (g : Ir.Mir.graph) =
-    digest (fun b ->
-        let map = Hashtbl.create 64 in
-        let norm vid =
-          match Hashtbl.find_opt map vid with
-          | Some i -> i
-          | None ->
-              let i = Hashtbl.length map in
-              Hashtbl.add map vid i;
-              i
-        in
-        let add_value b (v : Ir.Mir.value) =
-          add_int b (norm v.vid);
-          add_bitvec_ty b v.vty
-        in
-        let add_attr b = function
-          | Ir.Mir.A_int i ->
-              add_tag b "ai";
-              add_int b i
-          | Ir.Mir.A_str s ->
-              add_tag b "as";
-              add_string b s
-          | Ir.Mir.A_bv v ->
-              add_tag b "ab";
-              add_bitvec b v
-          | Ir.Mir.A_bool v ->
-              add_tag b "af";
-              add_bool b v
-        in
-        let add_named_attr b (k, a) =
-          add_string b k;
-          add_attr b a
-        in
-        let rec add_op b (o : Ir.Mir.op) =
-          add_tag b "op";
-          add_string b o.opname;
-          add_list add_value b o.operands;
-          add_list add_value b o.results;
-          add_list add_named_attr b o.attrs;
-          add_list (add_list add_op) b o.regions
-        in
-        add_tag b "graph";
-        add_string b g.gname;
-        add_tag b
-          (match g.gkind with
-          | `Always -> "always"
-          | `Function -> "function"
-          | `Instruction -> "instruction");
-        add_list add_named_attr b g.gattrs;
-        add_list add_op b g.body)
 
   (* ---- virtual datasheets ---- *)
 

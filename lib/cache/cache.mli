@@ -2,13 +2,13 @@
 
     Two halves:
 
-    - {!Fp}: stable structural fingerprints over the values that flow
-      between pipeline stages — typed CoreDSL units ({!Coredsl.Tast}),
-      MIR graphs ({!Ir.Mir}, SSA-id independent), SCAIE-V virtual
-      datasheets ({!Scaiev.Datasheet}) — plus the generic combinators the
-      flow uses to key scheduling knobs. Fingerprints are deterministic
-      across processes: no [Hashtbl.hash], no physical identity, no
-      source locations, no cosmetic hints.
+    - {!Fp}: stable fingerprints for artifact keys — generic combinators
+      over a canonical, prefix-free serialization, plus the fingerprint
+      of a SCAIE-V virtual datasheet ({!Scaiev.Datasheet}). A CoreDSL
+      unit needs none: it is keyed by the digest of its source bytes,
+      [tu.elab.digest] ({!Coredsl.Elaborate.elaborated}). Fingerprints
+      are deterministic across processes: no [Hashtbl.hash], no
+      physical identity.
     - {!Store}: a generic keyed artifact store with LRU eviction and
       hit/miss/store/eviction counters, reported per lookup through
       {!Obs} so the [--profile] output and perfbench's traced runs carry
@@ -44,23 +44,6 @@ module Fp : sig
   (** [digest f] runs [f] on a fresh context and finishes it. *)
 
   (** {2 Domain fingerprints} *)
-
-  val add_bitvec_ty : ctx -> Bitvec.ty -> unit
-  val add_bitvec : ctx -> Bitvec.t -> unit
-
-  val tunit : Coredsl.Tast.tunit -> t
-  (** Structural fingerprint of a typed unit: elaborated state (registers,
-      address spaces, parameters) plus every typed instruction,
-      always-block and function body. Source locations are excluded, so
-      two elaborations of the same source (even from different files)
-      agree; any semantic edit — a literal, an operator, an encoding, a
-      register width — changes the fingerprint. *)
-
-  val graph : Ir.Mir.graph -> t
-  (** Fingerprint of a MIR graph. SSA value ids are renumbered densely in
-      order of first occurrence, so alpha-renamed graphs agree; operation
-      names, attributes, operand/result structure, types and region
-      nesting all contribute. Cosmetic value hints and op ids do not. *)
 
   val datasheet : Scaiev.Datasheet.t -> t
   (** Fingerprint of a virtual datasheet: every stage/window/latency field

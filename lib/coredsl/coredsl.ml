@@ -21,8 +21,6 @@ module Typecheck = Typecheck
 module Interp = Interp
 module Base_isa = Base_isa
 
-exception Error of string
-
 (* Combine the built-in provider with a user-supplied one. *)
 let combined_provider user path =
   match user path with Some s -> Some s | None -> Base_isa.provider path
@@ -41,20 +39,19 @@ let compile_result ?(provider = fun _ -> None) ?(file = "<input>") ~target src =
     in
     Typecheck.check_all elab
   with
-  | Ok tu -> if Diag.has_errors diags then Stdlib.Error (Diag.to_list diags) else Ok tu
-  | Stdlib.Error ds -> Stdlib.Error (Diag.to_list diags @ ds)
+  | Ok tu -> if Diag.has_errors diags then Error (Diag.to_list diags) else Ok tu
+  | Error ds -> Error (Diag.to_list diags @ ds)
   | exception Ast.Syntax_error (loc, m) ->
-      Stdlib.Error
+      Error
         (Diag.to_list diags @ [ Diag.make ~span:(Ast.span_of_loc loc) ~code:"E0002" m ])
-  | exception Elaborate.Elab_error d -> Stdlib.Error (Diag.to_list diags @ [ d ])
-  | exception Typecheck.Type_error d -> Stdlib.Error (Diag.to_list diags @ [ d ])
+  | exception Elaborate.Elab_error d -> Error (Diag.to_list diags @ [ d ])
+  | exception Typecheck.Type_error d -> Error (Diag.to_list diags @ [ d ])
 
-(* Legacy string-rendering interface: raises {!Error} with every
-   diagnostic rendered as text. *)
+(* Like [compile_result], raising [Diag.Fatal] with the diagnostics. *)
 let compile ?provider ?file ~target src =
   match compile_result ?provider ?file ~target src with
   | Ok tu -> tu
-  | Stdlib.Error ds -> raise (Error (Format.asprintf "%a" Diag.render_all ds))
+  | Error ds -> raise (Diag.Fatal ds)
 
 (* Compile the built-in RV32I base ISA on its own. The base ISAs are
    compiled from immutable bundled sources and requested from dozens of

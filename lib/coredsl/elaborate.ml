@@ -123,6 +123,7 @@ type elaborated = {
   instructions : instruction list;
   always : always_block list;
   functions : func list;
+  digest : string;
 }
 
 let find_reg el name = List.find_opt (fun r -> r.rname = name) el.regs
@@ -135,12 +136,17 @@ let main_mem el = List.find_opt (fun s -> s.is_main_mem) el.spaces
 type provider = string -> string option
 (** maps an import path to CoreDSL source text *)
 
+type loaded = {
+  sets : (string, instr_set) Hashtbl.t;
+  cores : (string, core_def) Hashtbl.t;
+  imports : (string * string) list;  (* (path, text) of every import, in load order *)
+}
+
 (* Parse [src] and all transitive imports; return every InstructionSet and
    Core seen, later definitions shadowing earlier ones by name. *)
 let load ?diags ~(provider : provider) ~file src =
-  let seen_imports = Hashtbl.create 8 in
-  let sets = Hashtbl.create 8 and set_order = ref [] in
-  let cores = Hashtbl.create 8 and core_order = ref [] in
+  let seen_imports = Hashtbl.create 8 and imports = ref [] in
+  let sets = Hashtbl.create 8 and cores = Hashtbl.create 8 in
   (* [chain] is the stack of import sites that led to [file], innermost
      first; it becomes the provenance labels of unresolved-import errors *)
   let rec go chain file src =
@@ -151,7 +157,9 @@ let load ?diags ~(provider : provider) ~file src =
         if not (Hashtbl.mem seen_imports path) then begin
           Hashtbl.add seen_imports path ();
           match provider path with
-          | Some s -> go (iloc :: chain) path s
+          | Some s ->
+              imports := (path, s) :: !imports;
+              go (iloc :: chain) path s
           | None ->
               let labels =
                 List.map
@@ -164,19 +172,11 @@ let load ?diags ~(provider : provider) ~file src =
                       "cannot resolve import \"%s\"" path))
         end)
       desc.imports;
-    List.iter
-      (fun s ->
-        if not (Hashtbl.mem sets s.set_name) then set_order := s.set_name :: !set_order;
-        Hashtbl.replace sets s.set_name s)
-      desc.sets;
-    List.iter
-      (fun c ->
-        if not (Hashtbl.mem cores c.core_name) then core_order := c.core_name :: !core_order;
-        Hashtbl.replace cores c.core_name c)
-      desc.cores
+    List.iter (fun s -> Hashtbl.replace sets s.set_name s) desc.sets;
+    List.iter (fun c -> Hashtbl.replace cores c.core_name c) desc.cores
   in
   go [] file src;
-  (sets, List.rev !set_order, cores, List.rev !core_order)
+  { sets; cores; imports = List.rev !imports }
 
 (* Chain of instruction sets from the root ancestor down to [name]. *)
 let inheritance_chain sets name =
@@ -206,7 +206,7 @@ let concat_isa isas =
 
 (* Build the flattened ISA for a target. The target is either a Core (its
    provided sets plus its own sections) or a bare InstructionSet. *)
-let flatten (sets, _set_order, cores, _core_order) target =
+let flatten { sets; cores; _ } target =
   match Hashtbl.find_opt cores target with
   | Some core ->
       let provided = List.concat_map (fun s -> inheritance_chain sets s) core.provides in
@@ -299,6 +299,27 @@ let elaborate_state isa =
     isa.state;
   (List.rev !params, List.rev !regs, List.rev !spaces)
 
+(* The unit's content key: an MD5 over the target name, the main source
+   text and every import's path and text, length-prefixed, in load order.
+   These bytes are all elaboration reads, so equal digests mean equal
+   typed units. The main file's name is left out, like source locations:
+   the same source under another name shares every artifact. *)
+let source_digest ~target src imports =
+  let b = Buffer.create (String.length src + 1024) in
+  let add s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  add target;
+  add src;
+  List.iter
+    (fun (path, text) ->
+      add path;
+      add text)
+    imports;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* Elaborate [target] (a Core or InstructionSet name) from [src] and its
    imports. *)
 let elaborate ?diags ?(provider : provider = fun _ -> None) ?(file = "<input>") ~target src =
@@ -307,15 +328,6 @@ let elaborate ?diags ?(provider : provider = fun _ -> None) ?(file = "<input>") 
   let params, regs, spaces = elaborate_state isa in
   (* instructions/always/functions: later definitions override earlier ones
      with the same name (a Core can refine an inherited instruction) *)
-  let dedup key items =
-    let rec go acc = function
-      | [] -> List.rev acc
-      | x :: rest ->
-          if List.exists (fun y -> key y = key x) rest then go acc rest else go (x :: acc) rest
-    in
-    List.rev (go [] (List.rev items))
-  in
-  ignore dedup;
   let dedup_keep_last key items =
     let seen = Hashtbl.create 8 in
     List.rev
@@ -338,4 +350,5 @@ let elaborate ?diags ?(provider : provider = fun _ -> None) ?(file = "<input>") 
     instructions = dedup_keep_last (fun i -> i.iname) isa.instructions;
     always = dedup_keep_last (fun a -> a.aname) isa.always;
     functions = dedup_keep_last (fun f -> f.fname) isa.functions;
+    digest = source_digest ~target src loaded.imports;
   }

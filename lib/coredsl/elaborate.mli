@@ -15,7 +15,6 @@ val const_eval : cenv -> Ast.expr -> Bitvec.t
 val const_binop :
   Ast.loc ->
   Ast.binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
-val const_eval_int : cenv -> Ast.expr -> int
 val resolve_ty :
   cenv -> Ast.loc -> Ast.ty_expr -> Bitvec.ty
 type reg = {
@@ -40,30 +39,17 @@ type elaborated = {
   instructions : Ast.instruction list;
   always : Ast.always_block list;
   functions : Ast.func list;
+  digest : string;
+      (** The unit's content key: 32 hex characters of MD5 over the target
+          name, the main source text and every import's path and text,
+          length-prefixed, in load order. The main file's name is not
+          part of it. The artifact caches key every stage by it. *)
 }
 val find_reg : elaborated -> string -> reg option
 val find_space : elaborated -> string -> addr_space option
 val pc_reg : elaborated -> reg option
 val main_mem : elaborated -> addr_space option
 type provider = string -> string option
-val load :
-  ?diags:Diag.collector ->
-  provider:provider ->
-  file:string ->
-  string ->
-  (string, Ast.instr_set) Hashtbl.t * string list *
-  (string, Ast.core_def) Hashtbl.t * string list
-val inheritance_chain :
-  (string, Ast.instr_set) Hashtbl.t ->
-  string -> Ast.instr_set list
-val concat_isa : Ast.isa list -> Ast.isa
-val flatten :
-  (string, Ast.instr_set) Hashtbl.t * 'a *
-  (string, Ast.core_def) Hashtbl.t * 'b ->
-  string -> Ast.isa
-val elaborate_state :
-  Ast.isa ->
-  (string * Bitvec.t) list * reg list * addr_space list
 val elaborate :
   ?diags:Diag.collector ->
   ?provider:provider -> ?file:string -> target:string -> string -> elaborated

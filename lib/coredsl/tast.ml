@@ -73,6 +73,12 @@ type tunit = {
   tfuncs : tfunc list;
 }
 
+(* Generated local names end in '#N'; no CoreDSL identifier contains '#'. *)
+let generated_local base n = Printf.sprintf "%s#%d" base n
+
+let source_name name =
+  match String.index_opt name '#' with Some i -> String.sub name 0 i | None -> name
+
 let find_field ti name = List.find_opt (fun f -> f.fld_name = name) ti.fields
 let find_tfunc tu name = List.find_opt (fun f -> f.tf_name = name) tu.tfuncs
 let find_tinstr tu name = List.find_opt (fun i -> i.ti_name = name) tu.tinstrs

@@ -69,6 +69,17 @@ type tunit = {
   talways : talways list;
   tfuncs : tfunc list;
 }
+val generated_local : string -> int -> string
+(** [generated_local base n] is ["base#N"], a local name no CoreDSL
+    identifier can spell. A local's name ([T_local], [S_local_decl],
+    [S_assign_local]) is its source name, except that {!Typecheck} gives
+    a declaration shadowing a visible local, and a [switch]'s scrutinee
+    snapshot, a generated name: within one body, each name denotes
+    exactly one variable. *)
+
+val source_name : string -> string
+(** The source name of a local: ["x#2"] and ["x"] are both ["x"]. *)
+
 val find_field : tinstr -> string -> field_info option
 val find_tfunc : tunit -> string -> tfunc option
 val find_tinstr : tunit -> string -> tinstr option

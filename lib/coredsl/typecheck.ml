@@ -5,7 +5,6 @@
    that would lose precision or sign information are rejected unless an
    explicit cast is present. Produces the typed AST of {!Tast}. *)
 
-module Bn = Bitvec.Bn
 open Ast
 open Tast
 
@@ -20,12 +19,15 @@ type ctx = {
   elab : Elaborate.elaborated;
   cenv : Elaborate.cenv;  (* parameters for const-eval *)
   fields : field_info list;  (* encoding fields of current instruction *)
-  mutable scopes : (string * Bitvec.ty) list list;  (* innermost first *)
+  mutable scopes : (string * (string * Bitvec.ty)) list list;
+      (* innermost first: source name -> (TAST name, type) *)
+  mutable fresh : int;  (* counter for generated TAST names *)
   fn_ret : Bitvec.ty option option;  (* Some r = inside function returning r *)
   in_always : bool;
   tfuncs : (string * tfunc) list;  (* already-checked functions *)
 }
 
+(* the visible local [name]: its TAST name and type *)
 let lookup_local ctx name =
   let rec go = function
     | [] -> None
@@ -33,20 +35,28 @@ let lookup_local ctx name =
   in
   go ctx.scopes
 
+let fresh_name ctx base =
+  ctx.fresh <- ctx.fresh + 1;
+  generated_local base ctx.fresh
+
+(* Declare [name] in the innermost scope and return its TAST name. A
+   declaration that shadows a visible local gets a fresh name, so each
+   TAST local names one variable: the evaluators and the HLIR lowering
+   bind locals by name, with no scopes of their own. *)
 let declare_local ctx loc name ty =
   match ctx.scopes with
   | scope :: rest ->
       if List.mem_assoc name scope then type_error ~code:"E0108" loc "redeclaration of '%s'" name;
-      ctx.scopes <- ((name, ty) :: scope) :: rest
+      let tname = if lookup_local ctx name = None then name else fresh_name ctx name in
+      ctx.scopes <- ((name, (tname, ty)) :: scope) :: rest;
+      tname
   | [] -> assert false
 
-let push_scope ctx = ctx.scopes <- [] :: ctx.scopes
-let pop_scope ctx = match ctx.scopes with _ :: rest -> ctx.scopes <- rest | [] -> ()
-
 let in_scope ctx f =
-  push_scope ctx;
+  let saved = ctx.scopes in
+  ctx.scopes <- [] :: saved;
   let r = f () in
-  pop_scope ctx;
+  ctx.scopes <- saved;
   r
 
 (* try to evaluate an expression as a compile-time constant *)
@@ -152,7 +162,7 @@ let rec check_expr ctx (e : expr) : texpr =
 
 and check_ident ctx loc name =
   match lookup_local ctx name with
-  | Some ty -> { te = T_local name; tty = ty; tloc = loc }
+  | Some (tname, ty) -> { te = T_local tname; tty = ty; tloc = loc }
   | None -> (
       match List.find_opt (fun (f : field_info) -> f.fld_name = name) ctx.fields with
       | Some f -> { te = T_field name; tty = Bitvec.unsigned_ty f.fld_width; tloc = loc }
@@ -291,13 +301,6 @@ let resolve_local_ty ctx loc ty =
   | Ty_void -> type_error loc "local variable cannot be void"
   | Ty_alias a -> type_error loc "unresolved type alias '%s'" a
 
-(* unique names for switch scrutinee snapshots *)
-let switch_counter = ref 0
-
-let fresh_switch_name () =
-  incr switch_counter;
-  Printf.sprintf "__switch%d" !switch_counter
-
 let rec check_stmt ctx (st : stmt) : tstmt list =
   let loc = st.sloc in
   match st.s with
@@ -313,8 +316,8 @@ let rec check_stmt ctx (st : stmt) : tstmt list =
                 coerce ctx loc t te)
               init
           in
-          declare_local ctx loc name t;
-          { ts = S_local_decl (name, t, tinit); tsloc = loc })
+          let tname = declare_local ctx loc name t in
+          { ts = S_local_decl (tname, t, tinit); tsloc = loc })
         decls
   | Assign (A_eq, lv, rhs) ->
       let trhs = check_expr ctx rhs in
@@ -385,8 +388,7 @@ let rec check_stmt ctx (st : stmt) : tstmt list =
       (* desugared to an if-else chain over a snapshot of the scrutinee;
          arms do not fall through *)
       let tscrut = check_expr ctx scrutinee in
-      let tmp = fresh_switch_name () in
-      declare_local ctx loc tmp tscrut.tty;
+      let tmp = fresh_name ctx "switch" in
       let decl = { ts = S_local_decl (tmp, tscrut.tty, Some tscrut); tsloc = loc } in
       let tmp_ref = { te = T_local tmp; tty = tscrut.tty; tloc = loc } in
       let default_arm =
@@ -444,7 +446,7 @@ and check_assign ctx loc lv (rhs : texpr) : tstmt =
   match lv.e with
   | Ident name -> (
       match lookup_local ctx name with
-      | Some ty -> { ts = S_assign_local (name, coerce ctx loc ty rhs); tsloc = loc }
+      | Some (tname, ty) -> { ts = S_assign_local (tname, coerce ctx loc ty rhs); tsloc = loc }
       | None -> (
           match Elaborate.find_reg ctx.elab name with
           | Some r when r.rconst -> type_error ~code:"E0103" loc "cannot assign to constant register '%s'" name
@@ -554,7 +556,8 @@ let check_function elab cenv tfuncs (f : func) : tfunc =
       elab;
       cenv;
       fields = [];
-      scopes = [ params ];
+      scopes = [ List.map (fun (n, ty) -> (n, (n, ty))) params ];
+      fresh = 0;
       fn_ret = Some ret;
       in_always = false;
       tfuncs;
@@ -566,35 +569,16 @@ let check_function elab cenv tfuncs (f : func) : tfunc =
 let check_instruction elab cenv tfuncs (i : instruction) : tinstr =
   let enc_width, mask, match_bits, fields = check_encoding i.iloc i.encoding in
   let ctx =
-    { elab; cenv; fields; scopes = [ [] ]; fn_ret = None; in_always = false; tfuncs }
+    { elab; cenv; fields; scopes = [ [] ]; fresh = 0; fn_ret = None; in_always = false; tfuncs }
   in
   let behavior = check_stmts ctx i.behavior in
   { ti_name = i.iname; enc_width; mask; match_bits; fields; ti_behavior = behavior }
 
 let check_always elab cenv tfuncs (a : always_block) : talways =
   let ctx =
-    { elab; cenv; fields = []; scopes = [ [] ]; fn_ret = None; in_always = true; tfuncs }
+    { elab; cenv; fields = []; scopes = [ [] ]; fresh = 0; fn_ret = None; in_always = true; tfuncs }
   in
   { ta_name = a.aname; ta_body = check_stmts ctx a.abody }
-
-(* Type-check a whole elaborated unit, failing on the first error. *)
-let check (elab : Elaborate.elaborated) : tunit =
-  let cenv = { Elaborate.vars = elab.params } in
-  (* functions first (they may call previously defined functions only) *)
-  let tfuncs =
-    List.fold_left
-      (fun acc f -> acc @ [ (f.fname, check_function elab cenv acc f) ])
-      [] elab.functions
-  in
-  let tinstrs = List.map (check_instruction elab cenv tfuncs) elab.instructions in
-  let talways = List.map (check_always elab cenv tfuncs) elab.always in
-  {
-    tu_name = elab.ename;
-    elab;
-    tinstrs;
-    talways;
-    tfuncs = List.map snd tfuncs;
-  }
 
 (* Type-check a whole elaborated unit, accumulating one diagnostic per
    failing function/instruction/always-block instead of aborting on the

@@ -3,102 +3,12 @@
    Implements the bitwidth-aware type system of Section 2.3: all operators
    produce results wide enough to avoid over-/underflow, and assignments
    that would lose precision or sign information are rejected unless an
-   explicit cast is present. Produces the typed AST of {!Tast}. *)
+   explicit cast is present. Produces the typed AST of {!Tast}, in which
+   a local that shadows a visible local carries a fresh name no CoreDSL
+   identifier can spell, so each TAST local names one variable. *)
 
-module Bn = Bitvec.Bn
 exception Type_error of Diag.t
-val type_error :
-  ?code:string -> Ast.loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-type ctx = {
-  elab : Elaborate.elaborated;
-  cenv : Elaborate.cenv;
-  fields : Tast.field_info list;
-  mutable scopes : (string * Bitvec.ty) list list;
-  fn_ret : Bitvec.ty option option;
-  in_always : bool;
-  tfuncs : (string * Tast.tfunc) list;
-}
-val lookup_local : ctx -> string -> Bitvec.ty option
-val declare_local : ctx -> Ast.loc -> string -> Bitvec.ty -> unit
-val push_scope : ctx -> unit
-val pop_scope : ctx -> unit
-val in_scope : ctx -> (unit -> 'a) -> 'a
-val try_const : ctx -> Ast.expr -> Bitvec.t option
-val expr_equal : Ast.expr -> Ast.expr -> bool
-val range_width :
-  ctx ->
-  Ast.loc ->
-  Ast.expr ->
-  Ast.expr -> [> `Dynamic of int | `Static of int * int ]
-val index_width : int -> int
-val coerce :
-  'a ->
-  Ast.loc ->
-  Bitvec.ty -> Tast.texpr -> Tast.texpr
-val wrap_to :
-  Bitvec.ty ->
-  Tast.texpr -> Ast.loc -> Tast.texpr
-val check_expr : ctx -> Ast.expr -> Tast.texpr
-val check_ident :
-  ctx -> Ast.loc -> string -> Tast.texpr
-val check_index :
-  ctx ->
-  Ast.loc ->
-  Ast.expr -> Ast.expr -> Tast.texpr
-val bit_select :
-  ctx ->
-  Ast.loc ->
-  Tast.texpr -> Ast.expr -> Tast.texpr
-val check_range :
-  ctx ->
-  Ast.loc ->
-  Ast.expr ->
-  Ast.expr -> Ast.expr -> Tast.texpr
-val check_binop :
-  ctx ->
-  Ast.loc ->
-  Ast.binop ->
-  Ast.expr -> Ast.expr -> Tast.texpr
-val check_unop :
-  ctx ->
-  Ast.loc ->
-  Ast.unop -> Ast.expr -> Tast.texpr
-val check_call :
-  ctx ->
-  Ast.loc ->
-  string -> Ast.expr list -> Tast.texpr
-val resolve_local_ty :
-  ctx -> Ast.loc -> Ast.ty_expr -> Bitvec.ty
-val switch_counter : int ref
-val fresh_switch_name : unit -> string
-val check_stmt : ctx -> Ast.stmt -> Tast.tstmt list
-val check_stmts :
-  ctx -> Ast.stmt list -> Tast.tstmt list
-val check_assign :
-  ctx ->
-  Ast.loc ->
-  Ast.expr -> Tast.texpr -> Tast.tstmt
-val check_encoding :
-  Ast.loc ->
-  Ast.enc_elem list ->
-  int * Bitvec.t * Bitvec.t * Tast.field_info list
-val check_function :
-  Elaborate.elaborated ->
-  Elaborate.cenv ->
-  (string * Tast.tfunc) list ->
-  Ast.func -> Tast.tfunc
-val check_instruction :
-  Elaborate.elaborated ->
-  Elaborate.cenv ->
-  (string * Tast.tfunc) list ->
-  Ast.instruction -> Tast.tinstr
-val check_always :
-  Elaborate.elaborated ->
-  Elaborate.cenv ->
-  (string * Tast.tfunc) list ->
-  Ast.always_block -> Tast.talways
-val check : Elaborate.elaborated -> Tast.tunit
 
 val check_all : Elaborate.elaborated -> (Tast.tunit, Diag.t list) result
-(** Like {!check} but accumulates one diagnostic per failing
-    function/instruction/always-block instead of aborting on the first. *)
+(** Type-check a whole elaborated unit, accumulating one diagnostic per
+    failing function/instruction/always-block. *)

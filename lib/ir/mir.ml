@@ -206,21 +206,3 @@ let rewrite g ~subst ~keep =
       body
   in
   { g with body = go g.body }
-
-(* Rebuild a graph with every SSA value id mapped through [f] (operands,
-   results, and region bodies alike). Used by the content-addressed cache
-   tests to check that fingerprints are invariant under alpha-renaming. *)
-let renumber_values g ~f =
-  let rv v = { v with vid = f v.vid } in
-  let rec go body =
-    List.map
-      (fun op ->
-        {
-          op with
-          operands = List.map rv op.operands;
-          results = List.map rv op.results;
-          regions = List.map go op.regions;
-        })
-      body
-  in
-  { g with body = go g.body }

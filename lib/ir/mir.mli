@@ -74,8 +74,3 @@ val pp_graph : Format.formatter -> graph -> unit
 val graph_to_string : graph -> string
 val rewrite :
   graph -> subst:(int, value) Hashtbl.t -> keep:(op -> bool) -> graph
-
-val renumber_values : graph -> f:(int -> int) -> graph
-(** Rebuild the graph with every SSA value id (defs and uses, including
-    nested regions) mapped through [f]. [f] must be injective for the
-    result to remain a valid SSA graph. *)

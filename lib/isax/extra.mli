@@ -5,8 +5,9 @@
    - crc32b: a deep serial xor/mux chain (bit-serial CRC-32 over one byte),
    - clz: priority logic (count leading zeros).
 
-   They are used by the extra tests and the `extra` bench target, and are
-   available to the CLI like the Table 3 set. *)
+   Only the extra tests and the `extra` bench target use them; the CLI's
+   [bundled] command and the serve daemon know the Table 3 set
+   ({!Registry}) only. *)
 
 val bitrev : string
 val crc32b : string

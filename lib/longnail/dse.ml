@@ -111,7 +111,7 @@ let explore ?(cycle_factors = [ 0.75; 1.0; 1.5; 2.0 ]) ?sweep ?request
     | c ->
         let area_pct, freq =
           Cache.Store.find_or_add ss.ss_measure ?obs
-            (Flow.target_key ss.ss_flow knobs core tu) (fun () -> measure c)
+            (Flow.target_key knobs core tu) (fun () -> measure c)
         in
         let latency =
           List.fold_left

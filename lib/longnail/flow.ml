@@ -14,13 +14,14 @@
    host core itself.
 
    The flow is organized as a *compilation session*: every stage boundary
-   is a content-addressed artifact (Cache.Store) keyed by structural
-   fingerprints (Cache.Fp), so repeated compiles — the CLI, batch
-   compiles, the DSE sweep, the paper bench — reuse everything
-   upstream of the first changed input. Artifact granularity:
+   is a content-addressed artifact (Cache.Store) keyed by the unit's
+   source digest (tu.elab.digest) and the core's datasheet fingerprint
+   (Cache.Fp), so repeated compiles — the CLI, batch compiles, the DSE
+   sweep, the paper bench — reuse everything upstream of the first
+   changed input. Artifact granularity:
 
      frontend artifact   per source            (caller-supplied key)
-     IR artifact         per functionality     (unit fp; core-independent)
+     IR artifact         per functionality     (unit digest; core-independent)
      sched artifact      per functionality x core x scheduling knobs
      target artifact     per unit x core x knobs (incl. hazard handling
                          and the emission backend)
@@ -164,12 +165,6 @@ type session = {
          the same store directory compiles warm. Only [compile_outputs]
          / [compile_many_outputs] consult it: the full [compiled] value
          (netlists, schedules, adapters) exists only on real compiles. *)
-  (* fingerprint memos, keyed by physical identity: reusing the same
-     tunit/datasheet value across lookups skips re-serialization. Guarded
-     by [s_fp_lock]: sessions are shared across worker domains. *)
-  s_fp_lock : Mutex.t;
-  mutable s_unit_fps : (Coredsl.Tast.tunit * Cache.Fp.t) list;
-  mutable s_core_fps : (Scaiev.Datasheet.t * Cache.Fp.t) list;
 }
 
 let create_session ?capacity ?disk () =
@@ -179,9 +174,6 @@ let create_session ?capacity ?disk () =
     s_func = Cache.Store.create ?capacity ~name:"sched" ();
     s_target = Cache.Store.create ?capacity ~name:"target" ();
     s_disk = disk;
-    s_fp_lock = Mutex.create ();
-    s_unit_fps = [];
-    s_core_fps = [];
   }
 
 (* read by the benchmark's layer probe; every schedule is one cold
@@ -198,46 +190,23 @@ let session_stats s =
     (Cache.Store.name s.s_target, Cache.Store.stats s.s_target);
   ]
 
-let fp_memo_limit = 32
-
-let take n l = List.filteri (fun i _ -> i < n) l
-
-(* The memo lookups mutate the lists, so reads and writes both take the
-   lock. Fingerprinting itself is pure; a rare duplicate computation when
-   two domains race on the same fresh value is harmless (same fp). *)
-let unit_fp s (tu : Coredsl.Tast.tunit) =
-  match Mutex.protect s.s_fp_lock (fun () -> List.assq_opt tu s.s_unit_fps) with
-  | Some fp -> fp
-  | None ->
-      let fp = Cache.Fp.tunit tu in
-      Mutex.protect s.s_fp_lock (fun () ->
-          s.s_unit_fps <- take fp_memo_limit ((tu, fp) :: s.s_unit_fps));
-      fp
-
-let core_fp s (core : Scaiev.Datasheet.t) =
-  match Mutex.protect s.s_fp_lock (fun () -> List.assq_opt core s.s_core_fps) with
-  | Some fp -> fp
-  | None ->
-      let fp = Cache.Fp.datasheet core in
-      Mutex.protect s.s_fp_lock (fun () ->
-          s.s_core_fps <- take fp_memo_limit ((core, fp) :: s.s_core_fps));
-      fp
-
 let frontend s ?obs ~key thunk = Cache.Store.find_or_add s.s_frontend ?obs ("fe/" ^ key) thunk
 
-let ir_key s tu ~narrow ~kind ~name =
-  Printf.sprintf "%s/%s/%s%s" (unit_fp s tu)
+(* A unit is keyed by the digest of the source bytes its elaboration
+   read, a core by its datasheet fingerprint. *)
+let ir_key (tu : Coredsl.Tast.tunit) ~narrow ~kind ~name =
+  Printf.sprintf "%s/%s/%s%s" tu.elab.digest
     (match kind with `Instruction -> "instr" | `Always -> "always")
     name
     (if narrow then "/nw" else "")
 
-let func_key s k core tu ~kind ~name =
+let func_key k core tu ~kind ~name =
   Printf.sprintf "%s/%s/%s"
-    (ir_key s tu ~narrow:k.k_narrow ~kind ~name)
-    (core_fp s core) (func_knobs_key k)
+    (ir_key tu ~narrow:k.k_narrow ~kind ~name)
+    (Cache.Fp.datasheet core) (func_knobs_key k)
 
-let target_key s k (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) =
-  Printf.sprintf "%s/%s/%s|%s|be:%s" (unit_fp s tu) (core_fp s core) (func_knobs_key k)
+let target_key k (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) =
+  Printf.sprintf "%s/%s/%s|%s|be:%s" tu.elab.digest (Cache.Fp.datasheet core) (func_knobs_key k)
     (if k.k_hazard_handling then "hz" else "nohz")
     (Rtl.Backend.to_string k.k_backend)
 
@@ -428,12 +397,12 @@ let compile_functionality_in session k ?obs ?(verify_each = false)
   let fir =
     Obs.span_opt obs "ir_artifact" @@ fun sobs ->
     Cache.Store.find_or_add session.s_ir ?obs:sobs
-      (ir_key session tu ~narrow:k.k_narrow ~kind ~name)
+      (ir_key tu ~narrow:k.k_narrow ~kind ~name)
       (fun () -> build_func_ir ~verify_each ~narrow:k.k_narrow tu sobs fn)
   in
   let fh =
     Obs.span_opt obs "sched_artifact" @@ fun sobs ->
-    Cache.Store.find_or_add session.s_func ?obs:sobs (func_key session k core tu ~kind ~name)
+    Cache.Store.find_or_add session.s_func ?obs:sobs (func_key k core tu ~kind ~name)
       (fun () -> build_func_hw core tu k ~name ~kind sobs fir)
   in
   (* emission is the last step over the cached netlist, so a backend
@@ -521,7 +490,7 @@ let compile_request (r : Request.t) (core : Scaiev.Datasheet.t) (tu : Coredsl.Ta
   let session = match r.Request.session with Some s -> s | None -> throwaway () in
   let obs = r.Request.obs in
   Obs.metric_str_opt obs "core" core.core_name;
-  Cache.Store.find_or_add session.s_target ?obs (target_key session k core tu) (fun () ->
+  Cache.Store.find_or_add session.s_target ?obs (target_key k core tu) (fun () ->
       build_target session k ?obs ~verify_each:r.Request.verify_each core tu)
 
 let compile ?request (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) : compiled =
@@ -535,7 +504,7 @@ let warm_ir ?(verify_each = false) ?(narrow = false) session (tu : Coredsl.Tast.
   let warm ~kind ~name fn =
     with_stage_diags name (fun () ->
         ignore
-          (Cache.Store.find_or_add session.s_ir (ir_key session tu ~narrow ~kind ~name)
+          (Cache.Store.find_or_add session.s_ir (ir_key tu ~narrow ~kind ~name)
              (fun () -> build_func_ir ~verify_each ~narrow tu None fn)))
   in
   List.iter
@@ -636,8 +605,8 @@ let outputs_of_compiled (c : compiled) =
    store's own [Cache.Disk.format_version] guards the file layout. *)
 let outputs_codec_version = 1
 
-let outputs_key session k core tu =
-  Printf.sprintf "out%d/%s" outputs_codec_version (target_key session k core tu)
+let outputs_key k core tu =
+  Printf.sprintf "out%d/%s" outputs_codec_version (target_key k core tu)
 
 let encode_outputs (o : outputs) =
   let b = Buffer.create 4096 in
@@ -714,7 +683,7 @@ let compile_many_outputs ?request targets =
       let probed =
         List.map
           (fun (core, tu) ->
-            let key = outputs_key session r.Request.knobs core tu in
+            let key = outputs_key r.Request.knobs core tu in
             (key, Option.bind (Cache.Disk.find d ?obs key) decode_outputs))
           targets
       in

@@ -73,8 +73,8 @@ val dominant_mode : Hwgen.result -> kind:[> `Always ] -> Scaiev.Config.mode
 
     The one fingerprintable knob record; every field changes an artifact.
     Knobs are part of the sched- and target-artifact cache keys; two
-    compiles with equal knobs (and equal unit/core fingerprints) share
-    artifacts. *)
+    compiles with equal knobs (and equal unit digests and core
+    fingerprints) share artifacts. *)
 type knobs = {
   k_scheduler : Sched_build.scheduler;
   k_delay : Delay_model.spec;
@@ -117,7 +117,9 @@ val delay_model_for : Scaiev.Datasheet.t -> knobs -> Delay_model.t
 (** {1 Compilation sessions}
 
     A session owns four content-addressed artifact stores (frontend, IR,
-    sched, target) plus fingerprint memos. Sessions are shared by the CLI,
+    sched, target). A unit is keyed by the digest of the source bytes its
+    elaboration read ([tu.elab.digest], see {!Coredsl.Elaborate}), a core
+    by {!Cache.Fp.datasheet}. Sessions are shared by the CLI,
     {!compile_many}, {!Dse.explore} and the paper bench; compiling the
     same inputs twice within a session is served entirely from cache. *)
 type session
@@ -138,8 +140,7 @@ val session_stats : session -> (string * Cache.Store.stats) list
 (** Per-store cumulative hit/miss/store/eviction counters, in pipeline
     order: [frontend], [ir], [sched], [target]. Sessions are safe for
     concurrent use from multiple domains: the stores are single-flight
-    (see {!Cache.Store.find_or_add}) and the fingerprint memos are
-    mutex-guarded. *)
+    (see {!Cache.Store.find_or_add}). *)
 
 val session_solver_stats : session -> Lp.Instance.stats
 (** Always {!Lp.Instance.zero_stats}: a stub kept for the benchmark's
@@ -188,10 +189,11 @@ val frontend :
     owns key completeness; see docs/CACHING.md. With [obs], cache
     counters are recorded on that span. *)
 
-val target_key : session -> knobs -> Scaiev.Datasheet.t -> Coredsl.Tast.tunit -> string
-(** The content-addressed key of a whole-target compile — exposed so
-    callers (e.g. the DSE measure memo) can key their own derived
-    artifacts consistently with the session. *)
+val target_key : knobs -> Scaiev.Datasheet.t -> Coredsl.Tast.tunit -> string
+(** The content-addressed key of a whole-target compile: the unit digest,
+    the core fingerprint, the knobs, hazard handling and the backend.
+    Exposed so callers (e.g. the DSE measure memo) can key their own
+    derived artifacts consistently with the session. *)
 
 (** {1 Compiling} *)
 

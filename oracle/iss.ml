@@ -126,8 +126,9 @@ let step_word t w =
         | 4 -> v1 lxor (i_imm land mask32)
         | 6 -> v1 lor (i_imm land mask32)
         | 7 -> v1 land (i_imm land mask32)
-        | 1 -> v1 lsl shamt
-        | 5 -> if funct7 land 0x20 <> 0 then s32 v1 asr shamt else v1 lsr shamt
+        | 1 when funct7 = 0x00 -> v1 lsl shamt
+        | 5 when funct7 = 0x00 -> v1 lsr shamt
+        | 5 when funct7 = 0x20 -> s32 v1 asr shamt
         | _ -> raise (Unknown_instruction w)
       in
       write_reg t rd v
@@ -193,14 +194,14 @@ let step_word t w =
         match (funct3, funct7) with
         | 0, 0x00 -> v1 + v2
         | 0, 0x20 -> v1 - v2
-        | 1, _ -> v1 lsl sh
-        | 2, _ -> if s32 v1 < s32 v2 then 1 else 0
-        | 3, _ -> if v1 < v2 then 1 else 0
-        | 4, _ -> v1 lxor v2
+        | 1, 0x00 -> v1 lsl sh
+        | 2, 0x00 -> if s32 v1 < s32 v2 then 1 else 0
+        | 3, 0x00 -> if v1 < v2 then 1 else 0
+        | 4, 0x00 -> v1 lxor v2
         | 5, 0x00 -> v1 lsr sh
         | 5, 0x20 -> s32 v1 asr sh
-        | 6, _ -> v1 lor v2
-        | 7, _ -> v1 land v2
+        | 6, 0x00 -> v1 lor v2
+        | 7, 0x00 -> v1 land v2
         | _ -> raise (Unknown_instruction w)
       in
       write_reg t rd v

@@ -6,7 +6,9 @@
 # second must be served warm from disk (nonzero hits, zero misses) with
 # byte-identical SystemVerilog and YAML. Then an artifact is corrupted
 # in place and the compile re-run: the store must heal (corrupt entry
-# evicted, target recompiled) with identical bytes and exit 0.
+# evicted, target recompiled) with identical bytes and exit 0. The same
+# source copied under another file name must then be served warm too (a
+# unit is keyed by its source bytes), and a one-literal edit must miss.
 #
 # Finally a daemon smoke leg: start `longnail serve` against the same
 # store, drive a batched compile and a malformed request through
@@ -67,6 +69,34 @@ if ! diff -r "$TMP/cold" "$TMP/healed"; then
     exit 1
 fi
 echo "disk-cache: corrupted entry evicted and healed"
+
+# ---- a unit is keyed by its source bytes, not its file name ----
+
+cp "$TMP/dotprod.core_desc" "$TMP/renamed.core_desc"
+renamed_note="$("$CLI" compile -c vexriscv -t X_DOTP "$TMP/renamed.core_desc" \
+    -o "$TMP/renamed" --store "$STORE")"
+echo "$renamed_note"
+echo "$renamed_note" | grep -q 'disk-store: hits=1 misses=0 stores=0' || {
+    echo "error: the same source under another file name was not served from disk" >&2
+    exit 1; }
+if ! diff -r "$TMP/cold" "$TMP/renamed"; then
+    echo "error: the renamed source changed the artifact bytes" >&2
+    exit 1
+fi
+echo "disk-cache: same source under another name served warm, byte-identical"
+
+# ---- a one-literal edit is a new unit and misses ----
+
+sed 's/signed<32> res = 0;/signed<32> res = 1;/' "$TMP/dotprod.core_desc" > "$TMP/edited.core_desc"
+if cmp -s "$TMP/dotprod.core_desc" "$TMP/edited.core_desc"; then
+    echo "error: the literal edit did not apply" >&2; exit 1
+fi
+edited_note="$("$CLI" compile -c vexriscv -t X_DOTP "$TMP/edited.core_desc" \
+    -o "$TMP/edited" --store "$STORE")"
+echo "$edited_note"
+echo "$edited_note" | grep -q 'misses=1 stores=1' || {
+    echo "error: an edited source was not compiled and stored afresh" >&2; exit 1; }
+echo "disk-cache: one-literal edit misses and stores"
 
 # ---- daemon smoke: serve + batched client compile + clean shutdown ----
 

@@ -347,6 +347,20 @@ let test_lint_catalog () =
       unsigned<32> a = (unsigned<32>)(t + X[rs1]);
       if (rd != 0) X[rd] = (unsigned<32>)(a + X[rs2]);|}
     "W1006";
+  (* ...also by a local that shadows an assigned one, reported under its
+     source name *)
+  let shadowed =
+    lint_of
+      {|unsigned<32> t = X[rs1];
+        if (X[rs2] != 0) { unsigned<32> t; X[rd] = t; }
+        if (rd != 0) X[rd] = t;|}
+  in
+  Alcotest.(check (list string))
+    "shadowed read before assign"
+    [ "instruction LT: local 't' is read before any assignment" ]
+    (List.filter_map
+       (fun (d : Diag.t) -> if d.code = "W1006" then Some d.message else None)
+       shadowed);
   (* W1007: the instruction writes no architectural state at all *)
   expect_warning "writes nothing" {|unsigned<32> a = (unsigned<32>)(X[rs1] + X[rs2]);|}
     "W1007"

@@ -69,87 +69,106 @@ let test_store_obs_counters () =
   check_int "cache.miss" 1 (Option.get (Obs.get_int sp "cache.miss"));
   check_int "cache.store" 1 (Option.get (Obs.get_int sp "cache.store"))
 
-(* ---- fingerprint determinism and sensitivity ---- *)
+(* ---- unit keys and fingerprints ---- *)
+
+let unit_digest (tu : Coredsl.Tast.tunit) = tu.elab.digest
 
 (* two independent elaborations of the same source (fresh typed-unit
-   values, different source spans object identity) must agree *)
-let test_tunit_fp_deterministic () =
+   values) must agree *)
+let test_unit_digest_deterministic () =
   List.iter
     (fun (e : Isax.Registry.entry) ->
-      let fp1 = Cache.Fp.tunit (Isax.Registry.compile e) in
-      let fp2 = Cache.Fp.tunit (Isax.Registry.compile e) in
-      check_str (e.name ^ " deterministic") fp1 fp2)
+      let d1 = unit_digest (Isax.Registry.compile e) in
+      let d2 = unit_digest (Isax.Registry.compile e) in
+      check_str (e.name ^ " deterministic") d1 d2)
     Isax.Registry.all
 
-(* source locations must not contribute: the same unit elaborated under a
-   different file name fingerprints identically *)
-let test_tunit_fp_ignores_locations () =
+(* the main file's name must not contribute: the same source elaborated
+   under a different file name keys identically *)
+let test_unit_digest_ignores_file_name () =
   let e = List.hd Isax.Registry.all in
   let tu1 = Coredsl.compile ~provider:Isax.Registry.provider ~file:"a.core_desc" ~target:e.target e.source in
   let tu2 = Coredsl.compile ~provider:Isax.Registry.provider ~file:"b.core_desc" ~target:e.target e.source in
-  check_str "file name irrelevant" (Cache.Fp.tunit tu1) (Cache.Fp.tunit tu2)
+  check_str "file name irrelevant" (unit_digest tu1) (unit_digest tu2)
 
-(* any semantic edit must change the fingerprint *)
-let test_tunit_fp_source_sensitivity () =
-  let src constant =
-    Printf.sprintf
-      {|import "RV32I.core_desc"
+let tiny_src constant =
+  Printf.sprintf
+    {|import "RV32I.core_desc"
 
-        InstructionSet Tiny extends RV32I {
-          instructions {
-            TINY {
-              encoding: imm[11:0] :: rs1[4:0] :: 3'b001 :: rd[4:0] :: 7'b0001011;
-              behavior: { if (rd != 0) X[rd] = (unsigned<32>)(X[rs1] + %s); }
-            }
+      InstructionSet Tiny extends RV32I {
+        instructions {
+          TINY {
+            encoding: imm[11:0] :: rs1[4:0] :: 3'b001 :: rd[4:0] :: 7'b0001011;
+            behavior: { if (rd != 0) X[rd] = (unsigned<32>)(X[rs1] + %s); }
           }
-        }|}
-      constant
-  in
-  let fp constant =
-    Cache.Fp.tunit
-      (Coredsl.compile ~provider:Isax.Registry.provider ~file:"tiny.core_desc" ~target:"Tiny"
-         (src constant))
-  in
-  check_str "identical source agrees" (fp "1") (fp "1");
-  check_bool "edited literal differs" false (fp "1" = fp "2")
+        }
+      }|}
+    constant
 
-(* golden digests: any unintended change to the canonical serialization
-   (or to a bundled ISAX) shows up as a diff here. Regenerate with the
-   printf below when the change is deliberate. *)
-let test_tunit_fp_golden () =
+(* any edit to the source must change the key *)
+let test_unit_digest_source_sensitivity () =
+  let digest constant =
+    unit_digest
+      (Coredsl.compile ~provider:Isax.Registry.provider ~file:"tiny.core_desc" ~target:"Tiny"
+         (tiny_src constant))
+  in
+  check_str "identical source agrees" (digest "1") (digest "1");
+  check_bool "edited literal differs" false (digest "1" = digest "2")
+
+(* an import's text is part of the key: the same main source over an
+   imported set with a different constant keys differently *)
+let test_unit_digest_import_sensitivity () =
+  let main =
+    {|import "konst.core_desc"
+
+      InstructionSet Uses extends Konst {
+        instructions {
+          ADDK {
+            encoding: 12'd0 :: rs1[4:0] :: 3'b010 :: rd[4:0] :: 7'b0001011;
+            behavior: { if (rd != 0) X[rd] = (unsigned<32>)(X[rs1] + K); }
+          }
+        }
+      }|}
+  in
+  let digest k =
+    let imported =
+      Printf.sprintf
+        {|import "RV32I.core_desc"
+
+          InstructionSet Konst extends RV32I {
+            architectural_state { unsigned int K = %d; }
+          }|}
+        k
+    in
+    let provider = function "konst.core_desc" -> Some imported | _ -> None in
+    unit_digest (Coredsl.compile ~provider ~file:"uses.core_desc" ~target:"Uses" main)
+  in
+  check_str "identical import agrees" (digest 1) (digest 1);
+  check_bool "edited import differs" false (digest 1 = digest 2)
+
+(* golden digests: any unintended change to the key derivation (or to a
+   bundled ISAX or the RV32I source) shows up as a diff here. Regenerate
+   when the change is deliberate. *)
+let test_unit_digest_golden () =
   let goldens =
     [
-      ("autoinc", "bb40229e3db54dc42382c1d3d3ef78f0");
-      ("dotprod", "cfbf6118cc8261aa0f923c9a2b76e1a3");
-      ("ijmp", "e1babea7a443b0744cd9ca87bea9aa8d");
-      ("sbox", "4e27102d023487ef31d6982849fae598");
-      ("sparkle", "03aa171c7665e50e39cd2d5c720607d2");
-      ("sqrt_tightly", "f01475cbdc6a9201bf60d92256cd5275");
-      ("sqrt_decoupled", "4497cbaabe85805eeadc1bfec0cfe288");
-      ("zol", "7eeef67145714948d060e637baf6739c");
-      ("chksum", "d034f8bb5603d68e3e562706897a528e");
-      ("autoinc+zol", "b1fb71a5a2060e970c2bf80680a43546");
+      ("autoinc", "4a6f3f8ef769734d69a65195fe7a6f52");
+      ("dotprod", "79bb183d61ff1c31ad42ff80096815af");
+      ("ijmp", "ec0943da392c39960bc01648fa583e51");
+      ("sbox", "56c09b9947fa011b8ab613a79b8a06d3");
+      ("sparkle", "e6ff94cd9a6cb20ebc55c2a93ff6cf38");
+      ("sqrt_tightly", "a072714e05138a80026f34826c94c73a");
+      ("sqrt_decoupled", "13330f7cbbc66a5d8de1eafe53b46c4a");
+      ("zol", "08d850a8d31be9eb30f66560c902bc1f");
+      ("chksum", "7bea79f6eb69d7ec99f325a527d17b06");
+      ("autoinc+zol", "4eeeeeadbab5c130669f7a1d06541f61");
     ]
   in
   List.iter
     (fun (e : Isax.Registry.entry) ->
       check_str (e.name ^ " golden digest") (List.assoc e.name goldens)
-        (Cache.Fp.tunit (Isax.Registry.compile e)))
+        (unit_digest (Isax.Registry.compile e)))
     Isax.Registry.all
-
-(* MIR fingerprints must be invariant under alpha-renaming of SSA value
-   ids but sensitive to structure *)
-let test_graph_fp_alpha_invariant () =
-  let tu = Isax.Registry.compile_by_name "dotprod" in
-  List.iter
-    (fun (ti : Coredsl.Tast.tinstr) ->
-      let g = Ir.Hlir.lower_instruction tu ti in
-      let renamed = Ir.Mir.renumber_values g ~f:(fun vid -> vid + 1000) in
-      check_str (ti.ti_name ^ " alpha-invariant") (Cache.Fp.graph g) (Cache.Fp.graph renamed);
-      let relabeled = { g with Ir.Mir.gname = g.Ir.Mir.gname ^ "_x" } in
-      check_bool (ti.ti_name ^ " name-sensitive") false
-        (Cache.Fp.graph g = Cache.Fp.graph relabeled))
-    tu.tinstrs
 
 let test_datasheet_fp_distinct () =
   (* every registered core, outlook included: a colliding fingerprint
@@ -621,11 +640,11 @@ let () =
         ] );
       ( "fingerprints",
         [
-          Alcotest.test_case "tunit deterministic" `Quick test_tunit_fp_deterministic;
-          Alcotest.test_case "locations excluded" `Quick test_tunit_fp_ignores_locations;
-          Alcotest.test_case "source sensitivity" `Quick test_tunit_fp_source_sensitivity;
-          Alcotest.test_case "golden digests" `Quick test_tunit_fp_golden;
-          Alcotest.test_case "graph alpha-invariance" `Quick test_graph_fp_alpha_invariant;
+          Alcotest.test_case "tunit deterministic" `Quick test_unit_digest_deterministic;
+          Alcotest.test_case "locations excluded" `Quick test_unit_digest_ignores_file_name;
+          Alcotest.test_case "source sensitivity" `Quick test_unit_digest_source_sensitivity;
+          Alcotest.test_case "import text keyed" `Quick test_unit_digest_import_sensitivity;
+          Alcotest.test_case "golden digests" `Quick test_unit_digest_golden;
           Alcotest.test_case "datasheets distinct" `Quick test_datasheet_fp_distinct;
           Alcotest.test_case "paper-core artifacts golden" `Slow
             test_paper_core_artifacts_golden;

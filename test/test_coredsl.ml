@@ -121,11 +121,15 @@ let test_elaborate_core_combination () =
     (List.length (List.filter (fun (r : Elaborate.reg) -> r.rname = "X") elab.regs));
   check_int "44 instructions" 44 (List.length tu.Tast.tinstrs)
 
+(* [Coredsl.compile] raises [Diag.Fatal] with the front end's diagnostics *)
+let check_codes what codes ds =
+  Alcotest.(check (list string)) what codes (List.map (fun (d : Diag.t) -> d.code) ds)
+
 let test_elaborate_missing_import () =
   try
     ignore (compile ~target:"T" "import \"nope.core_desc\"\nInstructionSet T {}");
     Alcotest.fail "expected error"
-  with Error m -> check_bool "mentions import" true (String.length m > 0)
+  with Diag.Fatal ds -> check_codes "unresolved import" [ "E0201" ] ds
 
 let test_elaborate_rom () =
   let tu = Isax.Registry.compile_by_name "sbox" in
@@ -160,7 +164,9 @@ let expect_type_error body =
   try
     ignore (compile_behavior body);
     Alcotest.failf "expected type error for: %s" body
-  with Error m -> check_bool "is type error" true (String.length m > 0)
+  with Diag.Fatal ds ->
+    check_bool "is type error" true
+      (ds <> [] && List.for_all (fun (d : Diag.t) -> String.starts_with ~prefix:"E01" d.code) ds)
 
 let test_no_implicit_narrowing () =
   (* the paper's canonical examples: u4 = u5 and u4 = s4 are forbidden *)
@@ -192,7 +198,7 @@ InstructionSet T extends RV32I {
   (try
      ignore (compile ~target:"T" src);
      Alcotest.fail "expected error"
-   with Error m -> check_bool "spawn in always rejected" true (String.length m > 0));
+   with Diag.Fatal ds -> check_codes "spawn in always rejected" [ "E0106" ] ds);
   ignore (compile_behavior "spawn { X[rd] = (unsigned<32>)1; }")
 
 let test_encoding_fields () =
@@ -256,7 +262,7 @@ InstructionSet T extends RV32I {
   try
     ignore (compile ~target:"T" src);
     Alcotest.fail "expected error"
-  with Error m -> check_bool "rom write rejected" true (String.length m > 0)
+  with Diag.Fatal ds -> check_codes "rom write rejected" [ "E0103" ] ds
 
 (* ---- interpreter: base ISA ---- *)
 
@@ -508,7 +514,13 @@ let test_parse_error_messages () =
     try
       ignore (compile ~target:"T" src);
       Alcotest.fail "expected syntax error"
-    with Error m -> check_bool "has location" true (String.contains m ':')
+    with Diag.Fatal ds -> (
+      (* the syntax error comes first and points into the source *)
+      match ds with
+      | d :: _ ->
+          check_str "syntax error" "E0002" d.code;
+          check_bool "has location" true (d.span <> None)
+      | [] -> Alcotest.fail "no diagnostic")
   in
   expect_syntax "InstructionSet T { architectural_state { register unsigned<8 R; } }";
   expect_syntax "InstructionSet T { instructions { A { encoding: 32'd0 behavior: {} } } }";
@@ -664,6 +676,54 @@ InstructionSet T extends RV32I {
   match resp.rd_write with
   | Some (data, true) -> check_int "rtl" 42 (Bitvec.to_int data)
   | _ -> Alcotest.fail "no rd write"
+
+(* C scoping: a declaration in a nested block shadows the outer local
+   only inside that block. The staged evaluator, the tree-walking oracle
+   and the generated RTL all write the outer value, whichever way the
+   branch goes. *)
+let test_shadowed_local () =
+  let tu =
+    compile ~target:"T"
+      {|
+import "RV32I.core_desc"
+InstructionSet T extends RV32I {
+  instructions {
+    TEST {
+      encoding: 12'd0 :: rs1[4:0] :: 3'b111 :: rd[4:0] :: 7'b1111011;
+      behavior: {
+        unsigned<32> x = 5;
+        if (X[rs1] != 0) { unsigned<32> x = 7; }
+        if (rd != 0) X[rd] = x;
+      }
+    }
+  }
+}
+|}
+  in
+  let ti = Option.get (Tast.find_tinstr tu "TEST") in
+  let word = Interp.encode ti [ ("rs1", bv 32 1); ("rd", bv 32 2) ] in
+  let f = Longnail.Flow.compile_functionality Scaiev.Datasheet.vexriscv tu (`Instr ti) in
+  List.iter
+    (fun v ->
+      let input = bv 32 v in
+      let run exec =
+        let st = Interp.create tu in
+        Interp.write_regfile st "X" 1 input;
+        exec st;
+        Bitvec.to_int (Interp.read_regfile st "X" 2)
+      in
+      let ctx = Printf.sprintf "X[rs1] = %d: " v in
+      check_int (ctx ^ "staged") 5 (run (fun st -> Interp.exec_instr st ti ~instr_word:word));
+      check_int (ctx ^ "oracle") 5
+        (run (fun st -> Oracle.Coredsl_interp.exec_instr st ti ~instr_word:word));
+      let resp =
+        Longnail.Cosim.run f
+          { Longnail.Cosim.default_stimulus with instr_word = Some word; rs1 = Some input }
+      in
+      match resp.rd_write with
+      | Some (data, true) -> check_int (ctx ^ "rtl") 5 (Bitvec.to_int data)
+      | _ -> Alcotest.fail "no rd write")
+    [ 0; 1 ]
 
 (* ---- encode/decode properties ---- *)
 
@@ -875,6 +935,7 @@ let () =
           Alcotest.test_case "single default" `Quick test_switch_requires_single_default;
           Alcotest.test_case "while through HLS" `Quick test_while_through_hls;
           Alcotest.test_case "void call statement" `Quick test_void_call_statement;
+          Alcotest.test_case "shadowed local" `Quick test_shadowed_local;
         ] );
       ( "interp-isax",
         [

@@ -463,7 +463,9 @@ InstructionSet B extends A { }
   try
     ignore (Coredsl.compile ~target:"A" src);
     Alcotest.fail "expected cycle error"
-  with Coredsl.Error m -> check_bool "cycle reported" true (String.length m > 0)
+  with Diag.Fatal ds ->
+    Alcotest.(check (list string)) "cycle reported" [ "E0203" ]
+      (List.map (fun (d : Diag.t) -> d.code) ds)
 
 (* ---- outlook features (Section 7) ---- *)
 

@@ -212,6 +212,25 @@ let test_iss_basic () =
   Oracle.Iss.step t;
   check_int "a2" 12 (Oracle.Iss.read_reg t 12)
 
+(* funct7 selects the operation: each R-type and shift-immediate
+   instruction decodes only under its own funct7, like the CoreDSL
+   encodings. A set funct7 bit on XOR, or 0x20 on SLLI, is no RV32I word. *)
+let test_iss_rejects_reserved_funct7 () =
+  let word_of src = List.hd (Riscv.Asm.assemble src) in
+  List.iter
+    (fun (src, funct7) ->
+      let w = word_of src lor (funct7 lsl 25) in
+      let t = Oracle.Iss.create () in
+      Oracle.Iss.write_word t 0 w;
+      match Oracle.Iss.step t with
+      | () -> Alcotest.failf "%s with funct7 %#x decoded" src funct7
+      | exception Oracle.Iss.Unknown_instruction w' -> check_int src w w')
+    [
+      ("sll a0, a1, a2", 0x20); ("slt a0, a1, a2", 0x20); ("sltu a0, a1, a2", 0x20);
+      ("xor a0, a1, a2", 0x02); ("or a0, a1, a2", 0x20); ("and a0, a1, a2", 0x20);
+      ("slli a0, a1, 3", 0x20); ("srli a0, a1, 3", 0x10); ("srai a0, a1, 3", 0x30);
+    ]
+
 (* cross-validation: run random short ALU programs through the native ISS
    and the CoreDSL-described RV32I interpreter; states must agree *)
 let prop_iss_matches_coredsl =
@@ -567,6 +586,7 @@ let () =
       ( "iss",
         [
           Alcotest.test_case "basic" `Quick test_iss_basic;
+          Alcotest.test_case "reserved funct7 rejected" `Quick test_iss_rejects_reserved_funct7;
           Alcotest.test_case "rv32m corner cases" `Quick test_rv32m_corner_cases;
         ] );
       ( "machine",
