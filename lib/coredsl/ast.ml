@@ -127,3 +127,6 @@ type desc = { imports : (string * loc) list; sets : instr_set list; cores : core
 exception Syntax_error of loc * string
 
 let syntax_error loc fmt = Format.kasprintf (fun m -> raise (Syntax_error (loc, m))) fmt
+
+(* 2^16 bits: the vector width IEEE 1364 requires every Verilog tool to accept *)
+let max_width = 65536

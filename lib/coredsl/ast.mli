@@ -128,3 +128,6 @@ type desc = {
 }
 exception Syntax_error of loc * string
 val syntax_error : loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+val max_width : int
+(** The widest sized literal or declared type, in bits: 2^16, the vector
+    width IEEE 1364 requires every Verilog tool to accept. *)

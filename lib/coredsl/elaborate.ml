@@ -22,6 +22,10 @@ let elab_error ?(code = "E0200") loc fmt =
 
 (* ---- constant expression evaluation ---- *)
 
+(* The width a type or cast declares: 1 to [max_width] bits. *)
+let type_width v =
+  match Bitvec.to_int_opt v with Some w when w >= 1 && w <= max_width -> Some w | _ -> None
+
 (* Environment for compile-time evaluation: parameters and local constants. *)
 type cenv = { vars : (string * Bitvec.t) list }
 
@@ -44,9 +48,10 @@ let rec const_eval (env : cenv) (e : expr) : Bitvec.t =
       let v = const_eval env a in
       match cast_width with
       | None -> Bitvec.reinterpret_sign cast_signed v
-      | Some w ->
-          let w = Bitvec.to_int (const_eval env w) in
-          Bitvec.cast (Bitvec.ty ~width:w ~signed:cast_signed) v)
+      | Some w -> (
+          match type_width (const_eval env w) with
+          | Some w -> Bitvec.cast (Bitvec.ty ~width:w ~signed:cast_signed) v
+          | None -> elab_error ~code:"E0204" e.eloc "cast width must be from 1 to %d" max_width))
   | Concat (a, b) -> Bitvec.concat (const_eval env a) (const_eval env b)
   | Ternary (c, t, f) ->
       if Bitvec.to_bool (const_eval env c) then const_eval env t else const_eval env f
@@ -90,10 +95,11 @@ let const_eval_int env e = Bitvec.to_int (const_eval env e)
 
 (* Resolve a type expression to a concrete Bitvec type. *)
 let resolve_ty env loc = function
-  | Ty_int { signed; width } ->
-      let w = const_eval_int env width in
-      if w <= 0 then elab_error loc "type width must be positive, got %d" w;
-      Bitvec.ty ~width:w ~signed
+  | Ty_int { signed; width } -> (
+      let v = const_eval env width in
+      match type_width v with
+      | Some w -> Bitvec.ty ~width:w ~signed
+      | None -> elab_error loc "type width must be from 1 to %d, got %s" max_width (Bitvec.to_string v))
   | Ty_void -> elab_error loc "void type is only allowed as a function return type"
   | Ty_alias a -> elab_error loc "unresolved type alias '%s'" a
 

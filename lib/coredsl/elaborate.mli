@@ -10,6 +10,10 @@ module Bn = Bitvec.Bn
 exception Elab_error of Diag.t
 val elab_error :
   ?code:string -> Ast.loc -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+val type_width : Bitvec.t -> int option
+(** The width a type or cast declares, if the value is one: 1 to
+    {!Ast.max_width} bits. *)
+
 type cenv = { vars : (string * Bitvec.t) list; }
 val const_eval : cenv -> Ast.expr -> Bitvec.t
 val const_binop :

@@ -2,9 +2,13 @@
 
    Replaces the Xtext-generated front-end of the paper. Supports C-style
    comments, decimal/hex/binary literals, and Verilog-style sized literals
-   such as [7'd0] or [3'b101] (which carry their type, cf. Section 2.3). *)
+   such as [7'd0] or [3'b101] (which carry their type, cf. Section 2.3).
 
-module Bn = Bitvec.Bn
+   Characters are read straight out of the source string. A punctuator is
+   found among the few that share its first character and a keyword by a
+   table lookup, so neither builds a string; an identifier takes one
+   substring. *)
+
 open Ast
 
 type token =
@@ -27,51 +31,57 @@ let keywords =
     "void"; "bool"; "int"; "char"; "long"; "short"; "true"; "false";
   ]
 
-let is_keyword s = List.mem s keywords
+let keyword_table =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k ()) keywords;
+  t
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+let is_bin_digit c = c = '0' || c = '1'
 
 type state = { src : string; file : string; mutable pos : int; mutable line : int; mutable bol : int }
 
 let cur_loc st = { file = st.file; line = st.line; col = st.pos - st.bol + 1 }
 
-let peek_char st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-let peek_char2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let at_end st = st.pos >= String.length st.src
 
+(* The character [k] places ahead, or NUL past the end. NUL begins no
+   token, so a test for a particular character needs no bounds check;
+   the end of the input itself is tested with [at_end]. *)
+let char_at st k =
+  if st.pos + k < String.length st.src then String.unsafe_get st.src (st.pos + k) else '\000'
+
+(* Step over one character, tracking lines. Only whitespace, comments and
+   strings can hold a newline; the other token kinds move [pos] directly. *)
 let advance st =
-  (match peek_char st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-  | _ -> ());
+  if char_at st 0 = '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let rec skip_ws st =
-  match peek_char st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match char_at st 0 with
+  | ' ' | '\t' | '\r' | '\n' ->
       advance st;
       skip_ws st
-  | Some '/' when peek_char2 st = Some '/' ->
-      while peek_char st <> None && peek_char st <> Some '\n' do
+  | '/' when char_at st 1 = '/' ->
+      while (not (at_end st)) && char_at st 0 <> '\n' do
         advance st
       done;
       skip_ws st
-  | Some '/' when peek_char2 st = Some '*' ->
-      advance st;
-      advance st;
+  | '/' when char_at st 1 = '*' ->
+      st.pos <- st.pos + 2;
       let rec go () =
-        match (peek_char st, peek_char2 st) with
-        | Some '*', Some '/' ->
-            advance st;
-            advance st
-        | None, _ -> syntax_error (cur_loc st) "unterminated comment"
-        | _ ->
-            advance st;
-            go ()
+        if at_end st then syntax_error (cur_loc st) "unterminated comment"
+        else if char_at st 0 = '*' && char_at st 1 = '/' then st.pos <- st.pos + 2
+        else begin
+          advance st;
+          go ()
+        end
       in
       go ();
       skip_ws st
@@ -79,103 +89,86 @@ let rec skip_ws st =
 
 let lex_ident st =
   let start = st.pos in
-  while (match peek_char st with Some c -> is_ident_char c | None -> false) do
-    advance st
+  while is_ident_char (char_at st 0) do
+    st.pos <- st.pos + 1
   done;
   String.sub st.src start (st.pos - start)
 
+(* A run of digits accepted by [pred], with '_' separators dropped. *)
 let lex_digits st pred =
-  let b = Buffer.create 8 in
-  let rec go () =
-    match peek_char st with
-    | Some c when pred c || c = '_' ->
-        if c <> '_' then Buffer.add_char b c;
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  Buffer.contents b
+  let start = st.pos in
+  while pred (char_at st 0) || char_at st 0 = '_' do
+    st.pos <- st.pos + 1
+  done;
+  let s = String.sub st.src start (st.pos - start) in
+  if String.contains s '_' then String.concat "" (String.split_on_char '_' s) else s
+
+(* The value of [digits] after [prefix] ("", "0x", "0b" or "0o"): a native
+   int unless it needs more bits, since [Bn] builds a value digit by digit. *)
+let number prefix digits =
+  match int_of_string_opt (prefix ^ digits) with
+  | Some v when v >= 0 -> Bn.of_int v
+  | _ -> Bn.of_string_base (match prefix with "0x" -> 16 | "0b" -> 2 | "0o" -> 8 | _ -> 10) digits
 
 (* A number, possibly a Verilog-sized literal <width>'<base><digits>. *)
 let lex_number st =
   let loc = cur_loc st in
-  let digits =
-    match (peek_char st, peek_char2 st) with
-    | Some '0', Some ('x' | 'X') ->
-        advance st;
-        advance st;
-        "0x" ^ lex_digits st is_hex_digit
-    | Some '0', Some ('b' | 'B') ->
-        advance st;
-        advance st;
-        "0b" ^ lex_digits st (fun c -> c = '0' || c = '1')
-    | _ -> lex_digits st is_digit
+  let prefix, digits =
+    match (char_at st 0, char_at st 1) with
+    | '0', ('x' | 'X') ->
+        st.pos <- st.pos + 2;
+        ("0x", lex_digits st is_hex_digit)
+    | '0', ('b' | 'B') ->
+        st.pos <- st.pos + 2;
+        ("0b", lex_digits st is_bin_digit)
+    | _ -> ("", lex_digits st is_digit)
   in
-  if digits = "" || digits = "0x" || digits = "0b" then
-    syntax_error loc "malformed numeric literal";
-  match peek_char st with
-  | Some '\'' ->
-      (* sized literal: the digits lexed so far are the width *)
-      advance st;
-      let base =
-        match peek_char st with
-        | Some (('d' | 'D' | 'b' | 'B' | 'h' | 'H' | 'x' | 'X' | 'o' | 'O') as c) ->
-            advance st;
-            c
-        | _ -> syntax_error (cur_loc st) "expected base character after ' in sized literal"
-      in
-      let width =
-        try int_of_string digits
-        with _ -> syntax_error loc "width of sized literal must be a plain decimal"
-      in
-      let body =
-        match base with
-        | 'd' | 'D' -> lex_digits st is_digit
-        | 'b' | 'B' -> lex_digits st (fun c -> c = '0' || c = '1')
-        | 'h' | 'H' | 'x' | 'X' -> lex_digits st is_hex_digit
-        | _ -> lex_digits st (fun c -> c >= '0' && c <= '7')
-      in
-      if body = "" then syntax_error (cur_loc st) "empty sized literal";
-      let value =
-        match base with
-        | 'd' | 'D' -> Bn.of_string body
-        | 'b' | 'B' -> Bn.of_string ("0b" ^ body)
-        | 'h' | 'H' | 'x' | 'X' -> Bn.of_string ("0x" ^ body)
-        | _ ->
-            (* octal: fold manually *)
-            String.fold_left
-              (fun acc c -> Bn.add (Bn.mul acc (Bn.of_int 8)) (Bn.of_int (Char.code c - 48)))
-              Bn.zero body
-      in
-      INT { value; forced = Some (Bitvec.unsigned_ty width) }
-  | _ -> INT { value = Bn.of_string digits; forced = None }
+  if digits = "" then syntax_error loc "malformed numeric literal";
+  if char_at st 0 <> '\'' then INT { value = number prefix digits; forced = None }
+  else begin
+    (* sized literal: the digits lexed so far are the width *)
+    st.pos <- st.pos + 1;
+    let pred, base =
+      match char_at st 0 with
+      | 'd' | 'D' -> (is_digit, "")
+      | 'b' | 'B' -> (is_bin_digit, "0b")
+      | 'h' | 'H' | 'x' | 'X' -> (is_hex_digit, "0x")
+      | 'o' | 'O' -> ((fun c -> c >= '0' && c <= '7'), "0o")
+      | _ -> syntax_error (cur_loc st) "expected base character after ' in sized literal"
+    in
+    st.pos <- st.pos + 1;
+    let width =
+      match int_of_string_opt digits with
+      | Some w when prefix = "" && w >= 1 && w <= max_width -> w
+      | _ -> syntax_error loc "width of sized literal must be a plain decimal from 1 to %d" max_width
+    in
+    let body = lex_digits st pred in
+    if body = "" then syntax_error (cur_loc st) "empty sized literal";
+    INT { value = number base body; forced = Some (Bitvec.unsigned_ty width) }
+  end
 
 let lex_string st =
   advance st (* opening quote *);
   let b = Buffer.create 16 in
   let rec go () =
-    match peek_char st with
-    | Some '"' -> advance st
-    | Some '\\' ->
+    if at_end st then syntax_error (cur_loc st) "unterminated string";
+    match char_at st 0 with
+    | '"' -> advance st
+    | '\\' ->
         advance st;
-        (match peek_char st with
-        | Some 'n' -> Buffer.add_char b '\n'
-        | Some 't' -> Buffer.add_char b '\t'
-        | Some c -> Buffer.add_char b c
-        | None -> syntax_error (cur_loc st) "unterminated string");
+        if at_end st then syntax_error (cur_loc st) "unterminated string";
+        Buffer.add_char b (match char_at st 0 with 'n' -> '\n' | 't' -> '\t' | c -> c);
         advance st;
         go ()
-    | Some c ->
+    | c ->
         Buffer.add_char b c;
         advance st;
         go ()
-    | None -> syntax_error (cur_loc st) "unterminated string"
   in
   go ();
   STRING (Buffer.contents b)
 
-(* Multi-character punctuation, longest match first. *)
+(* Punctuators; at each position the longest one that matches is taken. *)
 let puncts =
   [
     "<<="; ">>="; "::"; "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||";
@@ -184,37 +177,45 @@ let puncts =
     "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^"; "~"; "!"; "<"; ">"; "#";
   ]
 
+(* [puncts] by first character, longest first *)
+let puncts_by_first =
+  let t = Array.make 256 [] in
+  List.iter (fun p -> t.(Char.code p.[0]) <- p :: t.(Char.code p.[0])) puncts;
+  Array.map (List.stable_sort (fun a b -> compare (String.length b) (String.length a))) t
+
+(* does [p] continue at [st.pos] from its [k]-th character on? *)
+let rec matches_from st p k = k = String.length p || (char_at st k = p.[k] && matches_from st p (k + 1))
+
+let rec longest_punct st = function
+  | p :: rest -> if matches_from st p 1 then p else longest_punct st rest
+  | [] -> syntax_error (cur_loc st) "unexpected character '%c'" (char_at st 0)
+
 let lex_punct st =
-  let rest = String.length st.src - st.pos in
-  let matches p = String.length p <= rest && String.sub st.src st.pos (String.length p) = p in
-  match List.find_opt matches puncts with
-  | Some p ->
-      for _ = 1 to String.length p do
-        advance st
-      done;
-      PUNCT p
-  | None -> syntax_error (cur_loc st) "unexpected character '%c'" st.src.[st.pos]
+  let p = longest_punct st puncts_by_first.(Char.code (char_at st 0)) in
+  st.pos <- st.pos + String.length p;
+  PUNCT p
 
 let next_token st =
   skip_ws st;
   let loc = cur_loc st in
   let tok =
-    match peek_char st with
-    | None -> EOF
-    | Some c when is_ident_start c ->
+    if at_end st then EOF
+    else
+      let c = char_at st 0 in
+      if is_ident_start c then
         let id = lex_ident st in
-        if is_keyword id then KW id else ID id
-    | Some c when is_digit c -> lex_number st
-    | Some '"' -> lex_string st
-    | Some _ -> lex_punct st
+        if Hashtbl.mem keyword_table id then KW id else ID id
+      else if is_digit c then lex_number st
+      else if c = '"' then lex_string st
+      else lex_punct st
   in
   { tok; loc }
 
 (* Tokenize the whole input. *)
 let tokenize ?(file = "<input>") src =
   let st = { src; file; pos = 0; line = 1; bol = 0 } in
-  let rec go acc =
+  let[@tail_mod_cons] rec go () =
     let t = next_token st in
-    match t.tok with EOF -> List.rev (t :: acc) | _ -> go (t :: acc)
+    match t.tok with EOF -> [ t ] | _ -> t :: go ()
   in
-  go []
+  go ()

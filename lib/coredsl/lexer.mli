@@ -2,40 +2,26 @@
 
    Replaces the Xtext-generated front-end of the paper. Supports C-style
    comments, decimal/hex/binary literals, and Verilog-style sized literals
-   such as [7'd0] or [3'b101] (which carry their type, cf. Section 2.3). *)
+   such as [7'd0] or [3'b101] (which carry their type, cf. Section 2.3).
+   Punctuators dispatch on their first character and keywords on a table,
+   so neither builds a string. *)
 
-module Bn = Bitvec.Bn
 type token =
-    ID of string
-  | INT of { value : Ast.Bn.t; forced : Bitvec.ty option; }
+  | ID of string
+  | INT of { value : Bitvec.Bn.t; forced : Bitvec.ty option }
   | STRING of string
   | KW of string
   | PUNCT of string
   | EOF
-type lexed = { tok : token; loc : Ast.loc; }
+
+type lexed = { tok : token; loc : Ast.loc }
+
 val keywords : string list
-val is_keyword : string -> bool
-val is_ident_start : char -> bool
-val is_ident_char : char -> bool
-val is_digit : char -> bool
-val is_hex_digit : char -> bool
-type state = {
-  src : string;
-  file : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable bol : int;
-}
-val cur_loc : state -> Ast.loc
-val peek_char : state -> char option
-val peek_char2 : state -> char option
-val advance : state -> unit
-val skip_ws : state -> unit
-val lex_ident : state -> string
-val lex_digits : state -> (char -> bool) -> string
-val lex_number : state -> token
-val lex_string : state -> token
+(** Reserved words: they lex as [KW], never as [ID]. *)
+
 val puncts : string list
-val lex_punct : state -> token
-val next_token : state -> lexed
+(** Punctuators: at each position the longest one that matches is taken. *)
+
 val tokenize : ?file:string -> string -> lexed list
+(** The tokens of a source, ending in [EOF]. A sized literal's width is a
+    plain decimal from 1 to {!Ast.max_width}. Raises {!Ast.Syntax_error}. *)

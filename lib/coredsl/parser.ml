@@ -1,7 +1,6 @@
 (* Recursive-descent parser for CoreDSL, following the grammar in Figure 2
    of the paper plus C-inspired statements and expressions (Section 2.4). *)
 
-module Bn = Bitvec.Bn
 open Ast
 open Lexer
 
@@ -154,23 +153,30 @@ let rec parse_ty p ~parse_expr =
 
 (* ---- expressions (precedence climbing) ---- *)
 
-(* binary operator levels, loosest first; [None] marks the concatenation
-   operator, which builds a [Concat] node instead of a [Binop] *)
-let level_ops = function
-  | 0 -> [ ("||", Some Lor) ]
-  | 1 -> [ ("&&", Some Land) ]
-  | 2 -> [ ("|", Some Or) ]
-  | 3 -> [ ("^", Some Xor) ]
-  | 4 -> [ ("&", Some And) ]
-  | 5 -> [ ("==", Some Eq); ("!=", Some Ne) ]
-  | 6 -> [ ("<", Some Lt); ("<=", Some Le); (">", Some Gt); (">=", Some Ge) ]
-  | 7 -> [ ("::", None) ]
-  | 8 -> [ ("<<", Some Shl); (">>", Some Shr) ]
-  | 9 -> [ ("+", Some Add); ("-", Some Sub) ]
-  | 10 -> [ ("*", Some Mul); ("/", Some Div); ("%", Some Rem) ]
-  | _ -> []
-
-let num_levels = 11
+(* a binary operator's precedence level (loosest 0 to tightest 10) and
+   node; [None] marks the concatenation operator, which builds a [Concat]
+   node instead of a [Binop] *)
+let binop_of = function
+  | PUNCT "||" -> Some (0, Some Lor)
+  | PUNCT "&&" -> Some (1, Some Land)
+  | PUNCT "|" -> Some (2, Some Or)
+  | PUNCT "^" -> Some (3, Some Xor)
+  | PUNCT "&" -> Some (4, Some And)
+  | PUNCT "==" -> Some (5, Some Eq)
+  | PUNCT "!=" -> Some (5, Some Ne)
+  | PUNCT "<" -> Some (6, Some Lt)
+  | PUNCT "<=" -> Some (6, Some Le)
+  | PUNCT ">" -> Some (6, Some Gt)
+  | PUNCT ">=" -> Some (6, Some Ge)
+  | PUNCT "::" -> Some (7, None)
+  | PUNCT "<<" -> Some (8, Some Shl)
+  | PUNCT ">>" -> Some (8, Some Shr)
+  | PUNCT "+" -> Some (9, Some Add)
+  | PUNCT "-" -> Some (9, Some Sub)
+  | PUNCT "*" -> Some (10, Some Mul)
+  | PUNCT "/" -> Some (10, Some Div)
+  | PUNCT "%" -> Some (10, Some Rem)
+  | _ -> None
 
 (* Width expressions inside 'signed<...>' start at the additive level so
    that '>' closes the template bracket; parenthesize to use lower-
@@ -189,26 +195,21 @@ and parse_ternary p =
   end
   else c
 
-and parse_binop p level =
-  if level >= num_levels then parse_unary p
-  else begin
-    let ops = level_ops level in
-    let lhs = ref (parse_binop p (level + 1)) in
-    let rec go () =
-      match peek p with
-      | PUNCT s when List.mem_assoc s ops ->
-          advance p;
-          let rhs = parse_binop p (level + 1) in
-          lhs :=
-            (match List.assoc s ops with
-            | Some op -> { e = Binop (op, !lhs, rhs); eloc = !lhs.eloc }
-            | None -> { e = Concat (!lhs, rhs); eloc = !lhs.eloc });
-          go ()
-      | _ -> ()
-    in
-    go ();
-    !lhs
-  end
+(* precedence climbing: operators of level [min] and tighter, each level
+   left-associative *)
+and parse_binop p min =
+  let rec go lhs =
+    match binop_of (peek p) with
+    | Some (level, op) when level >= min ->
+        advance p;
+        let rhs = parse_binop p (level + 1) in
+        go
+          (match op with
+          | Some op -> { e = Binop (op, lhs, rhs); eloc = lhs.eloc }
+          | None -> { e = Concat (lhs, rhs); eloc = lhs.eloc })
+    | _ -> lhs
+  in
+  go (parse_unary p)
 
 and parse_unary p =
   let l = loc p in

@@ -1,56 +1,9 @@
 (** Recursive-descent parser for CoreDSL, following the grammar in Figure 2
    of the paper plus C-inspired statements and expressions (Section 2.4). *)
 
-module Bn = Bitvec.Bn
-type p = {
-  toks : Lexer.lexed array;
-  mutable i : int;
-  mutable depth : int;
-  diags : Diag.collector option;
-}
-val peek : p -> Lexer.token
-val peek2 : p -> Lexer.token
-val loc : p -> Ast.loc
-val advance : p -> unit
-val describe : Lexer.token -> string
-val err : p -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-val expect_punct : p -> string -> unit
-val expect_kw : p -> string -> unit
-val expect_id : p -> string
-val accept_punct : p -> string -> bool
-val accept_kw : p -> string -> bool
-val lit_expr : Ast.loc -> int -> Ast.expr
-val is_type_start : Lexer.token -> bool
-val level_ops : int -> (string * Ast.binop option) list
-val num_levels : int
-val parse_expr : p -> Ast.expr
-val parse_width_expr : p -> Ast.expr
-val parse_ternary : p -> Ast.expr
-val parse_binop : p -> int -> Ast.expr
-val parse_unary : p -> Ast.expr
-val parse_postfix : p -> Ast.expr
-val parse_suffixes : p -> Ast.expr -> Ast.expr
-val parse_args : p -> Ast.expr list
-val parse_ty : p -> Ast.ty_expr
-val is_assign_punct : string -> bool
-val assign_op_of : string -> Ast.assign_op
-val parse_stmt : p -> Ast.stmt
-val block_of : Ast.stmt -> Ast.stmt list
-val parse_stmts_until : p -> string -> Ast.stmt list
-val parse_decl : p -> Ast.stmt
-val parse_simple_or_decl : p -> Ast.stmt
-val parse_simple : p -> Ast.stmt
-val parse_encoding : p -> Ast.enc_elem list
-val parse_attrs : p -> string list
-val parse_state_decls : p -> Ast.state_decl list
-val parse_instruction : p -> Ast.instruction
-val parse_instructions : p -> Ast.instruction list
-val parse_always : p -> Ast.always_block list
-val parse_functions : p -> Ast.func list
-val parse_isa : p -> Ast.isa
-val parse_desc : p -> Ast.desc
-
 (** With [diags], recoverable syntax errors are accumulated (dropping the
     broken construct) instead of raising; lexical errors remain fatal. *)
 val parse : ?diags:Diag.collector -> ?file:string -> string -> Ast.desc
+
 val parse_expr_string : ?file:string -> string -> Ast.expr
+(** One expression, for tests and parameter values. *)

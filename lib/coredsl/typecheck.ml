@@ -62,6 +62,15 @@ let in_scope ctx f =
 (* try to evaluate an expression as a compile-time constant *)
 let try_const ctx e = try Some (Elaborate.const_eval ctx.cenv e) with _ -> None
 
+(* the width of a cast or local type: a constant of 1 to [max_width] bits *)
+let declared_width ctx loc what e =
+  match try_const ctx e with
+  | None -> type_error loc "%s width must be a compile-time constant" what
+  | Some v -> (
+      match Elaborate.type_width v with
+      | Some w -> w
+      | None -> type_error loc "%s width must be from 1 to %d, got %s" what max_width (Bitvec.to_string v))
+
 (* structural expression equality, used for the [from:to] same-variable rule *)
 let rec expr_equal a b =
   match (a.e, b.e) with
@@ -137,12 +146,7 @@ let rec check_expr ctx (e : expr) : texpr =
           let ty = { (ta.tty) with Bitvec.signed = cast_signed } in
           { te = T_cast ta; tty = ty; tloc = loc }
       | Some w ->
-          let w =
-            match try_const ctx w with
-            | Some v -> Bitvec.to_int v
-            | None -> type_error loc "cast width must be a compile-time constant"
-          in
-          let ty = Bitvec.ty ~width:w ~signed:cast_signed in
+          let ty = Bitvec.ty ~width:(declared_width ctx loc "cast" w) ~signed:cast_signed in
           { te = T_cast ta; tty = ty; tloc = loc })
   | Concat (a, b) ->
       let ta = check_expr ctx a and tb = check_expr ctx b in
@@ -294,10 +298,7 @@ and check_call ctx loc name args =
 
 let resolve_local_ty ctx loc ty =
   match ty with
-  | Ty_int { signed; width } -> (
-      match try_const ctx width with
-      | Some w -> Bitvec.ty ~width:(Bitvec.to_int w) ~signed
-      | None -> type_error loc "local variable width must be a compile-time constant")
+  | Ty_int { signed; width } -> Bitvec.ty ~width:(declared_width ctx loc "local variable" width) ~signed
   | Ty_void -> type_error loc "local variable cannot be void"
   | Ty_alias a -> type_error loc "unresolved type alias '%s'" a
 

@@ -72,51 +72,48 @@ let fold_constants (g : graph) : graph =
         | _ -> Some op)
       g.body
   in
-  let g = { g with body } in
-  if Hashtbl.length subst > 0 then rewrite g ~subst ~keep:(fun _ -> true) else g
+  if not !changed then g
+  else if Hashtbl.length subst > 0 then rewrite { g with body } ~subst ~keep:(fun _ -> true)
+  else { g with body }
 
 (* ---- common-subexpression elimination ---- *)
 
+(* Two pure ops compute the same value when they agree on this key: the
+   opname, the canonical operand ids, the attributes and the result types
+   (the same extract/concat can produce different widths). A constant
+   attribute counts by its width and bit pattern, not its signedness. *)
+let cse_key canon op =
+  let attr = function
+    | k, A_bv v when v.Bitvec.ty.signed -> (k, A_bv (Bitvec.reinterpret_sign false v))
+    | a -> a
+  in
+  ( op.opname,
+    List.map (fun v -> (canon v).vid) op.operands,
+    List.map attr op.attrs,
+    List.map (fun r -> r.vty) op.results )
+
 let cse (g : graph) : graph =
-  let table : (string, value list) Hashtbl.t = Hashtbl.create 32 in
+  (* sized for every op, so the table never rehashes its keys *)
+  let table = Hashtbl.create (List.length g.body) in
   let subst : (int, value) Hashtbl.t = Hashtbl.create 16 in
   let canon v = match Hashtbl.find_opt subst v.vid with Some v' -> v' | None -> v in
-  let key op =
-    let operands = List.map (fun v -> string_of_int (canon v).vid) op.operands in
-    (* result types are part of the identity: the same extract/concat can
-       produce different widths *)
-    let results = List.map (fun r -> Bitvec.ty_to_string r.vty) op.results in
-    let attrs =
-      List.map
-        (fun (k, a) ->
-          Printf.sprintf "%s=%s" k
-            (match a with
-            | A_int i -> string_of_int i
-            | A_str s -> s
-            | A_bv v -> Bitvec.to_hex_string v ^ "/" ^ string_of_int (Bitvec.width v)
-            | A_bool b -> string_of_bool b))
-        op.attrs
-    in
-    Printf.sprintf "%s(%s){%s}:%s" op.opname (String.concat "," operands)
-      (String.concat "," attrs) (String.concat "," results)
-  in
   let body =
     List.filter
       (fun op ->
         if has_side_effect op || op.results = [] then true
         else begin
-          let k = key op in
+          let k = cse_key canon op in
           match Hashtbl.find_opt table k with
           | Some prior ->
               List.iter2 (fun r p -> Hashtbl.replace subst r.vid p) op.results prior;
               false
           | None ->
-              Hashtbl.replace table k op.results;
+              Hashtbl.add table k op.results;
               true
         end)
       g.body
   in
-  rewrite { g with body } ~subst ~keep:(fun _ -> true)
+  if Hashtbl.length subst = 0 then g else rewrite { g with body } ~subst ~keep:(fun _ -> true)
 
 (* ---- dead-code elimination ---- *)
 
@@ -318,18 +315,13 @@ let run_pass ?obs (p : pass) (g : graph) : graph * pass_stat =
       Obs.metric_int_opt obs "edges_after" st.ps_edges_after;
       (g', st))
 
-(* Cheap convergence check for the fixpoint driver: identical op count,
-   edge count and printed form. Graphs here are tens to a few hundred ops,
-   so the string compare is negligible next to the passes themselves. *)
-let graphs_equal a b =
-  op_count a = op_count b && edge_count a = edge_count b
-  && graph_to_string a = graph_to_string b
-
 (* Standard pipeline: fold + lower shifts once, then fold/cse to fixpoint
-   (bounded by [fold_rounds]), then strip dead logic. With [obs] set, every
-   pass execution appears as a "pass:*" child span of the caller's scope,
-   and the number of fold/cse rounds actually taken is recorded as the
-   "fold_rounds" metric. *)
+   (bounded by [fold_rounds]), then strip dead logic. A round converges
+   when both passes hand back their argument itself ([==]), which they do
+   exactly when they rewrite nothing. With [obs] set, every pass execution
+   appears as a "pass:*" child span of the caller's scope, and the number
+   of fold/cse rounds actually taken is recorded as the "fold_rounds"
+   metric. *)
 let optimize_with_stats ?obs ?verify_each ?(fold_rounds = 4) (g : graph) :
     graph * pass_stat list =
   let stats = ref [] in
@@ -347,7 +339,7 @@ let optimize_with_stats ?obs ?verify_each ?(fold_rounds = 4) (g : graph) :
     let before = !g in
     g := run "fold_constants" !g;
     g := run "cse" !g;
-    if graphs_equal before !g then converged := true
+    if !g == before then converged := true
   done;
   g := run "dce" !g;
   g := run "dce_interface_reads" !g;

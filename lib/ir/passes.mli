@@ -7,7 +7,14 @@
 val has_side_effect : Mir.op -> bool
 val is_interface_read : Mir.op -> bool
 val fold_constants : Mir.graph -> Mir.graph
+(** Folds comb ops over constants and muxes on a constant condition.
+    Returns its argument itself ([==]) when nothing folds. *)
+
 val cse : Mir.graph -> Mir.graph
+(** Merges pure ops that agree on opname, operands, attributes and result
+    types; a constant attribute compares by width and bit pattern. Returns
+    its argument itself ([==]) when nothing merges. *)
+
 val dce : Mir.graph -> Mir.graph
 val dce_interface_reads : Mir.graph -> Mir.graph
 val lower_constant_shifts : Mir.graph -> Mir.graph
@@ -49,7 +56,9 @@ val optimize_with_stats :
   Mir.graph * pass_stat list
 (** The standard pipeline (fold + shift lowering, fold/cse to fixpoint
     bounded by [fold_rounds], then DCE), returning the per-pass trace in
-    execution order. With [obs] set, also records ["pass:*"] spans plus a
+    execution order. A fold/cse round reaches the fixpoint when both passes
+    return the graph they were given ([==]); no graph is printed or
+    compared. With [obs] set, also records ["pass:*"] spans plus a
     ["fold_rounds"] rounds-to-fixpoint metric on the enclosing span. With
     [verify_each] set, the callback runs on the result of every pass
     execution (the [--verify-each] sanitizer hook) and may raise to abort

@@ -309,7 +309,7 @@ let prop_native_wrap =
       && List.for_all (fun v -> Bn.equal (wrap t v) (bn_wrap t v)) bns)
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
       prop_native_wrap;
       prop_bn_add_commutes;

@@ -11,6 +11,13 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(* [s] with its first [needle] replaced by [by] *)
+let replace_first s ~needle ~by =
+  let n = String.length needle in
+  let rec find i = if String.sub s i n = needle then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
 (* run the CLI with [args]; returns the exit code, stdout and stderr *)
 let run_cli args =
   let out = Filename.temp_file "longnail_out" ".txt" in
@@ -51,14 +58,14 @@ let test_run_out_of_fuel () =
       ("long loop", "li a0, 1\nloop: addi a0, a0, 1\nbnez a0, loop\nebreak\n");
     ]
 
+(* the diagnostic codes in a JSON-format stderr *)
+let codes s =
+  String.split_on_char '"' s |> List.filter (fun t -> String.length t = 5 && t.[0] = 'E')
+
 (* Every malformed program is a user error with exactly E0601 (exit 1):
    an unknown .isax instruction, an .isax line that leaves a field out
    and a non-numeric load offset used to escape as internal errors. *)
 let test_run_malformed_program () =
-  let codes s =
-    String.split_on_char '"' s
-    |> List.filter (fun t -> String.length t = 5 && t.[0] = 'E')
-  in
   List.iter
     (fun (name, args, program) ->
       let code, _, stderr =
@@ -109,6 +116,42 @@ let test_run_every_core_engine () =
         [ "cost"; "pipeline"; "rtl-loop" ])
     (lines names)
 
+(* Literal, type and cast widths run from 1 to 65536 bits. A zero width or
+   a huge one used to escape as an internal error (Width_error, out of
+   memory), and a hex literal width compiled. Each is a user error (exit 1)
+   with exactly one registered code. *)
+let test_compile_bad_widths () =
+  let _, registered, _ = run_cli "diag --list-codes" in
+  let _, dotp, _ = run_cli "bundled -n dotprod" in
+  let local = "signed<32> res = 0;" and state = "instructions {" in
+  List.iter
+    (fun (needle, changed, want) ->
+      let src = Filename.temp_file "longnail_src" ".core_desc" in
+      let out = Filename.temp_file "longnail_out" "" in
+      Sys.remove out;
+      Out_channel.with_open_text src (fun oc ->
+          output_string oc (replace_first dotp ~needle ~by:changed));
+      let code, _, stderr =
+        run_cli
+          (Printf.sprintf "compile -c VexRiscv -t X_DOTP --error-format json -o %s %s"
+             (Filename.quote out) (Filename.quote src))
+      in
+      Sys.remove src;
+      check_int (changed ^ ": exit code") 1 code;
+      Alcotest.(check (list string)) (changed ^ ": codes in " ^ stderr) [ want ] (codes stderr);
+      check_bool (want ^ " is registered") true (contains registered (want ^ " "));
+      check_bool (changed ^ ": no internal error") false (contains stderr "internal error"))
+    [
+      (local, "signed<32> res = 0'd0;", "E0002");
+      (local, "signed<32> res = 99999999999999'd1;", "E0002");
+      (local, "signed<32> res = 0x8'd5;", "E0002");
+      (local, "unsigned<0> res = 0;", "E0109");
+      (local, "unsigned<99999999999999> res = 0;", "E0109");
+      (local, "signed<32> res = (unsigned<0>) 0;", "E0109");
+      (state, "architectural_state { register unsigned<70000> Q; } " ^ state, "E0200");
+      (state, "architectural_state { unsigned<32> K = (unsigned<0>) 5; } " ^ state, "E0204");
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -118,4 +161,5 @@ let () =
           Alcotest.test_case "every core on every engine" `Quick test_run_every_core_engine;
           Alcotest.test_case "malformed programs are E0601" `Quick test_run_malformed_program;
         ] );
+      ("compile", [ Alcotest.test_case "out-of-range widths" `Quick test_compile_bad_widths ]);
     ]

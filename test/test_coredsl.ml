@@ -34,6 +34,146 @@ let test_lexer_comments_and_errors () =
     (Ast.Syntax_error ({ file = "<input>"; line = 1; col = 8 }, "unterminated comment"))
     (fun () -> ignore (Lexer.tokenize "/* oops"))
 
+(* The punctuator rule, computed from [Lexer.puncts] alone: at each
+   position take the longest punctuator that matches. *)
+let greedy_split s =
+  let fits i p = String.length p <= String.length s - i && String.sub s i (String.length p) = p in
+  let rec go i acc =
+    if i = String.length s then List.rev acc
+    else
+      let best =
+        List.fold_left
+          (fun b p -> if fits i p && String.length p > String.length b then p else b)
+          "" Lexer.puncts
+      in
+      if best = "" then Alcotest.failf "no punctuator at %d of %S" i s;
+      go (i + String.length best) ((best, i + 1) :: acc)
+  in
+  go 0 []
+
+(* Every string of 1-3 punctuator characters lexes to the greedy split,
+   token by token and column by column. Strings that open a comment
+   ("//", "/*") are not punctuation. *)
+let test_lexer_punct_longest_match () =
+  let alphabet = "<>=:!&|+-*/%^{}()[];,?.~#" in
+  let chars = List.init (String.length alphabet) (fun i -> String.make 1 alphabet.[i]) in
+  let rec strings n =
+    if n = 0 then [ "" ] else List.concat_map (fun s -> List.map (( ^ ) s) chars) (strings (n - 1))
+  in
+  List.iter
+    (fun s ->
+      let contains sub =
+        let rec at i = i + 2 <= String.length s && (String.sub s i 2 = sub || at (i + 1)) in
+        at 0
+      in
+      if not (contains "//" || contains "/*") then begin
+        let got =
+          List.filter_map
+            (fun (l : Lexer.lexed) ->
+              match l.tok with Lexer.PUNCT p -> Some (p, l.loc.col) | EOF -> None | _ -> Some ("?", 0))
+            (Lexer.tokenize s)
+        in
+        if got <> greedy_split s then Alcotest.failf "%S does not lex to its longest-match split" s
+      end)
+    (strings 1 @ strings 2 @ strings 3)
+
+let test_lexer_keywords () =
+  let lex s = List.map (fun (l : Lexer.lexed) -> l.tok) (Lexer.tokenize s) in
+  List.iter
+    (fun k -> check_bool (k ^ " is a keyword") true (lex k = [ Lexer.KW k; EOF ]))
+    Lexer.keywords;
+  List.iter
+    (fun s -> check_bool (s ^ " is an identifier") true (lex s = [ Lexer.ID s; EOF ]))
+    [ "iff"; "Core_"; "import2"; "_if" ]
+
+let test_lexer_bad_characters () =
+  List.iter
+    (fun (src, line, col, c) ->
+      Alcotest.check_raises src
+        (Ast.Syntax_error ({ file = "<input>"; line; col }, Printf.sprintf "unexpected character '%c'" c))
+        (fun () -> ignore (Lexer.tokenize src)))
+    [ ("a @ b", 1, 3, '@'); ("x\n  $", 2, 3, '$'); ("`", 1, 1, '`') ]
+
+(* A sized literal's width is a plain decimal from 1 to Ast.max_width. *)
+let test_lexer_literal_widths () =
+  let width src =
+    match Lexer.tokenize src with
+    | [ { tok = INT { forced = Some t; _ }; _ }; _ ] -> t.Bitvec.width
+    | _ -> Alcotest.failf "%s: not one sized literal" src
+  in
+  check_int "widest literal" Ast.max_width (width (Printf.sprintf "%d'd1" Ast.max_width));
+  check_int "leading zero" 7 (width "007'd1");
+  List.iter
+    (fun src ->
+      Alcotest.check_raises src
+        (Ast.Syntax_error
+           ( { file = "<input>"; line = 1; col = 1 },
+             Printf.sprintf "width of sized literal must be a plain decimal from 1 to %d" Ast.max_width ))
+        (fun () -> ignore (Lexer.tokenize src)))
+    [ "0'd0"; "0x8'd5"; "0b1'b1"; Printf.sprintf "%d'd1" (Ast.max_width + 1); "99999999999999'd1"; "99999999999999999999999'd1" ]
+
+(* The token streams (token, line, column) of every bundled source, as the
+   lexer produced them before it dispatched on first characters. *)
+let render_tokens src =
+  List.map
+    (fun (l : Lexer.lexed) ->
+      let t =
+        match l.tok with
+        | Lexer.ID s -> "ID " ^ s
+        | INT { value; forced } ->
+            "INT " ^ Bitvec.Bn.to_string value
+            ^ (match forced with Some ty -> ":" ^ Bitvec.ty_to_string ty | None -> "")
+        | STRING s -> "STRING " ^ String.escaped s
+        | KW s -> "KW " ^ s
+        | PUNCT s -> "PUNCT " ^ s
+        | EOF -> "EOF"
+      in
+      Printf.sprintf "%s %d:%d" t l.loc.line l.loc.col)
+    (Lexer.tokenize src)
+  |> String.concat "\n"
+
+let test_lexer_bundled_streams () =
+  let sources =
+    (("rv32i", Base_isa.rv32i) :: ("rv32m", Base_isa.rv32m)
+    :: List.map (fun (e : Isax.Registry.entry) -> (e.name, e.source)) Isax.Registry.all)
+    @ List.map (fun (e : Isax.Extra.entry) -> (e.name, e.source)) Isax.Extra.all
+  in
+  let pinned =
+    [
+      ("rv32i", "25c92bb681c87b05c21cff3af6c8dadf");
+      ("rv32m", "7e1b13f43925a151643200210ea11254");
+      ("autoinc", "295d47b2647b15f52f5d05dc74eb1808");
+      ("dotprod", "e770e8916eca6a69cddd733da32b0808");
+      ("ijmp", "de7717a7f555d561f09323488be18287");
+      ("sbox", "1173ed31b445233d47a6d85dcbd1ae32");
+      ("sparkle", "02bcc46d8b91b125264743d9e0c95166");
+      ("sqrt_tightly", "2d0aa04b2957a71385487bc78a5aa6d6");
+      ("sqrt_decoupled", "4c4469fa7d64b6394532b03ff4b0f6f6");
+      ("zol", "0a0107e31e8a3a8ba2b743c510e5c23f");
+      ("chksum", "b61ac919051fefdc048148f906538b67");
+      ("autoinc+zol", "20f646c1c8b959855bb1573366bcefa5");
+      ("bitrev", "37ed9968ec3e52076af8e1ae9c709a45");
+      ("crc32b", "fc93e59a9fedef40d5767ba85c1c8ea0");
+      ("clz", "2710c7c0e135715d854f03b55d1dfbfb");
+    ]
+  in
+  check_int "every bundled source is pinned" (List.length pinned) (List.length sources);
+  List.iter
+    (fun (name, src) ->
+      check_str (name ^ " token stream") (List.assoc name pinned)
+        (Digest.to_hex (Digest.string (render_tokens src))))
+    sources
+
+(* Lexing allocates a token's value and location and little else: at most
+   half the 75.8 minor words per token that the substring-per-candidate
+   lexer took on RV32I. Counted, not timed, so the bound is deterministic. *)
+let test_lexer_allocation () =
+  let tokens = List.length (Lexer.tokenize Base_isa.rv32i) in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Lexer.tokenize Base_isa.rv32i));
+  let per_token = (Gc.minor_words () -. before) /. float tokens in
+  check_bool (Printf.sprintf "%.1f words per token <= 37.9" per_token) true (per_token <= 37.9)
+
 (* ---- parser ---- *)
 
 let test_parse_figure1 () =
@@ -68,9 +208,36 @@ let test_parse_precedence () =
   | Ast.Binop (Ast.Add, _, { e = Ast.Binop (Ast.Mul, _, _); _ }) -> ()
   | _ -> Alcotest.fail "precedence broken for + *");
   let e2 = Parser.parse_expr_string "a << 2 :: b" in
-  match e2.e with
+  (match e2.e with
   | Ast.Concat ({ e = Ast.Binop (Ast.Shl, _, _); _ }, _) -> ()
-  | _ -> Alcotest.fail "precedence broken for :: <<"
+  | _ -> Alcotest.fail "precedence broken for :: <<");
+  (* every pair of binary operators: the tighter binds first, and one
+     level associates to the left *)
+  let levels =
+    [ [ "||" ]; [ "&&" ]; [ "|" ]; [ "^" ]; [ "&" ]; [ "=="; "!=" ]; [ "<"; "<="; ">"; ">=" ];
+      [ "::" ]; [ "<<"; ">>" ]; [ "+"; "-" ]; [ "*"; "/"; "%" ] ]
+  in
+  let level op =
+    let rec go i = function l :: rest -> if List.mem op l then i else go (i + 1) rest | [] -> -1 in
+    go 0 levels
+  in
+  let rec shape (e : Ast.expr) =
+    match e.e with
+    | Ast.Binop (_, a, b) | Ast.Concat (a, b) -> "(" ^ shape a ^ " " ^ shape b ^ ")"
+    | Ast.Ident x -> x
+    | _ -> "?"
+  in
+  let ops = List.concat levels in
+  List.iter
+    (fun o1 ->
+      List.iter
+        (fun o2 ->
+          let src = Printf.sprintf "a %s b %s c" o1 o2 in
+          check_str src
+            (if level o1 >= level o2 then "((a b) c)" else "(a (b c))")
+            (shape (Parser.parse_expr_string src)))
+        ops)
+    ops
 
 let test_parse_ternary_cast () =
   let e = Parser.parse_expr_string "(unsigned<5>)(a ? b : c)" in
@@ -831,7 +998,7 @@ let prop_staged_matches_oracle =
         (Lazy.force diff_units))
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
       prop_encode_decode_roundtrip;
       prop_decode_unique;
@@ -882,6 +1049,12 @@ let () =
           Alcotest.test_case "tokens" `Quick test_lexer_tokens;
           Alcotest.test_case "sized literals" `Quick test_lexer_sized_literals;
           Alcotest.test_case "comments and errors" `Quick test_lexer_comments_and_errors;
+          Alcotest.test_case "punctuators: longest match" `Quick test_lexer_punct_longest_match;
+          Alcotest.test_case "keywords and near misses" `Quick test_lexer_keywords;
+          Alcotest.test_case "unexpected characters" `Quick test_lexer_bad_characters;
+          Alcotest.test_case "sized literal widths" `Quick test_lexer_literal_widths;
+          Alcotest.test_case "bundled token streams" `Quick test_lexer_bundled_streams;
+          Alcotest.test_case "allocation per token" `Quick test_lexer_allocation;
         ] );
       ( "parser",
         [

@@ -370,7 +370,7 @@ let () =
   Alcotest.run "fuzz-flow"
     [
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [
             prop_flow_matches_interp;
             prop_sv_clean;

@@ -190,6 +190,82 @@ let test_dynamic_shift_stays () =
   in
   check_int "real shifter" 1 (count_ops lg "comb.shl")
 
+(* a graph of the ops [f] adds over one rs1 read *)
+let graph_of f =
+  let b = Mir.builder () in
+  f b (Mir.add_op1 b "lil.read_rs1" [] (Bitvec.unsigned_ty 32));
+  Mir.finish b ~name:"t" ~kind:`Instruction ()
+
+(* CSE keeps apart ops that differ only in a result type or in the kind
+   of an attribute (a printed key once merged A_int 5 with A_str "5") *)
+let test_cse_keeps_apart () =
+  let u = Bitvec.unsigned_ty in
+  let g =
+    graph_of (fun b x ->
+        List.iter
+          (fun ty -> ignore (Mir.add_op1 b "comb.extract" [ x ] ty ~attrs:[ ("lowBit", Mir.A_int 0) ]))
+          [ u 4; u 8; Bitvec.signed_ty 8 ];
+        List.iter
+          (fun a -> ignore (Mir.add_op1 b "comb.parity" [ x ] (u 1) ~attrs:[ ("k", a) ]))
+          [ Mir.A_int 5; A_str "5"; A_bool true; A_str "true" ])
+  in
+  check_bool "nothing merges" true (Passes.cse g == g)
+
+(* CSE merges constants of one width and bit pattern, whatever their
+   signedness, and then the ops that use them *)
+let test_cse_merges_constants () =
+  let u = Bitvec.unsigned_ty in
+  let g =
+    graph_of (fun b x ->
+        let const v = Mir.add_op1 b "hw.constant" [] (u 8) ~attrs:[ ("value", Mir.A_bv v) ] in
+        let lo = Mir.add_op1 b "comb.extract" [ x ] (u 8) ~attrs:[ ("lowBit", Mir.A_int 0) ] in
+        List.iter
+          (fun v -> ignore (Mir.add_op1 b "comb.add" [ lo; const v ] (u 8)))
+          [ Bitvec.of_int (Bitvec.signed_ty 8) (-1); Bitvec.of_int (u 8) 255 ];
+        ignore (Mir.add_op1 b "hw.constant" [] (u 16) ~attrs:[ ("value", Mir.A_bv (Bitvec.of_int (u 16) 255)) ]))
+  in
+  let g' = Passes.cse g in
+  check_int "-1 and 255 at 8 bits merge; 255 at 16 bits stays" 2 (count_ops g' "hw.constant");
+  check_int "the adds over them merge" 1 (count_ops g' "comb.add")
+
+(* the lil graph of every functionality of every bundled ISAX *)
+let bundled_lil () =
+  let base = List.map (fun (ti : Coredsl.Tast.tinstr) -> ti.ti_name) (Coredsl.compile_rv32i ()).tinstrs in
+  let of_unit name (tu : Coredsl.Tast.tunit) =
+    List.filter_map
+      (fun (ti : Coredsl.Tast.tinstr) ->
+        if List.mem ti.ti_name base then None
+        else
+          Some (name ^ "/" ^ ti.ti_name, Lil.of_hlir tu.elab ~fields:ti.fields (Hlir.lower_instruction tu ti)))
+      tu.tinstrs
+    @ List.map
+        (fun (ta : Coredsl.Tast.talways) ->
+          (name ^ "/" ^ ta.ta_name, Lil.of_hlir tu.elab ~fields:[] (Hlir.lower_always tu ta)))
+        tu.talways
+  in
+  List.concat_map (fun (e : Isax.Registry.entry) -> of_unit e.name (Isax.Registry.compile e)) Isax.Registry.all
+  @ List.concat_map (fun (e : Isax.Extra.entry) -> of_unit e.name (Isax.Extra.compile e)) Isax.Extra.all
+
+(* The fold/cse fixpoint stops when a round hands back its input itself.
+   The printed graph is the oracle: a round returns its input exactly when
+   the printed form is unchanged. An optimized graph is a fixpoint of both. *)
+let test_fixpoint_is_physical () =
+  List.iter
+    (fun (name, lil) ->
+      let rec round k g =
+        let g' = Passes.cse (Passes.fold_constants g) in
+        check_bool
+          (Printf.sprintf "%s round %d: returned itself iff printed the same" name k)
+          (Mir.graph_to_string g = Mir.graph_to_string g')
+          (g' == g);
+        if g' != g && k < 20 then round (k + 1) g'
+      in
+      round 1 (Passes.lower_constant_shifts (Passes.fold_constants lil));
+      let opt = Passes.optimize lil in
+      check_bool (name ^ ": optimized graph folds to itself") true (Passes.fold_constants opt == opt);
+      check_bool (name ^ ": optimized graph merges to itself") true (Passes.cse opt == opt))
+    (bundled_lil ())
+
 let test_dot_export () =
   let tu = Coredsl.compile_rv32i () in
   let addi = Option.get (Coredsl.Tast.find_tinstr tu "ADDI") in
@@ -270,7 +346,7 @@ let prop_optimize_preserves_semantics =
       | Some x, Some y -> Bitvec.equal_value x y
       | _ -> false)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_optimize_preserves_semantics ]
+let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_optimize_preserves_semantics ]
 
 let () =
   Alcotest.run "ir"
@@ -301,6 +377,9 @@ let () =
           Alcotest.test_case "constant shift lowering" `Quick test_constant_shift_lowering;
           Alcotest.test_case "dynamic shift stays" `Quick test_dynamic_shift_stays;
           Alcotest.test_case "dot export" `Quick test_dot_export;
+          Alcotest.test_case "cse keeps types and attribute kinds apart" `Quick test_cse_keeps_apart;
+          Alcotest.test_case "cse merges equal constants" `Quick test_cse_merges_constants;
+          Alcotest.test_case "fold/cse fixpoint is physical" `Quick test_fixpoint_is_physical;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -400,7 +400,7 @@ let prop_solve_matches_oracle =
     (fun (tightening, transitions) -> run_chain tightening && run_chain transitions)
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
       prop_rat_field;
       prop_rat_floor_le;

@@ -717,7 +717,7 @@ let prop_pipeline_matches_iss =
           expected = (List.init 32 (Riscv.Pipeline.read_gpr p), region load))
         (Lazy.force rv32i_pipelined))
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_pipeline_matches_iss ]
+let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_pipeline_matches_iss ]
 
 let () =
   Alcotest.run "pipeline"

@@ -336,14 +336,13 @@ let prop_rv32m_matches_iss =
       in
       (* seed some interesting register values first *)
       let prog =
-        "lui x1, 0x80000
+        {|lui x1, 0x80000
 li x2, -1
 li x3, 12345
 li x4, 0
 lui x5, 0xFFFFF
-"
-        ^ String.concat "
-" lines
+|}
+        ^ String.concat "\n" lines
       in
       let words = Riscv.Asm.assemble prog in
       let iss = Oracle.Iss.create () in
@@ -489,11 +488,11 @@ let test_rtl_in_the_loop_sqrt () =
   let enc = Riscv.Asm.encoder tuq in
   let words =
     Riscv.Asm.assemble ~custom:enc
-      "li a1, 1764
+      {|li a1, 1764
 .isax SQRT_D rs1=a1, rd=a2
 srli a3, a2, 16
 add a4, a3, a3
-ebreak"
+ebreak|}
   in
   let rl = Riscv.Rtl_loop.create c in
   Riscv.Rtl_loop.load_program rl words;
@@ -569,7 +568,7 @@ let test_self_branch_engines_agree () =
     ]
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_iss_matches_coredsl; prop_rv32m_matches_iss ]
+  List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_iss_matches_coredsl; prop_rv32m_matches_iss ]
 
 let () =
   Alcotest.run "riscv"

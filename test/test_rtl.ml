@@ -520,7 +520,7 @@ let prop_sim_matches_comb_eval =
       Bitvec.equal_value (Sim.output s "o") direct)
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_sim_matches_comb_eval; prop_engines_agree ]
+  List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_sim_matches_comb_eval; prop_engines_agree ]
 
 let () =
   Alcotest.run "rtl"

@@ -224,7 +224,7 @@ let prop_asap_minimal =
       | _ -> false)
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [ prop_netflow_matches_exact; prop_asap_minimal ]
 
 let () =
