@@ -29,7 +29,18 @@ let type_width v =
 (* Environment for compile-time evaluation: parameters and local constants. *)
 type cenv = { vars : (string * Bitvec.t) list }
 
-let rec const_eval (env : cenv) (e : expr) : Bitvec.t =
+(* Raised by [eval_const] for a name, a call or an array initializer: the
+   expression is not a compile-time constant at all. A constant whose
+   evaluation fails raises [Elab_error] E0204 instead. *)
+exception Not_constant of loc * string
+
+(* a constant used as a bit index, shift amount or range bound *)
+let small_int loc v =
+  match Bitvec.to_int_opt v with
+  | Some i when i >= 0 -> i
+  | _ -> elab_error ~code:"E0204" loc "constant %s is not a valid bit index" (Bitvec.to_string v)
+
+let rec eval_const (env : cenv) (e : expr) : Bitvec.t =
   match e.e with
   | Lit { value; forced = Some ty } -> Bitvec.of_bn ty value
   | Lit { value; forced = None } ->
@@ -39,43 +50,52 @@ let rec const_eval (env : cenv) (e : expr) : Bitvec.t =
   | Ident name -> (
       match List.assoc_opt name env.vars with
       | Some v -> v
-      | None -> elab_error ~code:"E0204" e.eloc "'%s' is not a compile-time constant" name)
-  | Binop (op, a, b) -> const_binop e.eloc op (const_eval env a) (const_eval env b)
-  | Unop (Neg, a) -> Bitvec.neg (const_eval env a)
-  | Unop (Not, a) -> Bitvec.lognot (const_eval env a)
-  | Unop (Lnot, a) -> Bitvec.of_bool (Bitvec.is_zero (const_eval env a))
+      | None ->
+          raise (Not_constant (e.eloc, Printf.sprintf "'%s' is not a compile-time constant" name)))
+  | Binop (op, a, b) -> const_binop e.eloc op (eval_const env a) (eval_const env b)
+  | Unop (Neg, a) -> Bitvec.neg (eval_const env a)
+  | Unop (Not, a) -> Bitvec.lognot (eval_const env a)
+  | Unop (Lnot, a) -> Bitvec.of_bool (Bitvec.is_zero (eval_const env a))
   | Cast ({ cast_signed; cast_width }, a) -> (
-      let v = const_eval env a in
+      let v = eval_const env a in
       match cast_width with
       | None -> Bitvec.reinterpret_sign cast_signed v
       | Some w -> (
-          match type_width (const_eval env w) with
+          match type_width (eval_const env w) with
           | Some w -> Bitvec.cast (Bitvec.ty ~width:w ~signed:cast_signed) v
           | None -> elab_error ~code:"E0204" e.eloc "cast width must be from 1 to %d" max_width))
-  | Concat (a, b) -> Bitvec.concat (const_eval env a) (const_eval env b)
+  | Concat (a, b) -> Bitvec.concat (eval_const env a) (eval_const env b)
   | Ternary (c, t, f) ->
-      if Bitvec.to_bool (const_eval env c) then const_eval env t else const_eval env f
-  | Range (a, hi, lo) ->
-      let v = const_eval env a in
-      let hi = Bitvec.to_int (const_eval env hi) and lo = Bitvec.to_int (const_eval env lo) in
-      Bitvec.extract v ~hi ~lo
-  | Index (a, i) ->
-      let v = const_eval env a and i = Bitvec.to_int (const_eval env i) in
-      Bitvec.bit v i
-  | Call (name, _) -> elab_error ~code:"E0204" e.eloc "call to '%s' in constant expression" name
+      if Bitvec.to_bool (eval_const env c) then eval_const env t else eval_const env f
+  | Range (a, hi, lo) -> (
+      let v = eval_const env a in
+      let hi = small_int e.eloc (eval_const env hi) in
+      let lo = small_int e.eloc (eval_const env lo) in
+      try Bitvec.extract v ~hi ~lo
+      with Bitvec.Width_error m -> elab_error ~code:"E0204" e.eloc "%s" m)
+  | Index (a, i) -> (
+      let v = eval_const env a in
+      let i = small_int e.eloc (eval_const env i) in
+      try Bitvec.bit v i with Bitvec.Width_error m -> elab_error ~code:"E0204" e.eloc "%s" m)
+  | Call (name, _) ->
+      raise (Not_constant (e.eloc, Printf.sprintf "call to '%s' in constant expression" name))
   | Array_init _ ->
-      elab_error ~code:"E0204" e.eloc "array initializer in scalar constant expression"
+      raise (Not_constant (e.eloc, "array initializer in scalar constant expression"))
 
 and const_binop loc op a b =
   let module B = Bitvec in
+  let divisor b =
+    if B.is_zero b then elab_error ~code:"E0204" loc "division by zero in constant expression";
+    b
+  in
   match op with
   | Add -> B.add a b
   | Sub -> B.sub a b
   | Mul -> B.mul a b
-  | Div -> B.div a b
-  | Rem -> B.rem a b
-  | Shl -> B.shift_left a (B.to_int b)
-  | Shr -> B.shift_right a (B.to_int b)
+  | Div -> B.div a (divisor b)
+  | Rem -> B.rem a (divisor b)
+  | Shl -> B.shift_left a (small_int loc b)
+  | Shr -> B.shift_right a (small_int loc b)
   | And -> B.logand a b
   | Or -> B.logor a b
   | Xor -> B.logxor a b
@@ -87,9 +107,12 @@ and const_binop loc op a b =
   | Le -> B.of_bool (B.le a b)
   | Gt -> B.of_bool (B.gt a b)
   | Ge -> B.of_bool (B.ge a b)
-  |> fun r ->
-  ignore loc;
-  r
+
+let const_eval env e =
+  try eval_const env e with Not_constant (loc, m) -> elab_error ~code:"E0204" loc "%s" m
+
+(* [None] only when [e] is not a constant expression at all *)
+let const_eval_opt env e = try Some (eval_const env e) with Not_constant _ -> None
 
 let const_eval_int env e = Bitvec.to_int (const_eval env e)
 

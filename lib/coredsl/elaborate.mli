@@ -16,6 +16,13 @@ val type_width : Bitvec.t -> int option
 
 type cenv = { vars : (string * Bitvec.t) list; }
 val const_eval : cenv -> Ast.expr -> Bitvec.t
+(** Raises {!Elab_error} E0204 when [e] is not a constant expression or
+    its evaluation fails (a bad cast width, division by zero, ...). *)
+
+val const_eval_opt : cenv -> Ast.expr -> Bitvec.t option
+(** [None] only when [e] is not a constant expression at all; a failing
+    evaluation raises as in {!const_eval}. *)
+
 val const_binop :
   Ast.loc ->
   Ast.binop -> Bitvec.t -> Bitvec.t -> Bitvec.t

@@ -59,8 +59,9 @@ let in_scope ctx f =
   ctx.scopes <- saved;
   r
 
-(* try to evaluate an expression as a compile-time constant *)
-let try_const ctx e = try Some (Elaborate.const_eval ctx.cenv e) with _ -> None
+(* the value of a compile-time constant expression, [None] for any other
+   expression; a constant whose evaluation fails is an E0204 error *)
+let try_const ctx e = Elaborate.const_eval_opt ctx.cenv e
 
 (* the width of a cast or local type: a constant of 1 to [max_width] bits *)
 let declared_width ctx loc what e =

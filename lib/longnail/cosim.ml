@@ -162,11 +162,11 @@ type 'ctx host = {
   write_mem : 'ctx -> int -> Bitvec.t -> bool -> unit;
 }
 
+let stall_bit = [| Bitvec.of_int Bitvec.bool_ty 0; Bitvec.of_int Bitvec.bool_ty 1 |]
+
 let set_stalls p engine ~frozen_below =
   List.iter
-    (fun (s, port) ->
-      Rtl.Engine.set_input engine port
-        (Bitvec.of_int (Bitvec.unsigned_ty 1) (if s < frozen_below then 1 else 0)))
+    (fun (s, port) -> Rtl.Engine.set_input engine port stall_bit.(Bool.to_int (s < frozen_below)))
     p.stalls
 
 let drive p engine ~stage ~pending value =

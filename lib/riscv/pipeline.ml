@@ -18,6 +18,7 @@ type slot = {
   s_rs2 : int;
   s_rd : int;
   s_isax : (Cosim.plan * Rtl.Engine.t) option;
+  s_mem : bool;  (* a base load or store *)
   mutable s_rs1v : int;
   mutable s_rs2v : int;
   mutable s_has_operands : bool;
@@ -39,6 +40,8 @@ type t = {
   st : Interp.state;  (* committed architectural state *)
   isaxes : (Cosim.plan * Rtl.Engine.t) list;  (* one per ISAX instruction module *)
   always : (Cosim.plan * Rtl.Engine.t) list;  (* one per always-block module *)
+  facts : (string, bool * (Cosim.plan * Rtl.Engine.t) option) Hashtbl.t;
+      (* per instruction name: a base load or store?, its ISAX module *)
   stages : slot option array;  (* index 1 .. writeback+1; commit from the last *)
   mutable detached : slot list;  (* decoupled units past writeback *)
   mutable fetch_pc : int;
@@ -60,11 +63,19 @@ let create (compiled : Longnail.Flow.compiled) =
         else None)
       compiled.funcs
   in
+  let isaxes = modules `Instruction in
+  let fact (ti : Tast.tinstr) =
+    ( List.mem ti.ti_name Machine.mem_instr_names,
+      List.find_opt (fun (plan, _) -> (Cosim.func plan).cf_name = ti.ti_name) isaxes )
+  in
   {
     compiled;
     st = Interp.create compiled.unit_;
-    isaxes = modules `Instruction;
+    isaxes;
     always = modules `Always;
+    facts =
+      Hashtbl.of_seq
+        (Seq.map (fun (ti : Tast.tinstr) -> (ti.ti_name, fact ti)) (List.to_seq compiled.unit_.tinstrs));
     stages = Array.make (core.writeback_stage + 2) None;
     detached = [];
     fetch_pc = 0;
@@ -273,7 +284,7 @@ let step t =
         let mem_wait =
           match s.s_isax with
           | None ->
-              List.mem s.s_ti.ti_name Machine.mem_instr_names
+              s.s_mem
               && pending_writer t ~older_than:opstage ~from:(fun i d -> max i d.s_vstage) `Mem
           | Some (plan, _) ->
               Cosim.writes plan `Mem ~from:0
@@ -391,6 +402,7 @@ let step t =
       | Some ti when ti.ti_name = "EBREAK" -> t.halted <- true
       | Some ti ->
           let field name = Option.value ~default:0 (Arch.field_value ti word name) in
+          let mem, isax = Hashtbl.find t.facts ti.ti_name in
           t.stages.(1) <-
             Some
               {
@@ -400,8 +412,8 @@ let step t =
                 s_rs1 = field "rs1";
                 s_rs2 = field "rs2";
                 s_rd = field "rd";
-                s_isax =
-                  List.find_opt (fun (plan, _) -> (Cosim.func plan).cf_name = ti.ti_name) t.isaxes;
+                s_isax = isax;
+                s_mem = mem;
                 s_rs1v = 0;
                 s_rs2v = 0;
                 s_has_operands = false;

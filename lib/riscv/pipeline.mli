@@ -61,6 +61,9 @@ type t = {
       (** one port plan and engine per ISAX instruction module *)
   always : (Longnail.Cosim.plan * Rtl.Engine.t) list;
       (** one port plan and engine per always-block module *)
+  facts : (string, bool * (Longnail.Cosim.plan * Rtl.Engine.t) option) Hashtbl.t;
+      (** per instruction name, decided once: is it a base load or store,
+          and its ISAX module (the first of [isaxes] by name) *)
   stages : slot option array;
       (** index 1 .. writeback stage + 1; commit from the last *)
   mutable detached : slot list;  (** decoupled units past writeback *)

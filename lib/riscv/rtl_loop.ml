@@ -18,6 +18,8 @@ type t = {
   st : Interp.state;  (* architectural state *)
   modules : (Longnail.Cosim.plan * Rtl.Engine.t) list;
       (* one per functionality, in [compiled.funcs] order *)
+  by_name : (string, Longnail.Cosim.plan * Rtl.Engine.t) Hashtbl.t;
+      (* the first of [modules] with each name, as [Flow.find_func] picks *)
   mutable instret : int;
   mutable halted : bool;
 }
@@ -32,10 +34,17 @@ let create (compiled : Longnail.Flow.compiled) =
         (Longnail.Cosim.plan f, Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist))
       compiled.Longnail.Flow.funcs
   in
+  let by_name = Hashtbl.create 8 in
+  List.iter
+    (fun ((plan, _) as m) ->
+      let name = (Longnail.Cosim.func plan).cf_name in
+      if not (Hashtbl.mem by_name name) then Hashtbl.add by_name name m)
+    modules;
   {
     compiled;
     st = Interp.create compiled.Longnail.Flow.unit_;
     modules;
+    by_name;
     instret = 0;
     halted = false;
   }
@@ -105,12 +114,7 @@ let step t =
         false
     | Some ti -> (
         t.instret <- t.instret + 1;
-        (* the first functionality by name, as [Flow.find_func] picks *)
-        match
-          List.find_opt
-            (fun (plan, _) -> (Longnail.Cosim.func plan).cf_name = ti.ti_name)
-            t.modules
-        with
+        match Hashtbl.find_opt t.by_name ti.ti_name with
         | Some (plan, engine) ->
             (* custom instruction: through the RTL *)
             let field = Arch.field_value ti word in

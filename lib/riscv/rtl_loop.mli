@@ -17,6 +17,8 @@ type t = {
   modules : (Longnail.Cosim.plan * Rtl.Engine.t) list;
       (** one port plan and compiled RTL engine per functionality, in
           [compiled.funcs] order *)
+  by_name : (string, Longnail.Cosim.plan * Rtl.Engine.t) Hashtbl.t;
+      (** the first of [modules] with each functionality name *)
   mutable instret : int;
   mutable halted : bool;
 }

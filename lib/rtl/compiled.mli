@@ -1,10 +1,14 @@
-(** Compiled RTL simulation engine: the netlist is topologically sorted
-    once and compiled into an array of straight-line update closures over
-    a flat mutable signal arena. Signals of at most [Sys.int_size - 1]
-    bits run as unboxed native-int operations; wider signals (and any
-    node touching one) fall back to the {!Ir.Comb_eval} reference
-    semantics on {!Bitvec}, keeping results bit-identical to the
-    interpreting test oracle. Consumers reach it through {!Engine}. *)
+(** Compiled RTL simulation engine: {!create} interns and topologically
+    sorts the netlist once ({!Netlist.sort}) and compiles it into an
+    array of straight-line update closures over one flat int arena. A
+    signal of w bits takes ceil(w / 62) consecutive arena slots (62-bit
+    limbs on a 64-bit host); one-limb signals run as single native-int
+    operations, wider ones limb by limb. Results are bit-identical to
+    the {!Ir.Comb_eval} semantics the interpreting test oracle runs.
+    After {!create} no step allocates, except a division or remainder
+    wider than a limb, which computes on boxed {!Bitvec} values; ports
+    and signals are found through one hash lookup each. Consumers reach
+    it through {!Engine}. *)
 
 type t
 

@@ -48,59 +48,85 @@ let comb_deps = function
   | Rom r -> [ r.index ]
   | Reg _ -> []  (* registers break combinational cycles *)
 
-(* Topological order of the combinational nodes; registers come first (their
-   outputs are state), then combs in dependency order. Detects comb loops. *)
-let topo_nodes (m : t) =
-  let by_out = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace by_out (node_out n) n) m.nodes;
-  let inputs = Hashtbl.create 16 in
-  List.iter (fun p -> Hashtbl.replace inputs p.port_signal ()) m.inputs;
-  let visited = Hashtbl.create 64 and visiting = Hashtbl.create 64 in
-  let order = ref [] in
-  let rec visit sig_name =
-    if Hashtbl.mem visited sig_name || Hashtbl.mem inputs sig_name then ()
-    else if Hashtbl.mem visiting sig_name then nl_error "combinational cycle through %s" sig_name
-    else begin
-      match Hashtbl.find_opt by_out sig_name with
-      | None -> nl_error "undefined signal %s in module %s" sig_name m.mod_name
-      | Some n ->
-          Hashtbl.replace visiting sig_name ();
-          List.iter visit (comb_deps n);
-          Hashtbl.remove visiting sig_name;
-          Hashtbl.replace visited sig_name ();
-          (match n with Reg _ -> () | _ -> order := n :: !order)
+(* The netlist with every signal interned: node [i] of [m.nodes] (at
+   [node_at.(i)]) defines signal [i], input port [k] defines signal
+   [Array.length node_at + k]. [refs.(i)] are the signals node [i] reads
+   (a register's next, then its enable), and [order] lists the comb and
+   ROM nodes in evaluation order. *)
+type sorted = {
+  node_at : node array;
+  ids : (string, int) Hashtbl.t;
+  refs : int array array;
+  order : int array;
+}
+
+(* One pass over interned ids: name every signal once (rejecting a name
+   defined twice), resolve every reference, then sort. Registers break
+   combinational cycles; a depth-first walk from every node in list order,
+   then from every register's next and enable, then from every output,
+   gives the order, and meeting a node under visit is a comb loop. *)
+let sort (m : t) =
+  let nodes = Array.of_list m.nodes in
+  let n = Array.length nodes in
+  let ids = Hashtbl.create (2 * (n + List.length m.inputs)) in
+  Array.iteri (fun i nd -> Hashtbl.replace ids (node_out nd) i) nodes;
+  (* a name defined twice keeps only its last id *)
+  if Hashtbl.length ids < n then
+    Array.iteri
+      (fun i nd ->
+        let o = node_out nd in
+        if Hashtbl.find ids o <> i then nl_error "signal %s defined twice" o)
+      nodes;
+  List.iteri
+    (fun k p ->
+      if Hashtbl.mem ids p.port_signal then nl_error "input %s shadows a node" p.port_signal;
+      Hashtbl.replace ids p.port_signal (n + k))
+    m.inputs;
+  let id name =
+    match Hashtbl.find_opt ids name with
+    | Some i -> i
+    | None -> nl_error "undefined signal %s in module %s" name m.mod_name
+  in
+  let refs =
+    Array.map
+      (function
+        | Reg r -> Array.of_list (List.map id (r.next :: Option.to_list r.enable))
+        | nd -> Array.of_list (List.map id (comb_deps nd)))
+      nodes
+  in
+  (* 0 unvisited, 1 under visit, 2 done; inputs are done from the start *)
+  let state = Array.make (n + List.length m.inputs) 2 in
+  Array.fill state 0 n 0;
+  let order = Array.make n 0 and len = ref 0 in
+  let rec visit i =
+    if state.(i) = 1 then nl_error "combinational cycle through %s" (node_out nodes.(i))
+    else if state.(i) = 0 then begin
+      state.(i) <- 1;
+      (match nodes.(i) with Reg _ -> () | _ -> Array.iter visit refs.(i));
+      state.(i) <- 2;
+      match nodes.(i) with
+      | Reg _ -> ()
+      | _ ->
+          order.(!len) <- i;
+          incr len
     end
   in
-  (* make sure register next/enable signals are also evaluated *)
-  List.iter
-    (fun n ->
-      visit (node_out n);
-      match n with
-      | Reg r ->
-          visit r.next;
-          Option.iter visit r.enable
-      | _ -> ())
-    m.nodes;
-  List.iter (fun p -> visit p.port_signal) m.outputs;
-  List.rev !order
+  Array.iteri
+    (fun i nd ->
+      visit i;
+      match nd with Reg _ -> Array.iter visit refs.(i) | _ -> ())
+    nodes;
+  List.iter (fun p -> visit (id p.port_signal)) m.outputs;
+  { node_at = nodes; ids; refs; order = Array.sub order 0 !len }
+
+let topo_nodes m =
+  let s = sort m in
+  Array.to_list (Array.map (fun i -> s.node_at.(i)) s.order)
 
 let registers m : reg_node list = List.filter_map (function Reg r -> Some r | _ -> None) m.nodes
 
-(* quick sanity check: unique signal names, ports resolved *)
-let validate m =
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      let o = node_out n in
-      if Hashtbl.mem seen o then nl_error "signal %s defined twice" o;
-      Hashtbl.replace seen o ())
-    m.nodes;
-  List.iter
-    (fun p ->
-      if Hashtbl.mem seen p.port_signal then nl_error "input %s shadows a node" p.port_signal;
-      Hashtbl.replace seen p.port_signal ())
-    m.inputs;
-  ignore (topo_nodes m)
+(* unique signal names, every reference resolved, no comb loop *)
+let validate m = ignore (sort m)
 
 (* ---- structural statistics (used by the ASIC flow model) ---- *)
 

@@ -33,8 +33,31 @@ val node_width : node -> int
 exception Netlist_error of string
 val nl_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 val comb_deps : node -> string list
+
+(** A netlist with every signal interned to an int id: node [i] of
+    [node_at] (the module's node list, in order) defines signal [i], input
+    port [k] defines signal [Array.length node_at + k]. *)
+type sorted = {
+  node_at : node array;
+  ids : (string, int) Hashtbl.t;  (** signal name -> id *)
+  refs : int array array;
+      (** per node, the ids it reads: a comb node's inputs, a ROM's
+          index, a register's next then enable *)
+  order : int array;  (** comb and ROM node ids in evaluation order *)
+}
+
+(** Intern and topologically sort in one pass. Raises {!Netlist_error} on
+    a signal defined twice, an input shadowing a node, an undefined
+    signal or a combinational cycle. *)
+val sort : t -> sorted
+
+(** [sort]'s order as nodes: registers are left out, every comb and ROM
+    node comes after the signals it reads. *)
 val topo_nodes : t -> node list
+
 val registers : t -> reg_node list
+
+(** [sort] for its checks alone. *)
 val validate : t -> unit
 type stats = {
   n_comb_nodes : int;

@@ -148,6 +148,11 @@ let test_compile_bad_widths () =
       (local, "unsigned<0> res = 0;", "E0109");
       (local, "unsigned<99999999999999> res = 0;", "E0109");
       (local, "signed<32> res = (unsigned<0>) 0;", "E0109");
+      (* a constant width whose evaluation fails is that error, not "not a constant" *)
+      (local, "unsigned<(unsigned<0>) 8> res = 0;", "E0204");
+      (local, "unsigned<8 / 0> res = 0;", "E0204");
+      (local, "unsigned<(5)[70:0]> res = 0;", "E0204");
+      (state, "architectural_state { unsigned<8 / 0> K = 5; } " ^ state, "E0204");
       (state, "architectural_state { register unsigned<70000> Q; } " ^ state, "E0200");
       (state, "architectural_state { unsigned<32> K = (unsigned<0>) 5; } " ^ state, "E0204");
     ]

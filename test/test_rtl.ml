@@ -18,6 +18,19 @@ let contains hay needle =
 let const name w v =
   Netlist.Comb { out = name; width = w; op = "hw.constant"; attrs = [ ("value", Ir.Mir.A_bv (bv w v)) ]; inputs = [] }
 
+(* A full-width random pattern: all ones one time in eight (carry and
+   sign chains), else random bits in every limb of the compiled engine. *)
+let random_bv st w =
+  let module Bn = Bitvec.Bn in
+  if Random.State.int st 8 = 0 then Bitvec.of_bn (u w) (Bn.sub (Bn.pow2 w) Bn.one)
+  else begin
+    let v = ref Bn.zero in
+    for _ = 0 to w / 30 do
+      v := Bn.add (Bn.shift_left !v 30) (Bn.of_int (Random.State.bits st))
+    done;
+    Bitvec.of_bn (u w) !v
+  end
+
 (* a 4-bit counter: c <= c + 1 *)
 let counter_module =
   {
@@ -114,6 +127,20 @@ let test_undefined_signal_detected () =
     Netlist.validate m;
     Alcotest.fail "expected undefined signal"
   with Netlist.Netlist_error _ -> ()
+
+let test_duplicate_signal_detected () =
+  let m =
+    {
+      Netlist.mod_name = "twice";
+      inputs = [ { Netlist.port_name = "i"; port_width = 4; port_signal = "i" } ];
+      outputs = [];
+      nodes =
+        [ const "k" 4 1; Netlist.Comb { out = "k"; width = 4; op = "comb.add"; attrs = []; inputs = [ "i"; "i" ] } ];
+    }
+  in
+  match Netlist.validate m with
+  | () -> Alcotest.fail "expected a duplicate-definition error"
+  | exception Netlist.Netlist_error msg -> check_bool msg true (contains msg "signal k defined twice")
 
 let test_stats () =
   let st = Netlist.stats counter_module in
@@ -295,16 +322,18 @@ let test_reset_trace_equals_fresh () =
         engines)
     modules
 
-(* widths straddling the int-arena limit: 62 runs on the unboxed path,
-   63/64/65 on the Bitvec fallback — both must match Comb_eval exactly *)
+(* widths straddling the limb boundaries of the int arena: 62 is one
+   limb, 63/64/65 two, 124 exactly two, 125/130 three; every op must
+   match Comb_eval exactly on the operand pairs boundaries get wrong *)
 let test_wide_boundary_arith () =
   let module Bn = Bitvec.Bn in
   List.iter
     (fun w ->
       let ops =
-        [ ("add", "comb.add", w); ("sub", "comb.sub", w); ("mul", "comb.mul", w);
-          ("xor", "comb.xor", w); ("divu", "comb.divu", w); ("mods", "comb.mods", w);
-          ("ult", "comb.icmp_ult", 1); ("slt", "comb.icmp_slt", 1) ]
+        List.map (fun op -> (op, "comb." ^ op, w))
+          [ "add"; "sub"; "mul"; "and"; "or"; "xor"; "divu"; "modu"; "divs"; "mods" ]
+        @ List.map (fun op -> (op, "comb.icmp_" ^ op, 1))
+            [ "eq"; "ne"; "ult"; "ule"; "ugt"; "uge"; "slt"; "sle"; "sgt"; "sge" ]
       in
       let m =
         {
@@ -325,25 +354,32 @@ let test_wide_boundary_arith () =
               ops;
         }
       in
-      (* all-ones and the sign bit: the values the boundary gets wrong *)
-      let av = Bitvec.of_bn (u w) (Bn.sub (Bn.pow2 w) Bn.one) in
-      let bv_ = Bitvec.of_bn (u w) (Bn.pow2 (w - 1)) in
+      (* all-ones, the sign bit, one and a carry chain across every limb *)
+      let ones = Bitvec.of_bn (u w) (Bn.sub (Bn.pow2 w) Bn.one) in
+      let sign = Bitvec.of_bn (u w) (Bn.pow2 (w - 1)) in
+      let one = Bitvec.of_int (u w) 1 in
+      let low_limb = Bitvec.of_bn (u w) (Bn.sub (Bn.pow2 (min 62 w)) Bn.one) in
       List.iter
         (fun (kname, make) ->
           let s = make m in
-          Engine.set_input s "a" av;
-          Engine.set_input s "b" bv_;
-          Engine.eval s;
           List.iter
-            (fun (n, op, rw) ->
-              let direct =
-                Ir.Comb_eval.eval ~name:op ~attrs:[] ~ops:[ av; bv_ ] ~result_width:rw
-              in
-              if not (Bitvec.equal_value (Engine.output s ("o_" ^ n)) direct) then
-                Alcotest.failf "width %d, %s on %s engine disagrees with comb_eval" w op kname)
-            ops)
+            (fun (av, bv_) ->
+              Engine.set_input s "a" av;
+              Engine.set_input s "b" bv_;
+              Engine.eval s;
+              List.iter
+                (fun (n, op, rw) ->
+                  let direct =
+                    Ir.Comb_eval.eval ~name:op ~attrs:[] ~ops:[ av; bv_ ] ~result_width:rw
+                  in
+                  if not (Bitvec.equal_value (Engine.output s ("o_" ^ n)) direct) then
+                    Alcotest.failf "width %d, %s on %s engine disagrees with comb_eval on %s, %s" w
+                      op kname (Bitvec.to_string av) (Bitvec.to_string bv_))
+                ops)
+            [ (ones, sign); (sign, ones); (ones, one); (low_limb, one); (sign, sign);
+              (one, low_limb) ])
         engines)
-    [ 62; 63; 64; 65 ]
+    [ 62; 63; 64; 65; 124; 125; 130 ]
 
 (* a wide accumulator register: the staged-commit path of the compiled
    engine must wrap at 2^65 exactly like the interpreter *)
@@ -378,6 +414,80 @@ let test_wide_register_accumulate () =
         Alcotest.failf "%s engine: 65-bit accumulator holds %s, want 2^64" kname
           (Bn.to_string got))
     engines
+
+(* after a warm-up on random inputs, 1000 rounds of eval and clock on
+   [m]'s compiled engine allocate nothing *)
+let check_no_allocation name (m : Netlist.t) =
+  let eng = Engine.create m in
+  let st = Random.State.make [| Hashtbl.hash name |] in
+  List.iter (fun (p : Netlist.port) -> Engine.set_input eng p.port_name (random_bv st p.port_width)) m.inputs;
+  for _ = 1 to 10 do
+    Engine.eval eng;
+    Engine.clock eng
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Engine.eval eng;
+    Engine.clock eng
+  done;
+  let words = Gc.minor_words () -. before in
+  if words <> 0. then Alcotest.failf "%s: 1000 cycles allocate %.0f words" name words
+
+(* Every bundled ISAX on every registered core, and a 130-bit module with
+   every op but division: eval and clock allocate nothing. The one boxed
+   step of the compiled engine, a division or remainder wider than a
+   limb, appears in no bundled netlist. *)
+let test_no_allocation_per_cycle () =
+  List.iter
+    (fun (e : Isax.Registry.entry) ->
+      let tu = Isax.Registry.compile e in
+      List.iter
+        (fun (d : Scaiev.Core_registry.t) ->
+          List.iter
+            (fun (f : Longnail.Flow.compiled_functionality) ->
+              let m = f.cf_hw.Longnail.Hwgen.netlist in
+              let name = Printf.sprintf "%s/%s/%s" e.name d.slug f.cf_name in
+              let widths = Hashtbl.create 64 in
+              List.iter (fun (p : Netlist.port) -> Hashtbl.replace widths p.port_signal p.port_width) m.inputs;
+              List.iter (fun n -> Hashtbl.replace widths (Netlist.node_out n) (Netlist.node_width n)) m.nodes;
+              List.iter
+                (function
+                  | Netlist.Comb { op = "comb.divu" | "comb.modu" | "comb.divs" | "comb.mods"; width; inputs; _ }
+                    when List.exists (fun i -> Hashtbl.find widths i > 62) inputs || width > 62 ->
+                      Alcotest.failf "%s: wide division takes the boxed path" name
+                  | _ -> ())
+                m.nodes;
+              check_no_allocation name m)
+            (Longnail.Flow.compile d.datasheet tu).Longnail.Flow.funcs)
+        (Scaiev.Core_registry.all ()))
+    Isax.Registry.all;
+  let w = 130 in
+  let comb out width op ?(attrs = []) inputs = Netlist.Comb { out; width; op; attrs; inputs } in
+  let binary =
+    List.map (fun op -> comb op w ("comb." ^ op) [ "a"; "b" ]) [ "add"; "sub"; "mul"; "and"; "or"; "xor" ]
+    @ List.map (fun op -> comb op 1 ("comb.icmp_" ^ op) [ "a"; "b" ]) [ "eq"; "ult"; "sge" ]
+    @ List.map (fun op -> comb op w ("comb." ^ op) [ "a"; "k" ]) [ "shl"; "shru"; "shrs" ]
+  in
+  check_no_allocation "every 130-bit op"
+    {
+      Netlist.mod_name = "ops130";
+      inputs =
+        List.map
+          (fun (n, pw) -> { Netlist.port_name = n; port_width = pw; port_signal = n })
+          [ ("a", w); ("b", w); ("k", 8); ("c", 1) ];
+      outputs = [];
+      nodes =
+        binary
+        @ [
+            comb "x" 70 "comb.extract" ~attrs:[ ("lowBit", Ir.Mir.A_int 61) ] [ "a" ];
+            comb "y" 60 "comb.extract" ~attrs:[ ("lowBit", Ir.Mir.A_int 3) ] [ "b" ];
+            comb "z" 13 "comb.extract" ~attrs:[ ("lowBit", Ir.Mir.A_int 60) ] [ "a" ];
+            comb "cat" w "comb.concat" [ "x"; "y" ];
+            comb "rep" w "comb.replicate" [ "z" ];
+            comb "sel" w "comb.mux" [ "eq"; "cat"; "rep" ];
+            Netlist.Reg { out = "q"; width = w; next = "sel"; enable = Some "c"; init = None };
+          ];
+    }
 
 let test_backend_name_parse () =
   (match Backend.of_string "v201" with
@@ -418,51 +528,70 @@ let test_v2001_generated_isax () =
   check_bool "lints clean" true (V2001_emit.lint v = [])
 
 (* property: the compiled engine and the interpreter produce byte-identical
-   VCD traces on random width-consistent netlists (chains of binary ops and
-   muxes over two w-bit inputs, a 1-bit condition, and a final register) *)
+   VCD traces on random width-consistent netlists over two w-bit inputs, an
+   8-bit shift amount and a 1-bit condition. Each step adds a w-bit signal
+   (or a 1-bit compare): a binary op or mux; a shift; a concat of three
+   extracts whose low bits may straddle a limb boundary; a replicate of an
+   extract; or a register with an optional enable. A final register with
+   an enable samples the last signal. *)
 let prop_engines_agree =
   let binops =
     [| "comb.add"; "comb.sub"; "comb.mul"; "comb.and"; "comb.or"; "comb.xor";
        "comb.divu"; "comb.modu"; "comb.divs"; "comb.mods";
        "comb.shl"; "comb.shru"; "comb.shrs";
-       "comb.icmp_eq"; "comb.icmp_ult"; "comb.icmp_slt"; "comb.mux" |]
+       "comb.icmp_eq"; "comb.icmp_ne"; "comb.icmp_ult"; "comb.icmp_slt"; "comb.icmp_sge";
+       "comb.mux"; "concat"; "replicate"; "reg" |]
   in
-  QCheck.Test.make ~name:"compiled engine matches interpreter on random netlists" ~count:80
+  QCheck.Test.make ~name:"compiled engine matches interpreter on random netlists" ~count:200
     (QCheck.triple
-       (QCheck.oneofl [ 1; 8; 31; 32; 62; 63; 64; 65 ])
+       (QCheck.oneofl [ 1; 31; 62; 63; 64; 65; 124; 125; 130 ])
        (QCheck.list_of_size (QCheck.Gen.int_range 1 8)
           (QCheck.triple (QCheck.int_bound 1000) (QCheck.int_bound 1000) (QCheck.int_bound 1000)))
        (QCheck.int_bound 1_000_000))
     (fun (w, picks, seed) ->
       let wide = ref [ "a"; "b" ] and bits = ref [ "c" ] in
+      let comb out width op ?(attrs = []) inputs = Netlist.Comb { out; width; op; attrs; inputs } in
+      let extract out src lo width =
+        comb out width "comb.extract" ~attrs:[ ("lowBit", Ir.Mir.A_int lo) ] [ src ]
+      in
       let nodes =
-        List.mapi
-          (fun i (opi, x, y) ->
-            let op = binops.(opi mod Array.length binops) in
-            (* Comb_eval (the reference semantics for BOTH engines) raises
-               when a shift amount exceeds the native int range, so shifts
-               only make sense while operands fit in an int *)
-            let op =
-              match op with
-              | ("comb.shl" | "comb.shru" | "comb.shrs") when w > 62 -> "comb.xor"
-              | op -> op
-            in
-            let pick pool n = List.nth pool (n mod List.length pool) in
-            let out = Printf.sprintf "n%d" i in
-            let is_cmp = String.length op > 9 && String.sub op 0 9 = "comb.icmp" in
-            let node =
-              if op = "comb.mux" then
-                Netlist.Comb
-                  { out; width = w; op; attrs = [];
-                    inputs = [ pick !bits opi; pick !wide x; pick !wide y ] }
-              else
-                Netlist.Comb
-                  { out; width = (if is_cmp then 1 else w); op; attrs = [];
-                    inputs = [ pick !wide x; pick !wide y ] }
-            in
-            if is_cmp then bits := out :: !bits else wide := out :: !wide;
-            node)
-          picks
+        List.concat
+          (List.mapi
+             (fun i (opi, x, y) ->
+               let op = binops.(opi mod Array.length binops) in
+               let pick pool n = List.nth pool (n mod List.length pool) in
+               let out = Printf.sprintf "n%d" i in
+               let is_cmp = String.length op > 9 && String.sub op 0 9 = "comb.icmp" in
+               let nodes =
+                 match op with
+                 | "comb.mux" -> [ comb out w op [ pick !bits opi; pick !wide x; pick !wide y ] ]
+                 | "comb.shl" | "comb.shru" | "comb.shrs" -> [ comb out w op [ pick !wide x; "k" ] ]
+                 | "concat" when w >= 3 ->
+                     let w1 = 1 + (x mod (w - 2)) in
+                     let w2 = 1 + (y mod (w - w1 - 1)) in
+                     let parts =
+                       List.mapi
+                         (fun k pw ->
+                           let name = Printf.sprintf "%s_p%d" out k in
+                           let lo = ((x * (k + 1)) + y) mod (w - pw + 1) in
+                           (name, extract name (pick !wide (x + k)) lo pw))
+                         [ w1; w2; w - w1 - w2 ]
+                     in
+                     List.map snd parts @ [ comb out w "comb.concat" (List.map fst parts) ]
+                 | "replicate" ->
+                     let divisors = List.filter (fun d -> w mod d = 0) (List.init w succ) in
+                     let d = pick divisors x in
+                     [ extract (out ^ "_p") (pick !wide y) (x mod (w - d + 1)) d;
+                       comb out w "comb.replicate" [ out ^ "_p" ] ]
+                 | "reg" ->
+                     let enable = if x mod 2 = 0 then None else Some (pick !bits y) in
+                     [ Netlist.Reg { out; width = w; next = pick !wide y; enable; init = None } ]
+                 | "concat" -> [ comb out w "comb.xor" [ pick !wide x; pick !wide y ] ]
+                 | op -> [ comb out (if is_cmp then 1 else w) op [ pick !wide x; pick !wide y ] ]
+               in
+               if is_cmp then bits := out :: !bits else wide := out :: !wide;
+               nodes)
+             picks)
       in
       let last = List.hd !wide in
       let m =
@@ -472,6 +601,7 @@ let prop_engines_agree =
             [
               { Netlist.port_name = "a"; port_width = w; port_signal = "a" };
               { port_name = "b"; port_width = w; port_signal = "b" };
+              { port_name = "k"; port_width = 8; port_signal = "k" };
               { port_name = "c"; port_width = 1; port_signal = "c" };
             ];
           outputs = [ { port_name = "q"; port_width = w; port_signal = "q" } ];
@@ -482,11 +612,11 @@ let prop_engines_agree =
       in
       Netlist.validate m;
       let drive cycle =
-        [
-          ("a", Bitvec.of_int (u w) (Hashtbl.hash (seed, cycle, "a")));
-          ("b", Bitvec.of_int (u w) (Hashtbl.hash (seed, cycle, "b")));
-          ("c", Bitvec.of_int (u 1) (Hashtbl.hash (seed, cycle, "c")));
-        ]
+        let st = Random.State.make [| seed; cycle |] in
+        let a = random_bv st w in
+        (* b = a one time in four, so the compares see equal operands *)
+        let b = if Random.State.int st 4 = 0 then a else random_bv st w in
+        [ ("a", a); ("b", b); ("k", bv 8 (Random.State.int st 256)); ("c", bv 1 (Random.State.int st 2)) ]
       in
       let trace make = Vcd.trace (make m) ~cycles:6 ~drive in
       Vcd.traces_equal (trace Sim.engine) (trace Engine.create))
@@ -536,6 +666,7 @@ let () =
         [
           Alcotest.test_case "comb cycle detected" `Quick test_comb_cycle_detected;
           Alcotest.test_case "undefined signal" `Quick test_undefined_signal_detected;
+          Alcotest.test_case "signal defined twice" `Quick test_duplicate_signal_detected;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
       ( "engine",
@@ -548,8 +679,10 @@ let () =
             test_cross_engine_vcd_isax;
           Alcotest.test_case "reset engine traces like a fresh one" `Quick
             test_reset_trace_equals_fresh;
-          Alcotest.test_case "62/63/64/65-bit arithmetic" `Quick test_wide_boundary_arith;
+          Alcotest.test_case "62-130-bit arithmetic" `Quick test_wide_boundary_arith;
           Alcotest.test_case "65-bit register accumulate" `Quick test_wide_register_accumulate;
+          Alcotest.test_case "no allocation per cycle on any bundled netlist" `Quick
+            test_no_allocation_per_cycle;
         ] );
       ( "sv",
         [
