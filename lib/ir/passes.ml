@@ -117,33 +117,28 @@ let cse (g : graph) : graph =
 
 (* ---- dead-code elimination ---- *)
 
+(* One liveness sweep: side-effecting ops and interface reads are live,
+   and so is every top-level op defining an operand of a live op or of an
+   op nested in its regions. Nested ops themselves are never removed. On
+   an SSA graph this keeps what removing use-less ops until none is left
+   keeps. *)
 let dce (g : graph) : graph =
-  let changed = ref true in
-  let g = ref g in
-  while !changed do
-    changed := false;
-    let uses = use_map !g in
-    let body =
-      List.filter
-        (fun op ->
-          if has_side_effect op || is_interface_read op then true
-          else begin
-            let live =
-              List.exists
-                (fun r ->
-                  match Hashtbl.find_opt uses r.vid with
-                  | Some (_ :: _) -> true
-                  | _ -> false)
-                op.results
-            in
-            if not live then changed := true;
-            live
-          end)
-        (!g).body
-    in
-    g := { !g with body }
-  done;
-  !g
+  let body = Array.of_list g.body in
+  let defs : (int, int) Hashtbl.t = Hashtbl.create (Array.length body) in
+  Array.iteri (fun i op -> List.iter (fun r -> Hashtbl.add defs r.vid i) op.results) body;
+  let live = Array.make (Array.length body) false in
+  let rec visit i =
+    if not live.(i) then begin
+      live.(i) <- true;
+      mark body.(i)
+    end
+  and mark op =
+    List.iter (fun v -> List.iter visit (Hashtbl.find_all defs v.vid)) op.operands;
+    List.iter (List.iter mark) op.regions
+  in
+  Array.iteri (fun i op -> if has_side_effect op || is_interface_read op then visit i) body;
+  if Array.for_all Fun.id live then g
+  else { g with body = List.filteri (fun i _ -> live.(i)) g.body }
 
 (* Also drop interface *reads* that are completely unused (e.g. a register
    read whose value was optimized away). Writes are always kept. *)

@@ -34,7 +34,7 @@
 (* Every failure of the flow surfaces as [Diag.Fatal]: stage exceptions
    already carrying a [Diag.t] are re-raised as fatal diagnostics at the
    stage boundary; stringly internal errors (problem verification) are
-   wrapped as E0901. *)
+   wrapped as E0901, and a scheduler out of ascent steps is E0904. *)
 
 let diag_of_stage_exn = function
   | Ir.Hlir.Lower_error d
@@ -45,6 +45,8 @@ let diag_of_stage_exn = function
       Some d
   | Analysis.Verifier.Verify_error d | Analysis.Netcheck.Netcheck_error d -> Some d
   | Sched.Problem.Problem_error m -> Some (Diag.make ~code:"E0901" ("internal: " ^ m))
+  | Lp.Netopt.Budget_exhausted steps ->
+      Some (Diag.make ~code:"E0904" (Printf.sprintf "the scheduler did not converge in %d steps" steps))
   | _ -> None
 
 (* Run [f], converting any stage exception into a fatal diagnostic that
@@ -329,7 +331,7 @@ let build_func_hw (core : Scaiev.Datasheet.t) (tu : Coredsl.Tast.tunit) k ~name
         let p = built.Sched_build.problem in
         Obs.metric_str_opt sobs "scheduler" (scheduler_name scheduler);
         Obs.metric_int_opt sobs "sched_ops" (Array.length p.Sched.Problem.operations);
-        Obs.metric_int_opt sobs "sched_deps" (List.length p.Sched.Problem.dependences);
+        Obs.metric_int_opt sobs "sched_deps" (Array.length p.Sched.Problem.dependences);
         let vars, constraints = Sched.Ilp_scheduler.ilp_size p in
         Obs.metric_int_opt sobs "ilp_vars" vars;
         Obs.metric_int_opt sobs "ilp_constraints" constraints;

@@ -32,7 +32,7 @@
     {!Scaiev.Generator.Generate_error}) are converted at the stage
     boundary, with a note naming the functionality being compiled;
     stringly internal errors (IR/problem verification) are wrapped as
-    E0901. *)
+    E0901, and {!Lp.Netopt.Budget_exhausted} becomes E0904. *)
 val diag_of_stage_exn : exn -> Diag.t option
 
 val with_stage_diags : string -> (unit -> 'a) -> 'a

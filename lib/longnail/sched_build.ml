@@ -19,7 +19,7 @@ let build_error ?(code = "E0901") ?span fmt =
 
 type built = {
   problem : Sched.Problem.t;
-  index_of_op : (int, int) Hashtbl.t;  (* mir op id -> problem operation index *)
+  index_of_op : int array;  (* mir op id -> problem operation index, or -1 *)
   ops_by_index : op array;  (* problem operation index -> mir op *)
 }
 
@@ -64,38 +64,43 @@ let build (core : Scaiev.Datasheet.t) ?(delay_model = Delay_model.default) ?cycl
   let cycle_time =
     match cycle_time with Some ct -> ct | None -> Scaiev.Datasheet.cycle_time_ns core
   in
-  let b = Sched.Problem.builder () in
-  let index_of_op = Hashtbl.create 64 in
-  let producer : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  (* value id -> problem op index *)
   let ops = all_ops g in
-  List.iteri
-    (fun _ (op : op) ->
-      match op.opname with
-      | "lil.sink" -> ()
-      | _ ->
-          let lot = operator_type_for core delay_model ~always op in
-          let idx = Sched.Problem.add_operation b ~label:(Printf.sprintf "%s#%d" op.opname op.oid) lot in
-          Hashtbl.replace index_of_op op.oid idx;
-          List.iter (fun r -> Hashtbl.replace producer r.vid idx) op.results)
+  (* dense tables over op and value ids *)
+  let max_oid, max_vid =
+    List.fold_left
+      (fun (mo, mv) (op : op) ->
+        (Int.max mo op.oid, List.fold_left (fun m r -> Int.max m r.vid) mv op.results))
+      (-1, -1) ops
+  in
+  let index_of_op = Array.make (max_oid + 1) (-1) and producer = Array.make (max_vid + 1) (-1) in
+  let b = Sched.Problem.builder () in
+  let ops_rev = ref [] in
+  List.iter
+    (fun (op : op) ->
+      if op.opname <> "lil.sink" then begin
+        let lot = operator_type_for core delay_model ~always op in
+        if lot.incoming_delay > cycle_time || lot.outgoing_delay > cycle_time then
+          build_error ~code:"E0401" ?span:op.oloc
+            "operator %s has a delay of %g ns, longer than the cycle time of %g ns" op.opname
+            (Float.max lot.incoming_delay lot.outgoing_delay) cycle_time;
+        let idx = Sched.Problem.add_operation b ~label:(op.opname ^ "#" ^ string_of_int op.oid) lot in
+        index_of_op.(op.oid) <- idx;
+        ops_rev := op :: !ops_rev;
+        List.iter (fun r -> producer.(r.vid) <- idx) op.results
+      end)
     ops;
   List.iter
     (fun (op : op) ->
-      match Hashtbl.find_opt index_of_op op.oid with
-      | None -> ()
-      | Some dst ->
-          List.iter
-            (fun v ->
-              match Hashtbl.find_opt producer v.vid with
-              | Some src -> Sched.Problem.add_dependence b ~src ~dst
-              | None -> ())
-            op.operands)
+      let dst = index_of_op.(op.oid) in
+      if dst >= 0 then
+        List.iter
+          (fun v ->
+            let src = if v.vid <= max_vid then producer.(v.vid) else -1 in
+            if src >= 0 then Sched.Problem.add_dependence b ~src ~dst)
+          op.operands)
     ops;
   let problem = Sched.Problem.finish ~cycle_time b in
-  let ops_by_index =
-    Array.of_list (List.filter (fun (o : op) -> Hashtbl.mem index_of_op o.oid) ops)
-  in
-  { problem; index_of_op; ops_by_index }
+  { problem; index_of_op; ops_by_index = Array.of_list (List.rev !ops_rev) }
 
 (* schedule with the ILP (default) or ASAP scheduler *)
 type scheduler = Ilp | Asap
@@ -138,6 +143,6 @@ let infeasible_culprit (bt : built) : (op * int * int) option =
 
 (* start time of a mir op after scheduling *)
 let start_time bt (op : op) =
-  match Hashtbl.find_opt bt.index_of_op op.oid with
-  | Some idx -> bt.problem.Sched.Problem.start_time.(idx)
-  | None -> build_error ?span:op.oloc "op %d not in problem" op.oid
+  let idx = if op.oid < Array.length bt.index_of_op then bt.index_of_op.(op.oid) else -1 in
+  if idx >= 0 then bt.problem.Sched.Problem.start_time.(idx)
+  else build_error ?span:op.oloc "op %d not in problem" op.oid

@@ -15,7 +15,7 @@ val build_error :
   ?code:string -> ?span:Diag.span -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 type built = {
   problem : Sched.Problem.t;
-  index_of_op : (int, int) Hashtbl.t;
+  index_of_op : int array;  (** mir op id -> problem operation index, or -1 *)
   ops_by_index : Ir.Mir.op array;
 }
 val result_width : Ir.Mir.op -> int

@@ -1,27 +1,6 @@
-(* Optimal solver for linear objectives over difference-constraint systems.
-
-   Solves:   minimize    sum_i cost_i * t_i
-             subject to  t_dst - t_src >= w        (difference constraints)
-                         lower_i <= t_i <= upper_i
-                         t integral
-
-   This is the shape the Longnail scheduling ILP (Figure 7 of the paper)
-   takes after the lifetime variables are eliminated analytically:
-   at any optimum l_ij = t_j - t_i, so the objective
-   "sum t_i + sum l_ij" collapses to a weighted sum of start times with
-   integer node costs (1 + indegree - outdegree).
-
-   Algorithm: the feasible set is a lattice polyhedron whose least element
-   is the ASAP solution (computed by Bellman-Ford longest paths). A linear
-   function restricted to such a lattice is L-natural-convex, so steepest
-   ascent over "shift a closed set S by +delta" moves reaches the global
-   optimum; the best improving set is a minimum-weight closed set under
-   the tight-edge closure relation, found with a max-flow min-cut
-   computation (Dinic). Each accepted move strictly decreases the
-   objective, guaranteeing termination.
-
-   Exactness is cross-checked against the branch-and-bound MILP solver in
-   the test suite. *)
+(* Optimal solver for linear objectives over difference-constraint
+   systems: Bellman-Ford for the least element, then min-cut steepest
+   ascent. The algorithm and its exactness argument are in netopt.mli. *)
 
 type edge = { e_src : int; e_dst : int; e_w : int }
 
@@ -34,82 +13,122 @@ type system = {
 
 exception Unbounded
 
-(* ---- Dinic max-flow ---- *)
+exception Budget_exhausted of int
+
+let max_steps = 100_000
+
+(* ---- Dinic max-flow over a flat residual graph ----
+
+   Arc [2k] is the k-th added arc and [2k+1] its reverse, so the tail of
+   arc [a] is [dst.(a lxor 1)]. [res] holds residual capacities; [first]
+   and [adj] list each node's arcs in the order they were added (CSR),
+   built once per [max_flow]. Every array is allocated once, for the
+   largest graph, and reused by each ascent step. *)
 
 module Maxflow = struct
-  type arc = { dst : int; mutable cap : int; mutable flow : int; rev : int }
-
-  type t = { n : int; adj : arc array array; mutable adj_build : arc list array }
+  type t = {
+    n : int;
+    mutable m : int;  (* arcs added, reverses included *)
+    dst : int array;
+    res : int array;
+    first : int array;
+    adj : int array;
+    level : int array;
+    it : int array;
+    queue : int array;
+  }
 
   let inf = max_int / 4
 
-  let create n = { n; adj = [||]; adj_build = Array.make n [] }
+  let create n ~max_arcs =
+    let arcs () = Array.make (2 * max_arcs) 0 and nodes () = Array.make n 0 in
+    { n; m = 0; dst = arcs (); res = arcs (); first = Array.make (n + 1) 0; adj = arcs ();
+      level = nodes (); it = nodes (); queue = nodes () }
 
   let add_edge g u v cap =
-    let a = { dst = v; cap; flow = 0; rev = List.length g.adj_build.(v) } in
-    let b = { dst = u; cap = 0; flow = 0; rev = List.length g.adj_build.(u) } in
-    g.adj_build.(u) <- g.adj_build.(u) @ [ a ];
-    g.adj_build.(v) <- g.adj_build.(v) @ [ b ]
+    let a = g.m in
+    g.dst.(a) <- v;
+    g.res.(a) <- cap;
+    g.dst.(a + 1) <- u;
+    g.res.(a + 1) <- 0;
+    g.m <- a + 2
 
-  let freeze g = { g with adj = Array.map Array.of_list g.adj_build }
-
-  let max_flow g s t =
-    let adj = g.adj in
-    let n = g.n in
-    let level = Array.make n (-1) in
-    let it = Array.make n 0 in
-    let bfs () =
-      Array.fill level 0 n (-1);
-      let q = Queue.create () in
-      level.(s) <- 0;
-      Queue.add s q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        Array.iter
-          (fun a ->
-            if level.(a.dst) < 0 && a.cap - a.flow > 0 then begin
-              level.(a.dst) <- level.(u) + 1;
-              Queue.add a.dst q
-            end)
-          adj.(u)
-      done;
-      level.(t) >= 0
-    in
-    let rec dfs u pushed =
-      if u = t then pushed
-      else begin
-        let res = ref 0 in
-        while !res = 0 && it.(u) < Array.length adj.(u) do
-          let a = adj.(u).(it.(u)) in
-          if level.(a.dst) = level.(u) + 1 && a.cap - a.flow > 0 then begin
-            let d = dfs a.dst (min pushed (a.cap - a.flow)) in
-            if d > 0 then begin
-              a.flow <- a.flow + d;
-              let back = adj.(a.dst).(a.rev) in
-              back.flow <- back.flow - d;
-              res := d
-            end
-            else it.(u) <- it.(u) + 1
-          end
-          else it.(u) <- it.(u) + 1
-        done;
-        !res
-      end
-    in
-    let total = ref 0 in
-    while bfs () do
-      Array.fill it 0 n 0;
-      let rec push () =
-        let f = dfs s inf in
-        if f > 0 then begin
-          total := !total + f;
-          push ()
-        end
-      in
-      push ()
+  (* counting sort of the arcs by tail, stable in arc order *)
+  let build_adjacency g =
+    let first = g.first and it = g.it in
+    Array.fill first 0 (g.n + 1) 0;
+    for a = 0 to g.m - 1 do
+      let u = g.dst.(a lxor 1) in
+      first.(u + 1) <- first.(u + 1) + 1
     done;
-    (!total, level)
-  (* after the last BFS, level >= 0 marks the source side of a min cut *)
+    for u = 0 to g.n - 1 do
+      first.(u + 1) <- first.(u + 1) + first.(u)
+    done;
+    Array.blit first 0 it 0 g.n;
+    for a = 0 to g.m - 1 do
+      let u = g.dst.(a lxor 1) in
+      g.adj.(it.(u)) <- a;
+      it.(u) <- it.(u) + 1
+    done
+
+  let bfs g s t =
+    let level = g.level and queue = g.queue in
+    Array.fill level 0 g.n (-1);
+    level.(s) <- 0;
+    queue.(0) <- s;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      for k = g.first.(u) to g.first.(u + 1) - 1 do
+        let a = g.adj.(k) in
+        let v = g.dst.(a) in
+        if level.(v) < 0 && g.res.(a) > 0 then begin
+          level.(v) <- level.(u) + 1;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    level.(t) >= 0
+
+  (* push along one level-increasing path from [u]; [it.(u)] skips arcs
+     that are saturated or lead nowhere *)
+  let rec dfs g t u pushed =
+    if u = t then pushed
+    else if g.it.(u) = g.first.(u + 1) then 0
+    else begin
+      let a = g.adj.(g.it.(u)) in
+      let v = g.dst.(a) in
+      let d =
+        if g.level.(v) = g.level.(u) + 1 && g.res.(a) > 0 then dfs g t v (Int.min pushed g.res.(a))
+        else 0
+      in
+      if d > 0 then begin
+        g.res.(a) <- g.res.(a) - d;
+        g.res.(a lxor 1) <- g.res.(a lxor 1) + d;
+        d
+      end
+      else begin
+        g.it.(u) <- g.it.(u) + 1;
+        dfs g t u pushed
+      end
+    end
+
+  (* Returns the flow value; afterwards [level.(i) >= 0] marks the nodes
+     reachable from [s] in the residual graph, the source side of the
+     minimal minimum cut. *)
+  let max_flow g s t =
+    build_adjacency g;
+    let rec augment total = match dfs g t s inf with 0 -> total | f -> augment (total + f) in
+    let rec phases total =
+      if bfs g s t then begin
+        Array.blit g.first 0 g.it 0 g.n;
+        phases (augment total)
+      end
+      else total
+    in
+    phases 0
 end
 
 (* ---- ASAP via Bellman-Ford longest paths ----
@@ -142,21 +161,29 @@ let asap ?rounds (s : system) =
 
    Shift-by-closed-set ascent from the minimal element [t] (mutated in
    place). With no negative cost no set improves, and [t] is returned
-   unchanged after one min-cut. *)
+   unchanged after one min-cut.
+
+   The shift [delta] of an accepted set S is at least 1. S is closed under
+   tight edges (each carries an infinite arc, and the cut is finite), so
+   every edge leaving S has slack, which is integral and so at least 1;
+   and no node of S sits at its upper bound, whose infinite arc to the
+   sink would be cut. *)
 
 let ascend (s : system) t =
   let n = Array.length t and edges = s.edges and upper = s.upper and cost = s.cost in
-  let iterations = ref 0 in
+  let src = n and snk = n + 1 in
+  let g = Maxflow.create (n + 2) ~max_arcs:((2 * n) + Array.length edges) in
+  let steps = ref 0 in
   let improved = ref true in
   while !improved do
-    incr iterations;
-    if !iterations > 100_000 then failwith "Netopt.ascend: did not converge";
+    incr steps;
+    if !steps > max_steps then raise (Budget_exhausted max_steps);
     improved := false;
     (* build the closure graph on tight edges:
        i in S and (i->j) tight  ==>  j in S;
-       i at its upper bound     ==>  i not in S *)
-    let src = n and snk = n + 1 in
-    let g = Maxflow.create (n + 2) in
+       i at its upper bound     ==>  i not in S
+       over the arrays of the previous step *)
+    g.m <- 0;
     let neg_total = ref 0 in
     for i = 0 to n - 1 do
       if cost.(i) < 0 then begin
@@ -172,27 +199,24 @@ let ascend (s : system) t =
       (fun e ->
         if t.(e.e_dst) - t.(e.e_src) = e.e_w then Maxflow.add_edge g e.e_src e.e_dst Maxflow.inf)
       edges;
-    let g = Maxflow.freeze g in
-    let flow, level = Maxflow.max_flow g src snk in
+    let flow = Maxflow.max_flow g src snk in
     (* the min closure weight is flow - neg_total; improving iff < 0 *)
     if flow < !neg_total then begin
       (* S = nodes on the source side of the min cut *)
-      let in_s i = level.(i) >= 0 in
-      (* maximum feasible shift *)
+      let level = g.level in
       let delta = ref max_int in
       Array.iter
         (fun e ->
-          if in_s e.e_src && not (in_s e.e_dst) then
+          if level.(e.e_src) >= 0 && level.(e.e_dst) < 0 then
             delta := min !delta (t.(e.e_dst) - t.(e.e_src) - e.e_w))
         edges;
       for i = 0 to n - 1 do
-        if in_s i then
+        if level.(i) >= 0 then
           match upper.(i) with Some hi -> delta := min !delta (hi - t.(i)) | None -> ()
       done;
       if !delta = max_int then raise Unbounded;
-      if !delta <= 0 then failwith "Netopt.ascend: zero shift on improving set";
       for i = 0 to n - 1 do
-        if in_s i then t.(i) <- t.(i) + !delta
+        if level.(i) >= 0 then t.(i) <- t.(i) + !delta
       done;
       improved := true
     end

@@ -17,8 +17,15 @@
    ascent over "shift a closed set S by +delta" moves reaches the global
    optimum; the best improving set is a minimum-weight closed set under
    the tight-edge closure relation, found with a max-flow min-cut
-   computation (Dinic). Each accepted move strictly decreases the
-   objective, guaranteeing termination.
+   computation (Dinic over a residual graph kept in flat int arrays, one
+   set of arrays reused by every ascent step). Each accepted move
+   strictly decreases the objective, guaranteeing termination.
+
+   The shifted set is the source side of the minimal minimum cut: the
+   nodes reachable from the source in the final residual graph. Every
+   maximum flow leaves the same reachable set, so neither the order of
+   [edges] nor the order in which Dinic visits arcs changes a step, and
+   equal systems up to edge order give equal value vectors.
 
    Exactness is cross-checked against the branch-and-bound MILP solver in
    the test suite. *)
@@ -42,11 +49,17 @@ val asap : ?rounds:int ref -> system -> int array option
     (positive cycle, or the least point breaks an upper bound, in which
     case every point does). [rounds] accumulates relaxation sweeps. *)
 
+exception Budget_exhausted of int
+(** Raised by {!solve} when the ascent has not converged after this many
+    steps (100k). Each step lowers the integral objective by at least 1,
+    so only a system with a huge objective range can reach it. *)
+
 val solve :
   ?rounds:int ref -> system -> [ `Optimal of int array | `Infeasible | `Unbounded ]
 (** {!asap}, then min-cut steepest ascent from the least element.
-    Deterministic: equal systems give equal value vectors. With no
-    negative cost the least element is already optimal and is returned
-    as is. [rounds] accumulates {!asap}'s relaxation sweeps. *)
+    Deterministic: systems equal up to the order of [edges] give equal
+    value vectors. With no negative cost the least element is already
+    optimal and is returned as is. [rounds] accumulates {!asap}'s
+    relaxation sweeps. Raises {!Budget_exhausted}. *)
 
 val objective : cost:int array -> int array -> int

@@ -33,7 +33,7 @@ let schedule ?rounds (p : Problem.t) : outcome =
    timings it reports by building a second copy of the LP. *)
 let ilp_size p =
   let n = Array.length p.Problem.operations in
-  let n_deps = List.length p.Problem.dependences in
+  let n_deps = Array.length p.Problem.dependences in
   let n_windows =
     Array.fold_left
       (fun acc (op : Problem.operation) ->

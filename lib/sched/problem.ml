@@ -31,12 +31,21 @@ type operation = {
 
 type dependence = { dep_src : int; dep_dst : int }
 
+(* the dependence graph's traversal order, in-edges and chain breakers,
+   computed once per problem *)
+type shape = {
+  order : int array;  (* topological *)
+  preds : int list array;  (* dependence indices into each op, last added first *)
+  breakers : int list;  (* dependence indices, see [chain_breakers] *)
+}
+
 type t = {
   operations : operation array;
-  dependences : dependence list;
+  dependences : dependence array;
   cycle_time : float option;  (* chaining: target clock period in ns *)
   mutable start_time : int array;  (* solution *)
   mutable start_time_in_cycle : float array;  (* chaining solution *)
+  shape : shape Lazy.t;  (* raises [Problem_error] on a cycle *)
 }
 
 exception Problem_error of string
@@ -45,41 +54,67 @@ let problem_error fmt = Format.kasprintf (fun m -> raise (Problem_error m)) fmt
 
 (* ---- construction ---- *)
 
-type builder = { mutable ops_rev : operation list; mutable deps : dependence list }
+type builder = {
+  mutable n_ops : int;
+  mutable ops_rev : operation list;
+  mutable deps : dependence list;
+}
 
-let builder () = { ops_rev = []; deps = [] }
+let builder () = { n_ops = 0; ops_rev = []; deps = [] }
 
 let add_operation b ~label lot =
-  let idx = List.length b.ops_rev in
+  let idx = b.n_ops in
+  b.n_ops <- idx + 1;
   b.ops_rev <- { op_index = idx; lot; op_label = label } :: b.ops_rev;
   idx
 
 let add_dependence b ~src ~dst = b.deps <- { dep_src = src; dep_dst = dst } :: b.deps
 
-let finish ?cycle_time b =
-  let operations = Array.of_list (List.rev b.ops_rev) in
-  {
-    operations;
-    dependences = List.rev b.deps;
-    cycle_time;
-    start_time = Array.make (Array.length operations) (-1);
-    start_time_in_cycle = Array.make (Array.length operations) 0.0;
-  }
+(* Walking in topological order, accumulate combinational delay along
+   zero-latency chains; an edge whose head would push the accumulated
+   delay past the cycle time becomes a chain breaker (its endpoints must
+   be separated by at least one time step), and the accumulation restarts
+   at the head. Mirrors CIRCT's ChainingSupport. Returns dependence
+   indices. *)
+let find_breakers operations dependences ~order ~preds = function
+  | None -> []
+  | Some ct ->
+      let acc = Array.make (Array.length operations) 0.0 in
+      let breakers = ref [] in
+      Array.iter
+        (fun j ->
+          let opj = operations.(j) in
+          let my_delay = opj.lot.incoming_delay +. opj.lot.outgoing_delay in
+          let arrive = ref 0.0 in
+          List.iter
+            (fun k ->
+              let i = dependences.(k).dep_src in
+              let chained = operations.(i).lot.latency = 0 in
+              let candidate = if chained then acc.(i) else operations.(i).lot.outgoing_delay in
+              if chained && candidate +. my_delay > ct then breakers := k :: !breakers
+              else if candidate > !arrive then arrive := candidate)
+            preds.(j);
+          acc.(j) <- !arrive +. my_delay)
+        order;
+      List.rev !breakers
 
-(* topological order; raises on cycles *)
-let topo_order p =
-  let n = Array.length p.operations in
-  let indeg = Array.make n 0 in
-  List.iter (fun d -> indeg.(d.dep_dst) <- indeg.(d.dep_dst) + 1) p.dependences;
-  let out = Array.make n [] in
-  List.iter (fun d -> out.(d.dep_src) <- d.dep_dst :: out.(d.dep_src)) p.dependences;
+(* Kahn's algorithm; raises on cycles *)
+let compute_shape operations dependences cycle_time =
+  let n = Array.length operations in
+  let indeg = Array.make n 0 and out = Array.make n [] and preds = Array.make n [] in
+  Array.iteri
+    (fun k d ->
+      indeg.(d.dep_dst) <- indeg.(d.dep_dst) + 1;
+      out.(d.dep_src) <- d.dep_dst :: out.(d.dep_src);
+      preds.(d.dep_dst) <- k :: preds.(d.dep_dst))
+    dependences;
   let q = Queue.create () in
   Array.iteri (fun i d -> if d = 0 then Queue.add i q) indeg;
-  let order = ref [] and seen = ref 0 in
+  let order = Array.make n 0 and seen = ref 0 in
   while not (Queue.is_empty q) do
     let i = Queue.pop q in
+    order.(!seen) <- i;
     incr seen;
-    order := i :: !order;
     List.iter
       (fun j ->
         indeg.(j) <- indeg.(j) - 1;
@@ -87,7 +122,19 @@ let topo_order p =
       out.(i)
   done;
   if !seen <> n then problem_error "dependence graph is cyclic";
-  List.rev !order
+  { order; preds; breakers = find_breakers operations dependences ~order ~preds cycle_time }
+
+let finish ?cycle_time b =
+  let operations = Array.of_list (List.rev b.ops_rev) in
+  let dependences = Array.of_list (List.rev b.deps) in
+  {
+    operations;
+    dependences;
+    cycle_time;
+    start_time = Array.make (Array.length operations) (-1);
+    start_time_in_cycle = Array.make (Array.length operations) 0.0;
+    shape = lazy (compute_shape operations dependences cycle_time);
+  }
 
 (* ---- input constraints (validity of the instance) ---- *)
 
@@ -107,20 +154,20 @@ let check_input p =
           problem_error "operator %s delay exceeds cycle time" op.lot.ot_name
       | _ -> ())
     p.operations;
-  List.iter
+  Array.iter
     (fun d ->
       if d.dep_src < 0 || d.dep_src >= Array.length p.operations
          || d.dep_dst < 0 || d.dep_dst >= Array.length p.operations
       then problem_error "dependence endpoint out of range")
     p.dependences;
   (* acyclicity via topological sort *)
-  ignore (topo_order p)
+  ignore (Lazy.force p.shape)
 
 (* ---- solution constraints (Table 2) ---- *)
 
 (* Problem level: i.ST + i.latency <= j.ST for every dependence. *)
 let verify_precedence p =
-  List.iter
+  Array.iter
     (fun d ->
       let i = p.operations.(d.dep_src) and j = p.operations.(d.dep_dst) in
       let ti = p.start_time.(d.dep_src) and tj = p.start_time.(d.dep_dst) in
@@ -133,7 +180,7 @@ let verify_precedence p =
 (* ChainingProblem level: start times within a cycle respect propagation
    delays along zero-latency chains and at cycle boundaries. *)
 let verify_chaining p =
-  List.iter
+  Array.iter
     (fun d ->
       let i = p.operations.(d.dep_src) and j = p.operations.(d.dep_dst) in
       let ti = p.start_time.(d.dep_src) and tj = p.start_time.(d.dep_dst) in
@@ -177,60 +224,25 @@ let makespan p =
 (* sum of value lifetimes: for each dependence, t_dst - t_src (the paper's
    register-pressure proxy in the ILP objective) *)
 let total_lifetime p =
-  List.fold_left
+  Array.fold_left
     (fun acc d -> acc + (p.start_time.(d.dep_dst) - p.start_time.(d.dep_src)))
     0 p.dependences
 
 (* ---- chaining support ---- *)
 
-(* Compute chain-breaking edges: walking in topological order, accumulate
-   combinational delay along zero-latency chains; an edge whose head would
-   push the accumulated delay past the cycle time becomes a chain breaker
-   (its endpoints must be separated by at least one time step), and the
-   accumulation restarts at the head. Mirrors CIRCT's ChainingSupport. *)
-let chain_breakers p =
-  match p.cycle_time with
-  | None -> []
-  | Some ct ->
-      let order = topo_order p in
-      let n = Array.length p.operations in
-      let acc = Array.make n 0.0 in
-      let preds = Array.make n [] in
-      List.iter (fun d -> preds.(d.dep_dst) <- d :: preds.(d.dep_dst)) p.dependences;
-      let breakers = ref [] in
-      List.iter
-        (fun j ->
-          let opj = p.operations.(j) in
-          let my_delay = opj.lot.incoming_delay +. opj.lot.outgoing_delay in
-          let arrive = ref 0.0 in
-          List.iter
-            (fun d ->
-              let i = d.dep_src in
-              let opi = p.operations.(i) in
-              if opi.lot.latency = 0 then begin
-                let candidate = acc.(i) in
-                if candidate +. my_delay > ct then breakers := d :: !breakers
-                else arrive := max !arrive candidate
-              end
-              else arrive := max !arrive opi.lot.outgoing_delay)
-            preds.(j);
-          acc.(j) <- !arrive +. my_delay)
-        order;
-      List.rev !breakers
+let chain_breakers p = List.map (fun k -> p.dependences.(k)) (Lazy.force p.shape).breakers
 
 (* Fill start_time_in_cycle from start_time: ASAP within each cycle along
    zero-latency chains (the utility function mentioned in Section 4.3). *)
 let compute_start_time_in_cycle p =
-  let order = topo_order p in
-  let preds = Array.make (Array.length p.operations) [] in
-  List.iter (fun d -> preds.(d.dep_dst) <- d :: preds.(d.dep_dst)) p.dependences;
-  List.iter
+  let { order; preds; _ } = Lazy.force p.shape in
+  Array.iter
     (fun j ->
       let tj = p.start_time.(j) in
       let s = ref 0.0 in
       List.iter
-        (fun d ->
-          let i = d.dep_src in
+        (fun k ->
+          let i = p.dependences.(k).dep_src in
           let opi = p.operations.(i) in
           if opi.lot.latency = 0 && p.start_time.(i) = tj then
             s := max !s (p.start_time_in_cycle.(i) +. opi.lot.outgoing_delay)
@@ -249,20 +261,20 @@ let compute_start_time_in_cycle p =
    node costs 1 + indegree - outdegree, so that sum cost_i t_i equals
    sum t_i + sum l_ij. Every scheduler path solves this one system. *)
 let difference_system p : Lp.Netopt.system =
-  let breakers = chain_breakers p in
-  let edge d =
+  let breaks = Array.make (Array.length p.dependences) false in
+  List.iter (fun k -> breaks.(k) <- true) (Lazy.force p.shape).breakers;
+  let edge k d =
     let lat = p.operations.(d.dep_src).lot.latency in
-    let e_w = if List.memq d breakers then lat + 1 else lat in
-    { Lp.Netopt.e_src = d.dep_src; e_dst = d.dep_dst; e_w }
+    { Lp.Netopt.e_src = d.dep_src; e_dst = d.dep_dst; e_w = (if breaks.(k) then lat + 1 else lat) }
   in
   let cost = Array.make (Array.length p.operations) 1 in
-  List.iter
+  Array.iter
     (fun d ->
       cost.(d.dep_dst) <- cost.(d.dep_dst) + 1;
       cost.(d.dep_src) <- cost.(d.dep_src) - 1)
     p.dependences;
   {
-    edges = Array.of_list (List.map edge p.dependences);
+    edges = Array.mapi edge p.dependences;
     lower = Array.map (fun op -> op.lot.earliest) p.operations;
     upper = Array.map (fun op -> op.lot.latest) p.operations;
     cost;
@@ -272,7 +284,7 @@ let difference_system p : Lp.Netopt.system =
 
 let pp fmt p =
   Format.fprintf fmt "scheduling problem: %d operations, %d dependences%s\n"
-    (Array.length p.operations) (List.length p.dependences)
+    (Array.length p.operations) (Array.length p.dependences)
     (match p.cycle_time with
     | Some ct -> Printf.sprintf ", cycle time %.2f ns" ct
     | None -> "");

@@ -25,24 +25,30 @@ val operator_type :
   ?earliest:int -> ?latest:int -> string -> operator_type
 type operation = { op_index : int; lot : operator_type; op_label : string; }
 type dependence = { dep_src : int; dep_dst : int; }
-type t = {
+type shape
+(** The dependence graph's topological order, each operation's incoming
+    dependences and the chain breakers. *)
+
+type t = private {
   operations : operation array;
-  dependences : dependence list;
+  dependences : dependence array;
   cycle_time : float option;
   mutable start_time : int array;
   mutable start_time_in_cycle : float array;
+  shape : shape Lazy.t;
+      (** computed once, on first use, from [operations] and
+          [dependences]; forcing it raises {!Problem_error} on a cycle *)
 }
+(** Only {!finish} builds a problem, so [shape] always describes its
+    [operations] and [dependences]. *)
+
 exception Problem_error of string
 val problem_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-type builder = {
-  mutable ops_rev : operation list;
-  mutable deps : dependence list;
-}
+type builder
 val builder : unit -> builder
 val add_operation : builder -> label:string -> operator_type -> int
 val add_dependence : builder -> src:int -> dst:int -> unit
 val finish : ?cycle_time:float -> builder -> t
-val topo_order : t -> int list
 val check_input : t -> unit
 val verify_precedence : t -> unit
 val verify_chaining : t -> unit
@@ -51,6 +57,9 @@ val verify : t -> unit
 val makespan : t -> int
 val total_lifetime : t -> int
 val chain_breakers : t -> dependence list
+(** The dependences that break a combinational chain (C5), in the order
+    the topological walk finds them. *)
+
 val compute_start_time_in_cycle : t -> unit
 
 val difference_system : t -> Lp.Netopt.system

@@ -26,19 +26,19 @@ let build_ilp p =
   let hz = horizon p in
   let t = Array.init n (fun i -> Milp.add_int_var lp ~upper:hz ~name:(Printf.sprintf "t%d" i)) in
   let lifetimes =
-    List.map
+    Array.map
       (fun (d : Problem.dependence) ->
         Milp.add_int_var lp ~upper:hz ~name:(Printf.sprintf "l_%d_%d" d.dep_src d.dep_dst))
       p.Problem.dependences
   in
   (* (C1) precedence *)
-  List.iter
+  Array.iter
     (fun (d : Problem.dependence) ->
       let lat = p.Problem.operations.(d.dep_src).lot.latency in
       Milp.add_int_constraint lp [ (1, t.(d.dep_dst)); (-1, t.(d.dep_src)) ] Milp.Ge lat)
     p.Problem.dependences;
   (* (C2) lifetimes *)
-  List.iter2
+  Array.iter2
     (fun (d : Problem.dependence) l ->
       Milp.add_int_constraint lp [ (1, l); (-1, t.(d.dep_dst)); (1, t.(d.dep_src)) ] Milp.Ge 0)
     p.Problem.dependences lifetimes;
@@ -59,7 +59,7 @@ let build_ilp p =
     (Problem.chain_breakers p);
   (* (obj) sum of start times + sum of lifetimes *)
   Milp.set_int_objective lp
-    (Array.to_list (Array.map (fun v -> (1, v)) t) @ List.map (fun l -> (1, l)) lifetimes);
+    (Array.to_list (Array.map (fun v -> (1, v)) t) @ Array.to_list (Array.map (fun l -> (1, l)) lifetimes));
   (lp, t)
 
 (* Solve the Figure 7 ILP via the generic branch-and-bound MILP solver.

@@ -157,6 +157,46 @@ let test_compile_bad_widths () =
       (state, "architectural_state { unsigned<32> K = (unsigned<0>) 5; } " ^ state, "E0204");
     ]
 
+(* A cycle time shorter than one operator's physical delay is a
+   scheduling error (E0401) naming the operator, not an internal one. *)
+let test_compile_short_cycle_times () =
+  let _, names, _ = run_cli "bundled" in
+  List.iter
+    (fun line ->
+      let isax = List.hd (String.split_on_char ' ' line) in
+      let _, source, _ = run_cli ("bundled -n " ^ Filename.quote isax) in
+      (* the unit to elaborate is the last one the source declares *)
+      let target =
+        List.fold_left
+          (fun acc l ->
+            match String.split_on_char ' ' l with
+            | ("InstructionSet" | "Core") :: name :: _ -> name
+            | _ -> acc)
+          "" (String.split_on_char '\n' source)
+      in
+      let src = Filename.temp_file "longnail_src" ".core_desc" in
+      Out_channel.with_open_text src (fun oc -> output_string oc source);
+      List.iter
+        (fun ct ->
+          let out = Filename.temp_file "longnail_out" "" in
+          Sys.remove out;
+          let case = Printf.sprintf "%s at %s ns" isax ct in
+          let code, _, stderr =
+            run_cli
+              (Printf.sprintf
+                 "compile -c VexRiscv -t %s --delay=physical --cycle-time=%s --error-format json -o %s %s"
+                 target ct (Filename.quote out) (Filename.quote src))
+          in
+          ignore (Sys.command ("rm -rf " ^ Filename.quote out));
+          check_bool (case ^ ": no internal error in " ^ stderr) false (contains stderr "internal");
+          match code with
+          | 0 -> ()
+          | 1 -> Alcotest.(check (list string)) (case ^ ": codes") [ "E0401" ] (codes stderr)
+          | _ -> Alcotest.failf "%s: exit %d: %s" case code stderr)
+        [ "0.05"; "0.1"; "0.2" ];
+      Sys.remove src)
+    (List.filter (fun l -> l <> "") (String.split_on_char '\n' names))
+
 let () =
   Alcotest.run "cli"
     [
@@ -166,5 +206,9 @@ let () =
           Alcotest.test_case "every core on every engine" `Quick test_run_every_core_engine;
           Alcotest.test_case "malformed programs are E0601" `Quick test_run_malformed_program;
         ] );
-      ("compile", [ Alcotest.test_case "out-of-range widths" `Quick test_compile_bad_widths ]);
+      ( "compile",
+        [
+          Alcotest.test_case "out-of-range widths" `Quick test_compile_bad_widths;
+          Alcotest.test_case "short cycle times are E0401" `Quick test_compile_short_cycle_times;
+        ] );
     ]

@@ -266,6 +266,85 @@ let test_fixpoint_is_physical () =
       check_bool (name ^ ": optimized graph merges to itself") true (Passes.cse opt == opt))
     (bundled_lil ())
 
+(* ---- one-sweep DCE against the fixpoint loop it replaced ---- *)
+
+(* The former [Passes.dce]: drop top-level ops none of whose results has
+   a use (nested region ops count as users), until nothing changes. *)
+let fixpoint_dce (g : Mir.graph) =
+  let changed = ref true and g = ref g in
+  while !changed do
+    changed := false;
+    let uses = Mir.use_map !g in
+    let body =
+      List.filter
+        (fun op ->
+          let live =
+            Passes.has_side_effect op || Passes.is_interface_read op
+            || List.exists (fun r -> Hashtbl.mem uses r.Mir.vid) op.Mir.results
+          in
+          if not live then changed := true;
+          live)
+        !g.body
+    in
+    g := { !g with body }
+  done;
+  !g
+
+(* A random SSA graph: interface reads, writes, constants, one- and
+   two-result pure ops (half of them extending the latest value, so dead
+   chains run long) and pure ops with a region of nested users. *)
+let random_dce_graph rng =
+  let ty = Bitvec.unsigned_ty 8 in
+  let next = ref 0 and values = ref [] in
+  let fresh () = incr next; !next in
+  let value () = { Mir.vid = fresh (); vty = ty; vhint = "" } in
+  let op ?(regions = []) opname operands results =
+    { Mir.oid = fresh (); opname; operands; results; attrs = []; regions; oloc = None }
+  in
+  let pick () =
+    match !values with
+    | [] -> []
+    | latest :: _ as vs ->
+        if Random.State.bool rng then [ latest ]
+        else [ List.nth vs (Random.State.int rng (List.length vs)) ]
+  in
+  let defining o = values := List.rev_append o.Mir.results !values; o in
+  let body =
+    List.init (5 + Random.State.int rng 60) (fun _ ->
+        match Random.State.int rng 10 with
+        | 0 -> defining (op "lil.read_rs1" [] [ value () ])
+        | 1 -> op "lil.write_rd" (pick ()) []
+        | 2 -> defining (op "hw.constant" [] [ value () ])
+        | 3 ->
+            let nested =
+              List.init (1 + Random.State.int rng 3) (fun _ ->
+                  if Random.State.bool rng then op "comb.xor" (pick () @ pick ()) [ value () ]
+                  else op "lil.write_rd" (pick ()) [])
+            in
+            defining (op ~regions:[ nested ] "test.region" (pick ()) [ value () ])
+        | 4 -> defining (op "comb.add" (pick () @ pick ()) [ value (); value () ])
+        | _ -> defining (op "comb.add" (pick () @ pick ()) [ value () ]))
+  in
+  { Mir.gname = "g"; gkind = `Instruction; gattrs = []; body }
+
+let prop_dce_matches_fixpoint =
+  QCheck.Test.make ~name:"dce == fixpoint dce on random graphs" ~count:500 QCheck.int (fun seed ->
+      let g = random_dce_graph (Random.State.make [| seed |]) in
+      (Passes.dce g).body = (fixpoint_dce g).body)
+
+(* a 300-op dead chain goes in one call, and interface reads stay *)
+let test_dce_long_chain () =
+  let b = Mir.builder () in
+  let ty = Bitvec.unsigned_ty 8 in
+  let rs1 = Mir.add_op1 b "lil.read_rs1" [] ty in
+  let last = ref rs1 in
+  for _ = 1 to 300 do
+    last := Mir.add_op1 b "comb.add" [ !last; rs1 ] ty
+  done;
+  let g = Passes.dce (Mir.finish b ~name:"t" ~kind:`Instruction ()) in
+  Alcotest.(check (list string)) "only the read" [ "lil.read_rs1" ]
+    (List.map (fun o -> o.Mir.opname) g.body)
+
 let test_dot_export () =
   let tu = Coredsl.compile_rv32i () in
   let addi = Option.get (Coredsl.Tast.find_tinstr tu "ADDI") in
@@ -346,7 +425,9 @@ let prop_optimize_preserves_semantics =
       | Some x, Some y -> Bitvec.equal_value x y
       | _ -> false)
 
-let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_optimize_preserves_semantics ]
+let qcheck_cases =
+  List.map (fun t -> QCheck_alcotest.to_alcotest t)
+    [ prop_optimize_preserves_semantics; prop_dce_matches_fixpoint ]
 
 let () =
   Alcotest.run "ir"
@@ -373,6 +454,7 @@ let () =
         [
           Alcotest.test_case "cse dedups reads" `Quick test_cse_dedups_reads;
           Alcotest.test_case "dce removes dead logic" `Quick test_dce_removes_dead_logic;
+          Alcotest.test_case "dce removes a long dead chain" `Quick test_dce_long_chain;
           Alcotest.test_case "constant folding" `Quick test_constant_fold;
           Alcotest.test_case "constant shift lowering" `Quick test_constant_shift_lowering;
           Alcotest.test_case "dynamic shift stays" `Quick test_dynamic_shift_stays;

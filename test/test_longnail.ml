@@ -453,6 +453,14 @@ InstructionSet X_ARMLD extends RV32I {
       | None -> Alcotest.fail "infeasibility diagnostic lost its source span"
       | Some sp -> check_int "cites the GOT = ... line" 8 sp.Diag.sp_line)
 
+(* a scheduler ascent that runs out of steps is the registered E0904 *)
+let test_solver_budget_code () =
+  match Longnail.Flow.diag_of_stage_exn (Lp.Netopt.Budget_exhausted 100_000) with
+  | Some d ->
+      check_str "code" "E0904" d.Diag.code;
+      check_bool "registered" true (Diag.is_registered d.Diag.code)
+  | None -> Alcotest.fail "budget exhaustion is not a stage diagnostic"
+
 let test_inheritance_cycle_rejected () =
   let src =
     {|
@@ -763,6 +771,7 @@ let () =
           Alcotest.test_case "always-block memory read" `Quick
             test_always_block_mem_read_infeasible;
           Alcotest.test_case "inheritance cycle" `Quick test_inheritance_cycle_rejected;
+          Alcotest.test_case "solver budget is E0904" `Quick test_solver_budget_code;
         ] );
       ( "outlook",
         [

@@ -156,6 +156,44 @@ let test_ilp_text_dump () =
   check_bool "has objective" true (String.length txt > 20);
   check_bool "starts with minimize" true (String.sub txt 0 8 = "minimize")
 
+(* A dependence added twice is two edges; when it breaks a chain both
+   copies weigh latency + 1, and when it does not both weigh latency. *)
+let test_duplicate_dependence_weights () =
+  let b = P.builder () in
+  let a = P.add_operation b ~label:"a" (ot "a" ~outgoing_delay:0.6) in
+  let c = P.add_operation b ~label:"c" (ot "c" ~outgoing_delay:0.6) in
+  let d = P.add_operation b ~label:"d" (ot "d" ~latency:2) in
+  let e = P.add_operation b ~label:"e" (ot "e") in
+  List.iter (fun (src, dst) -> P.add_dependence b ~src ~dst) [ (a, c); (a, c); (d, e); (d, e) ];
+  let p = P.finish ~cycle_time:1.0 b in
+  check_int "both copies break" 2 (List.length (P.chain_breakers p));
+  let s = P.difference_system p in
+  Alcotest.(check (list int)) "weights" [ 1; 1; 2; 2 ]
+    (Array.to_list (Array.map (fun e -> e.Lp.Netopt.e_w) s.edges))
+
+(* The VexRiscv SQRT problem: 615 operations, 1140 dependences. *)
+let sqrt_system () =
+  let c =
+    Longnail.Flow.compile Scaiev.Datasheet.vexriscv (Isax.Registry.compile_by_name "sqrt_tightly")
+  in
+  let f = Option.get (Longnail.Flow.find_func c "SQRT") in
+  P.difference_system f.Longnail.Flow.cf_built.Longnail.Sched_build.problem
+
+(* The max-flow graph is rebuilt on every ascent step; appending arcs to
+   lists made that quadratic in the node degree (about 1M words on
+   SQRT). Flat arrays allocated once keep a whole solve near 17k words. *)
+let test_solve_allocation () =
+  let s = sqrt_system () in
+  check_bool "a large system" true (Array.length s.lower > 500);
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  (match Lp.Netopt.solve s with `Optimal _ -> () | _ -> Alcotest.fail "SQRT is feasible");
+  let w = words () -. w0 in
+  check_bool (Printf.sprintf "solve allocates %.0f words (at most 150k)" w) true (w <= 150_000.)
+
 (* ---- property: the difference-system solver matches the exact MILP ---- *)
 
 (* With [cycle_time] every zero-latency operation gets an outgoing delay
@@ -246,6 +284,8 @@ let () =
           Alcotest.test_case "chain breakers" `Quick test_chain_breakers;
           Alcotest.test_case "ilp beats asap lifetimes" `Quick test_ilp_beats_asap_on_lifetimes;
           Alcotest.test_case "ilp text dump" `Quick test_ilp_text_dump;
+          Alcotest.test_case "duplicate dependence weights" `Quick test_duplicate_dependence_weights;
+          Alcotest.test_case "solve allocation on SQRT" `Quick test_solve_allocation;
         ] );
       ("properties", qcheck_cases);
     ]
