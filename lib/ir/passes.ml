@@ -141,21 +141,17 @@ let dce (g : graph) : graph =
   else { g with body = List.filteri (fun i _ -> live.(i)) g.body }
 
 (* Also drop interface *reads* that are completely unused (e.g. a register
-   read whose value was optimized away). Writes are always kept. *)
+   read whose value was optimized away). Writes are always kept. One
+   sweep collects every value id used by any op, nested ones included. *)
 let dce_interface_reads (g : graph) : graph =
-  let uses = use_map g in
-  let body =
-    List.filter
-      (fun op ->
-        if not (is_interface_read op) then true
-        else
-          List.exists
-            (fun r ->
-              match Hashtbl.find_opt uses r.vid with Some (_ :: _) -> true | _ -> false)
-            op.results)
-      g.body
+  let used = Hashtbl.create 64 in
+  let rec mark op =
+    List.iter (fun v -> Hashtbl.replace used v.vid ()) op.operands;
+    List.iter (List.iter mark) op.regions
   in
-  { g with body }
+  List.iter mark g.body;
+  let keep op = (not (is_interface_read op)) || List.exists (fun r -> Hashtbl.mem used r.vid) op.results in
+  if List.for_all keep g.body then g else { g with body = List.filter keep g.body }
 
 (* ---- constant-shift lowering ---- *)
 

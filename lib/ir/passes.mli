@@ -16,7 +16,12 @@ val cse : Mir.graph -> Mir.graph
     its argument itself ([==]) when nothing merges. *)
 
 val dce : Mir.graph -> Mir.graph
+
 val dce_interface_reads : Mir.graph -> Mir.graph
+(** Drops top-level interface reads none of whose results any op uses
+    (nested ops count). Returns its argument itself ([==]) when nothing
+    is dropped. *)
+
 val lower_constant_shifts : Mir.graph -> Mir.graph
 
 (** {2 Instrumented pass manager} *)

@@ -2,13 +2,21 @@
     through its SCAIE-V port bindings, the way the host core would.
 
     This is the one host-side implementation of the SCAIE-V port
-    protocol. A {!plan} groups a module's interface bindings by stage;
-    {!set_stalls}, {!drive} and {!service} are the per-cycle operations a
-    host performs on it. {!run_on} loops them over one instruction in
+    protocol. A {!plan} groups a module's interface bindings by stage,
+    their ports resolved once on one engine; {!set_stalls}, {!drive} and
+    {!service} are the per-cycle operations a host performs on it.
+    {!run_plan} loops them over one instruction in
     isolation (the integration tests, the examples and RTL-in-the-loop
     verify the RTL against the CoreDSL interpreter this way, as the paper
     does by RTL simulation, Section 5.3); [Riscv.Pipeline] calls them
-    stage by stage for every instruction in flight. *)
+    stage by stage for every instruction in flight.
+
+    A plan moves the ports of at most {!Bitvec.native_width}
+    bits as native ints through {!Rtl.Engine.int_input} and
+    {!Rtl.Engine.int_output}, with no name lookup and no {!Bitvec}: the
+    stall bits, the instruction word, rs1/rs2/pc, valid bits, addresses
+    and the WrRD/WrPC data. Custom-register and RdMem/WrMem data may be
+    wider and stay named {!Bitvec} ports. *)
 
 (** The values the "host core" supplies to the module under test. *)
 type stimulus = {
@@ -38,16 +46,17 @@ exception Cosim_error of string
 
 (** {1 The port plan} *)
 
-(** A module's bindings grouped by stage, with resolved port names, the
-    RdMem response widths and the [stall_in_*] ports. Build it once per
-    functionality. *)
+(** A module's bindings grouped by stage, with their ports resolved on
+    one engine, the RdMem response widths and the [stall_in_*] ports.
+    Build it once per functionality and engine. *)
 type plan
 
-val plan : Flow.compiled_functionality -> plan
-(** Raises {!Cosim_error} when a binding lacks a port its interface
-    needs. *)
+val plan : Flow.compiled_functionality -> Rtl.Engine.t -> plan
+(** [plan f engine] raises {!Cosim_error} unless [engine] was created for
+    [f]'s netlist, or when a binding lacks a port its interface needs. *)
 
 val func : plan -> Flow.compiled_functionality
+val engine : plan -> Rtl.Engine.t
 
 val last_stage : plan -> int
 (** The last stage any interface of the module is active in. *)
@@ -68,29 +77,31 @@ type source = Instr_word | Rs1 | Rs2 | Pc
 type mem_response
 
 (** How a host answers reads and takes writes. [ctx] identifies the
-    instruction being serviced. Writes arrive with their valid bit. *)
+    instruction being serviced. Writes arrive with their valid bit; WrRD
+    and WrPC data as the port's unsigned value. *)
 type 'ctx host = {
   custreg : 'ctx -> string -> int -> Bitvec.t;  (** register, index -> value *)
   mem_read : 'ctx -> int -> bool -> int -> Bitvec.t;
       (** address, request valid, elements -> response *)
-  write_rd : 'ctx -> Bitvec.t -> bool -> unit;
-  write_pc : 'ctx -> Bitvec.t -> bool -> unit;
+  write_rd : 'ctx -> int -> bool -> unit;
+  write_pc : 'ctx -> int -> bool -> unit;
   write_custreg : 'ctx -> string -> int option -> Bitvec.t -> bool -> unit;
       (** register, index (register files only), data, valid *)
   write_mem : 'ctx -> int -> Bitvec.t -> bool -> unit;  (** address, data, valid *)
 }
 
-val set_stalls : plan -> Rtl.Engine.t -> frozen_below:int -> unit
+val set_stalls : plan -> frozen_below:int -> unit
 (** Raise [stall_in_s] for every boundary [s < frozen_below], lower the
     rest. *)
 
 val drive :
-  plan -> Rtl.Engine.t -> stage:int -> pending:mem_response list -> (source -> Bitvec.t) -> unit
-(** Set the stage's RdInstr/RdRS1/RdRS2/RdPC inputs from the source
-    function (called only for bound sources) and deliver the [pending]
-    RdMem responses due in this stage. *)
+  plan -> stage:int -> pending:mem_response list -> ('ctx -> source -> int) -> 'ctx -> unit
+(** [drive p ~stage ~pending value ctx] sets the stage's
+    RdInstr/RdRS1/RdRS2/RdPC inputs to the low bits of [value ctx src]
+    (called only for bound sources) and delivers the [pending] RdMem
+    responses due in this stage. *)
 
-val service : plan -> Rtl.Engine.t -> stage:int -> 'ctx host -> 'ctx -> mem_response list
+val service : plan -> stage:int -> 'ctx host -> 'ctx -> mem_response list
 (** After an evaluation of the stage: answer its RdCustReg reads (each
     followed by a re-evaluation), issue its RdMem reads, and report its
     WrRD, WrPC, WrCustReg and WrMem outputs to the host, in that order.
@@ -99,16 +110,14 @@ val service : plan -> Rtl.Engine.t -> stage:int -> 'ctx host -> 'ctx -> mem_resp
 
 (** {1 One instruction in isolation} *)
 
-val run_plan : plan -> Rtl.Engine.t -> stimulus -> response
-(** [run_plan p engine stim] runs one instruction (or always-block
-    evaluation) through [p]'s module on [engine], which must have been
-    created for its netlist ({!Cosim_error} otherwise). The engine is
+val run_plan : plan -> stimulus -> response
+(** [run_plan p stim] runs one instruction (or always-block evaluation)
+    through [p]'s module on its engine. The engine is
     {!Rtl.Engine.reset} first, so the response equals that of a fresh
-    engine; callers that run a module many times build its plan and
-    engine once. *)
+    engine; callers that run a module many times build its plan once. *)
 
 val run_on : Rtl.Engine.t -> Flow.compiled_functionality -> stimulus -> response
-(** [run_on engine f stim] is [run_plan (plan f) engine stim]. *)
+(** [run_on engine f stim] is [run_plan (plan f engine) stim]. *)
 
 val run : Flow.compiled_functionality -> stimulus -> response
 (** [run f stim] is [run_on] on a fresh compiled engine; tests pass the

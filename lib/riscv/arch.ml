@@ -18,7 +18,16 @@ let write_pc st v = (Interp.reg_array st "PC").(0) <- bv v
 
 let read_gpr st i = Bitvec.to_int (Interp.read_regfile st "X" i)
 let write_gpr st i v = if i <> 0 then (Interp.reg_array st "X").(i) <- bv v
-let load_word st addr = Bitvec.to_int (Interp.read_mem st "MEM" addr 4)
+
+(* the little-endian word at [addr] of MEM, whose elements are bytes, on
+   native ints *)
+let rec load_bytes mem addr k =
+  if k = 0 then 0
+  else
+    let b = match Hashtbl.find mem addr with b -> Bitvec.to_int b land 0xFF | exception Not_found -> 0 in
+    b lor (load_bytes mem (addr + 1) (k - 1) lsl 8)
+
+let load_word st addr = load_bytes (Hashtbl.find st.Interp.mems "MEM") addr 4
 let store_word st addr v = Interp.write_mem st "MEM" addr 4 (bv v)
 
 (* a custom-register (file) write, cast to the register's type *)

@@ -41,6 +41,28 @@
      scoreboard that stalls readers (and same-rd writers) until it lands —
      the paper's "lightweight out-of-order commit/writeback".
 
+   Each cycle does only live work:
+
+   - an ISAX module is stalled, driven, evaluated and clocked only in the
+     cycles where one of its instructions is in the pipe or detached.
+     This is exact: {!Longnail.Hwgen} emits only stage-boundary pipeline
+     registers, and an instruction in stage s reads only its own stage-s
+     inputs and the registers it latched itself when it crossed into s,
+     so what an idle module computes and latches is overwritten before
+     any instruction reads it. Stage-0 logic sees only constants and
+     inputs the pipe never drives, so a stage-0 register holds one value
+     from the module's first clock on; {!create} evaluates and clocks
+     every module once, as the first cycle of the pipe would. A module
+     whose only instructions are detached is evaluated once per
+     instruction, beside the pipe, right before it is serviced;
+   - fetch reads the word at the fetch PC as a native int and looks it up
+     in a decode table filled lazily per word (a slot holding the
+     instruction, its register fields, whether it is a base load or store
+     and its ISAX module, or EBREAK); keying on the word keeps
+     self-modifying code exact;
+   - ports move as native ints through each module's
+     {!Longnail.Cosim.plan}, and base instructions share one memory port.
+
    Limitations: pipelined cores only ({!create} rejects an FSM-sequenced
    core such as PicoRV32 with E0603), and two ISAXes' memory accesses are
    ordered only by their scheduled stages. *)
@@ -54,16 +76,18 @@ type slot
 (** The instruction a slot holds. *)
 val slot_instr : slot -> Tast.tinstr
 
+(** An ISAX instruction module: its port plan on its engine. *)
+type isax
+
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;  (** committed architectural state *)
-  isaxes : (Longnail.Cosim.plan * Rtl.Engine.t) list;
-      (** one port plan and engine per ISAX instruction module *)
-  always : (Longnail.Cosim.plan * Rtl.Engine.t) list;
-      (** one port plan and engine per always-block module *)
-  facts : (string, bool * (Longnail.Cosim.plan * Rtl.Engine.t) option) Hashtbl.t;
-      (** per instruction name, decided once: is it a base load or store,
-          and its ISAX module (the first of [isaxes] by name) *)
+  isaxes : isax list;  (** one per ISAX instruction module *)
+  always : Longnail.Cosim.plan list;
+      (** one port plan on its engine per always-block module *)
+  decoded : (int, slot option) Hashtbl.t;
+      (** the decode table: per fetched word, the slot fetch copies; [None]
+          halts fetch (EBREAK, or no instruction matches) *)
   stages : slot option array;
       (** index 1 .. writeback stage + 1; commit from the last *)
   mutable detached : slot list;  (** decoupled units past writeback *)
@@ -71,6 +95,9 @@ type t = {
   mutable cycles : int;
   mutable instret : int;
   mutable halted : bool;
+  mem_port : Interp.mem_port;
+      (** the one memory port: the view of the slot at [port_stage] *)
+  mutable port_stage : int;
 }
 val create : Longnail.Flow.compiled -> t
 val read_gpr : t -> int -> int

@@ -16,35 +16,34 @@ exception Rtl_loop_error of string
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;  (* architectural state *)
-  modules : (Longnail.Cosim.plan * Rtl.Engine.t) list;
-      (* one per functionality, in [compiled.funcs] order *)
-  by_name : (string, Longnail.Cosim.plan * Rtl.Engine.t) Hashtbl.t;
-      (* the first of [modules] with each name, as [Flow.find_func] picks *)
+  by_name : (string, Longnail.Cosim.plan) Hashtbl.t;
+      (* the first module with each functionality name, as [Flow.find_func] picks *)
+  always : Longnail.Cosim.plan list;  (* the always-block modules, split out once *)
   mutable instret : int;
   mutable halted : bool;
 }
 
-(* Every functionality's port plan and engine are built here, once per
+(* Every functionality's engine and port plan are built here, once per
    run; each instruction resets the engine ({!Longnail.Cosim.run_plan})
    instead of building a fresh one. *)
 let create (compiled : Longnail.Flow.compiled) =
   let modules =
     List.map
       (fun (f : Longnail.Flow.compiled_functionality) ->
-        (Longnail.Cosim.plan f, Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist))
+        Longnail.Cosim.plan f (Rtl.Engine.create f.cf_hw.Longnail.Hwgen.netlist))
       compiled.Longnail.Flow.funcs
   in
   let by_name = Hashtbl.create 8 in
   List.iter
-    (fun ((plan, _) as m) ->
-      let name = (Longnail.Cosim.func plan).cf_name in
+    (fun m ->
+      let name = (Longnail.Cosim.func m).cf_name in
       if not (Hashtbl.mem by_name name) then Hashtbl.add by_name name m)
     modules;
   {
     compiled;
     st = Interp.create compiled.Longnail.Flow.unit_;
-    modules;
     by_name;
+    always = List.filter (fun m -> (Longnail.Cosim.func m).cf_kind = `Always) modules;
     instret = 0;
     halted = false;
   }
@@ -91,12 +90,8 @@ let apply_response t ?rd (resp : Longnail.Cosim.response) ~fallthrough_pc =
 (* one evaluation of every always-block through its RTL module *)
 let tick_always t =
   List.iter
-    (fun (plan, engine) ->
-      if (Longnail.Cosim.func plan).cf_kind = `Always then begin
-        let resp = Longnail.Cosim.run_plan plan engine (stimulus_of t ()) in
-        apply_response t resp ~fallthrough_pc:None
-      end)
-    t.modules
+    (fun m -> apply_response t (Longnail.Cosim.run_plan m (stimulus_of t ())) ~fallthrough_pc:None)
+    t.always
 
 (* Execute one instruction; ISAXes run through their RTL modules. *)
 let step t =
@@ -115,12 +110,12 @@ let step t =
     | Some ti -> (
         t.instret <- t.instret + 1;
         match Hashtbl.find_opt t.by_name ti.ti_name with
-        | Some (plan, engine) ->
+        | Some m ->
             (* custom instruction: through the RTL *)
             let field = Arch.field_value ti word in
             let rs1 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field "rs1") in
             let rs2 = Option.map (fun i -> Interp.read_regfile t.st "X" i) (field "rs2") in
-            let resp = Longnail.Cosim.run_plan plan engine (stimulus_of t ~instr_word:word ?rs1 ?rs2 ()) in
+            let resp = Longnail.Cosim.run_plan m (stimulus_of t ~instr_word:word ?rs1 ?rs2 ()) in
             apply_response t ?rd:(field "rd") resp
               ~fallthrough_pc:(Some ((pc + 4) land 0xFFFFFFFF));
             true

@@ -14,11 +14,11 @@ exception Rtl_loop_error of string
 type t = {
   compiled : Longnail.Flow.compiled;
   st : Interp.state;
-  modules : (Longnail.Cosim.plan * Rtl.Engine.t) list;
-      (** one port plan and compiled RTL engine per functionality, in
-          [compiled.funcs] order *)
-  by_name : (string, Longnail.Cosim.plan * Rtl.Engine.t) Hashtbl.t;
-      (** the first of [modules] with each functionality name *)
+  by_name : (string, Longnail.Cosim.plan) Hashtbl.t;
+      (** the port plan on its compiled RTL engine of the first module
+          with each functionality name *)
+  always : Longnail.Cosim.plan list;
+      (** the always-block modules, in [compiled.funcs] order *)
   mutable instret : int;
   mutable halted : bool;
 }
@@ -26,7 +26,7 @@ type t = {
 val create : Longnail.Flow.compiled -> t
 (** [create compiled] prepares a run; every ISAX and always-block
     executes through the compiled RTL simulation engine. Each
-    functionality's plan and engine are built once here; the engine is
+    functionality's engine and plan are built once here; the engine is
     reset before every instruction or always-block evaluation. *)
 
 val read_pc : t -> int

@@ -463,3 +463,19 @@ let output t name =
   match Hashtbl.find_opt t.outputs name with
   | Some p -> read_bv t.ints p.p_slot p.p_width
   | None -> nl_error "no output port %s" name
+
+(* a port of at most one limb, resolved once: its arena slot and width mask *)
+let int_port ports kind name =
+  match Hashtbl.find_opt ports name with
+  | Some p when p.p_width > limb_bits ->
+      invalid_arg (Printf.sprintf "Compiled: %s port %s is wider than %d bits" kind name limb_bits)
+  | Some p -> (p.p_slot.base, mask p.p_width)
+  | None -> nl_error "no %s port %s" kind name
+
+let int_input t name =
+  let i, m = int_port t.inputs "input" name in
+  fun v -> t.ints.(i) <- v land m
+
+let int_output t name =
+  let i, m = int_port t.outputs "output" name in
+  fun () -> t.ints.(i) land m

@@ -7,7 +7,8 @@
     the {!Ir.Comb_eval} semantics the interpreting test oracle runs.
     After {!create} no step allocates, except a division or remainder
     wider than a limb, which computes on boxed {!Bitvec} values; ports
-    and signals are found through one hash lookup each. Consumers reach
+    and signals are found through one hash lookup each, or bound once to
+    a slot ({!int_input}, {!int_output}). Consumers reach
     it through {!Engine}. *)
 
 type t
@@ -29,3 +30,8 @@ val signal_opt : t -> string -> Bitvec.t option
 val eval : t -> unit
 val clock : t -> unit
 val output : t -> string -> Bitvec.t
+
+(** A port of at most one limb bound to its arena slot: see
+    {!Engine.int_input} and {!Engine.int_output}. *)
+val int_input : t -> string -> int -> unit
+val int_output : t -> string -> unit -> int

@@ -12,6 +12,8 @@ type t = {
   eval : unit -> unit;
   clock : unit -> unit;
   output : string -> Bitvec.t;
+  int_input : string -> int -> unit;
+  int_output : string -> unit -> int;
 }
 
 let create m =
@@ -24,6 +26,8 @@ let create m =
     eval = (fun () -> Compiled.eval c);
     clock = (fun () -> Compiled.clock c);
     output = (fun name -> Compiled.output c name);
+    int_input = Compiled.int_input c;
+    int_output = Compiled.int_output c;
   }
 
 let reset t = t.reset ()
@@ -33,6 +37,8 @@ let signal_opt t name = t.signal_opt name
 let eval t = t.eval ()
 let clock t = t.clock ()
 let output t name = t.output name
+let int_input t name = t.int_input name
+let int_output t name = t.int_output name
 
 let cycle t inputs =
   List.iter (fun (n, v) -> t.set_input n v) inputs;

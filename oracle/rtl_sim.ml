@@ -90,7 +90,16 @@ let cycle t inputs =
   eval t;
   clock t
 
-(* The interpreter behind the engine record, for cross-engine tests. *)
+(* the width of a port the engine record binds to native ints *)
+let int_port_width ports name =
+  match List.find_opt (fun p -> p.port_name = name) ports with
+  | Some p when p.port_width > Bitvec.native_width ->
+      invalid_arg (Printf.sprintf "Rtl_sim: port %s is wider than %d bits" name Bitvec.native_width)
+  | Some p -> p.port_width
+  | None -> nl_error "no port %s" name
+
+(* The interpreter behind the engine record, for cross-engine tests: the
+   native-int port accessors go through its Bitvec ports. *)
 let engine m : Rtl.Engine.t =
   let t = create m in
   {
@@ -101,4 +110,12 @@ let engine m : Rtl.Engine.t =
     eval = (fun () -> eval t);
     clock = (fun () -> clock t);
     output = output t;
+    int_input =
+      (fun name ->
+        let w = int_port_width t.m.inputs name in
+        fun v -> set_input t name (Bitvec.of_int (u w) v));
+    int_output =
+      (fun name ->
+        ignore (int_port_width t.m.outputs name);
+        fun () -> Bitvec.to_int (output t name));
   }

@@ -332,6 +332,21 @@ let prop_dce_matches_fixpoint =
       let g = random_dce_graph (Random.State.make [| seed |]) in
       (Passes.dce g).body = (fixpoint_dce g).body)
 
+(* The former [Passes.dce_interface_reads]: keep an interface read only
+   if [Mir.use_map] lists a user of one of its results. *)
+let use_map_dce_interface_reads (g : Mir.graph) =
+  let uses = Mir.use_map g in
+  let used op = List.exists (fun r -> Hashtbl.mem uses r.Mir.vid) op.Mir.results in
+  { g with body = List.filter (fun op -> (not (Passes.is_interface_read op)) || used op) g.body }
+
+let prop_dce_interface_reads_matches_use_map =
+  QCheck.Test.make ~name:"dce_interface_reads == use_map version on random graphs" ~count:500
+    QCheck.int (fun seed ->
+      let g = random_dce_graph (Random.State.make [| seed |]) in
+      let g' = Passes.dce_interface_reads g in
+      g'.body = (use_map_dce_interface_reads g).body
+      && (g' == g) = (List.length g'.body = List.length g.body))
+
 (* a 300-op dead chain goes in one call, and interface reads stay *)
 let test_dce_long_chain () =
   let b = Mir.builder () in
@@ -427,7 +442,11 @@ let prop_optimize_preserves_semantics =
 
 let qcheck_cases =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
-    [ prop_optimize_preserves_semantics; prop_dce_matches_fixpoint ]
+    [
+      prop_optimize_preserves_semantics;
+      prop_dce_matches_fixpoint;
+      prop_dce_interface_reads_matches_use_map;
+    ]
 
 let () =
   Alcotest.run "ir"

@@ -436,6 +436,38 @@ let test_pinned_timing () =
     (show (List.map (fun (name, c, i) -> (name, (c, i))) timing_golden))
     (show measured)
 
+(* ---- allocation ---- *)
+
+(* The benchmark's xorshift loop: one ISAX per iteration on rs1 = x,
+   rs2 = x >> 11, the results summed into a0. *)
+let xorshift_loop instr n =
+  Printf.sprintf
+    "li a0, 12345\nli a1, %d\nli a3, 0\nloop:\nslli t0, a0, 13\nxor a0, a0, t0\nsrli t0, a0, 17\n\
+     xor a0, a0, t0\nslli t0, a0, 5\nxor a0, a0, t0\nsrli a2, a0, 11\n\
+     .isax %s rs1=a0, rs2=a2, rd=a4\nadd a3, a3, a4\naddi a1, a1, -1\nbnez a1, loop\nmv a0, a3\nebreak"
+    n instr
+
+(* Words allocated per retired instruction by a whole run (engine builds
+   included) on VexRiscv: at most 400 on the DOTP and ALZ_X loops. *)
+let test_alloc_per_instr () =
+  List.iter
+    (fun (isax, instr) ->
+      let c = Longnail.Flow.compile Scaiev.Datasheet.vexriscv (Isax.Registry.compile_by_name isax) in
+      let words = Riscv.Asm.assemble ~custom:(Riscv.Asm.encoder c.unit_) (xorshift_loop instr 56) in
+      (* Gc.minor_words counts the current minor heap; Gc.counters'
+         minor words lag behind it on OCaml 5 *)
+      let allocated () =
+        let _, promoted, major = Gc.counters () in
+        Gc.minor_words () +. major -. promoted
+      in
+      let a0 = allocated () in
+      let p = Riscv.Pipeline.create c in
+      Riscv.Pipeline.load_program p words;
+      ignore (Riscv.Pipeline.run p);
+      let per_instr = (allocated () -. a0) /. float_of_int p.instret in
+      check_bool (Printf.sprintf "%s: %.0f words per instruction <= 400" instr per_instr) true (per_instr <= 400.))
+    [ ("dotprod", "DOTP"); ("sparkle", "ALZ_X") ]
+
 (* ---- always-blocks through every engine ---- *)
 
 (* an always-block that stores to MEM once a custom register is armed *)
@@ -717,7 +749,150 @@ let prop_pipeline_matches_iss =
           expected = (List.init 32 (Riscv.Pipeline.read_gpr p), region load))
         (Lazy.force rv32i_pipelined))
 
-let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_pipeline_matches_iss ]
+(* every bundled ISAX compiled for every registered pipelined core, once *)
+let isax_pipelined =
+  lazy
+    (List.map
+       (fun (e : Isax.Registry.entry) ->
+         let tu = Isax.Registry.compile e in
+         ( e.name,
+           tu,
+           List.filter_map
+             (fun (core : Scaiev.Datasheet.t) ->
+               if core.is_fsm then None else Some (Longnail.Flow.compile core tu))
+             (Scaiev.Core_registry.datasheets ()) ))
+       Isax.Registry.all)
+
+(* does the module of ISAX [name] in [c] read or write memory? *)
+let isax_mem (c : Longnail.Flow.compiled) name op =
+  List.exists
+    (fun (f : Longnail.Flow.compiled_functionality) ->
+      f.cf_name = name
+      && List.exists (fun (b : Longnail.Hwgen.iface_binding) -> b.ib_opname = op) f.cf_hw.bindings)
+    c.funcs
+
+(* Random programs of base instructions and .isax lines for one ISAX
+   unit: back-to-back issues of one module, ISAX results used by the very
+   next instruction (a detached decoupled result included), forward
+   branches around them. IJMP jumps forward through a target stored in
+   the data region; a zero-overhead loop runs a straight-line body. x20
+   holds the data base and AI_SETUP always points ADDR into the data
+   region, so no store reaches the code.
+
+   Excluded by construction: the documented gap that two ISAXes' memory
+   accesses are ordered only by their scheduled stages. A program that
+   has an ISAX memory write has no other ISAX memory access. *)
+let random_isax_program rng (tu : Coredsl.Tast.tunit) (c : Longnail.Flow.compiled) =
+  let rnd n = Random.State.int rng n in
+  let reg () = rnd 16 and dst () = 1 + rnd 15 in
+  let base = List.map (fun (ti : Coredsl.Tast.tinstr) -> ti.ti_name) (Coredsl.compile_rv32i ()).tinstrs in
+  let isaxes = List.filter (fun (ti : Coredsl.Tast.tinstr) -> not (List.mem ti.ti_name base)) tu.tinstrs in
+  let has name = List.exists (fun (ti : Coredsl.Tast.tinstr) -> ti.ti_name = name) isaxes in
+  let mem_access = ref false and mem_write = ref false in
+  (* may this ISAX go in, given the memory-order exclusion? *)
+  let admit name =
+    let r = isax_mem c name "lil.read_mem" and w = isax_mem c name "lil.write_mem" in
+    if (r || w) && !mem_access && (w || !mem_write) then false
+    else begin
+      if r || w then mem_access := true;
+      if w then mem_write := true;
+      true
+    end
+  in
+  let alu () =
+    match rnd 3 with
+    | 0 -> Printf.sprintf "addi x%d, x%d, %d" (dst ()) (reg ()) (rnd 2048 - 1024)
+    | 1 -> Printf.sprintf "%s x%d, x%d, x%d" (List.nth [ "add"; "xor"; "sltu" ] (rnd 3)) (dst ()) (reg ()) (reg ())
+    | _ -> Printf.sprintf "slli x%d, x%d, %d" (dst ()) (reg ()) (rnd 32)
+  in
+  let isax (ti : Coredsl.Tast.tinstr) =
+    let rd = dst () in
+    let field (f : Coredsl.Tast.field_info) =
+      match f.fld_name with
+      | "rd" -> Printf.sprintf "rd=x%d" rd
+      | ("rs1" | "rs2") as r -> Printf.sprintf "%s=x%d" r (reg ())
+      | other -> Printf.sprintf "%s=%d" other (rnd (1 lsl min 12 f.fld_width))
+    in
+    let line = Printf.sprintf ".isax %s %s" ti.ti_name (String.concat ", " (List.map field ti.fields)) in
+    let uses_rd = List.exists (fun (f : Coredsl.Tast.field_info) -> f.fld_name = "rd") ti.fields in
+    match rnd 3 with
+    | 0 -> [ line; line ]  (* back to back in one module *)
+    | 1 when uses_rd -> [ line; Printf.sprintf "add x%d, x%d, x%d" (dst ()) rd rd ]
+    | _ -> [ line ]
+  in
+  let n = 16 in
+  let targets = Array.make (n + 1) false in
+  let forward i =
+    let j = min n (i + 1 + rnd 4) in
+    targets.(j) <- true;
+    Printf.sprintf "L%d" j
+  in
+  let item i =
+    match rnd 8 with
+    | 0 | 1 -> [ alu () ]
+    | 2 -> [ Printf.sprintf "%s x%d, x%d, %s" (List.nth [ "beq"; "bne"; "bltu" ] (rnd 3)) (reg ()) (reg ()) (forward i) ]
+    | 3 -> [ Printf.sprintf "sw x%d, %d(x20)" (reg ()) (4 * rnd 16) ]
+    | _ -> (
+        let ti = List.nth isaxes (rnd (List.length isaxes)) in
+        match ti.ti_name with
+        | _ when not (admit ti.ti_name) -> [ alu () ]
+        | "IJMP" ->
+            (* x21 = the address of the addi; the target is 16 bytes on *)
+            let off = 4 * rnd 16 in
+            [ "jal x21, 4"; "addi x21, x21, 16"; Printf.sprintf "sw x21, %d(x20)" off;
+              Printf.sprintf ".isax IJMP rs1=x20, imm=%d" off; alu () ]
+        | "setup_zol" ->
+            let body = List.init (2 + rnd 3) (fun _ -> alu ()) in
+            Printf.sprintf ".isax setup_zol uimmL=%d, uimmS=%d" (rnd 4) (2 * (List.length body + 1)) :: body
+        | "AI_SETUP" -> [ Printf.sprintf ".isax AI_SETUP rs1=x20, imm=%d" (4 * rnd 8) ]
+        | _ -> isax ti)
+  in
+  let prologue = "li x20, 1024" :: (if has "AI_SETUP" then [ ".isax AI_SETUP rs1=x20, imm=0" ] else []) in
+  let items = List.init n item in
+  let label i = if targets.(i) then [ Printf.sprintf "L%d:" i ] else [] in
+  String.concat "\n" (prologue @ List.concat (List.mapi (fun i l -> label i @ l) items) @ label n @ [ "ebreak" ])
+
+(* on every bundled ISAX and every pipelined core, the pipeline (ISAXes
+   through their RTL, stage by stage) must end in the state RTL-in-the-loop
+   (each ISAX run alone through the same RTL) reaches: the 32 GPRs, every
+   custom register and the data region *)
+let prop_pipeline_matches_rtl_loop =
+  QCheck.Test.make ~name:"pipeline matches Rtl_loop on random ISAX programs" ~count:25 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun (isax, tu, compiled) ->
+          let prog = random_isax_program rng tu (List.hd compiled) in
+          let words = Riscv.Asm.assemble ~custom:(Riscv.Asm.encoder tu) prog in
+          let state (st : Coredsl.Interp.state) =
+            let regs =
+              Hashtbl.fold
+                (fun name a acc ->
+                  if name = "PC" then acc
+                  else (name, Array.to_list (Array.map Bitvec.to_string a)) :: acc)
+                st.regs []
+            in
+            ( List.sort compare regs,
+              List.init 32 (fun k -> Bitvec.to_int (Coredsl.Interp.read_mem st "MEM" (1024 + (4 * k)) 4)) )
+          in
+          List.for_all
+            (fun (c : Longnail.Flow.compiled) ->
+              let p = Riscv.Pipeline.create c in
+              Riscv.Pipeline.load_program p words;
+              ignore (Riscv.Pipeline.run p);
+              let r = Riscv.Rtl_loop.create c in
+              Riscv.Rtl_loop.load_program r words;
+              ignore (Riscv.Rtl_loop.run r);
+              state p.Riscv.Pipeline.st = state r.Riscv.Rtl_loop.st
+              || QCheck.Test.fail_reportf "%s on %s differs from Rtl_loop:\n%s" isax
+                   c.core.Scaiev.Datasheet.core_name prog)
+            compiled)
+        (Lazy.force isax_pipelined))
+
+let qcheck_cases =
+  List.map
+    (fun t -> QCheck_alcotest.to_alcotest t)
+    [ prop_pipeline_matches_iss; prop_pipeline_matches_rtl_loop ]
 
 let () =
   Alcotest.run "pipeline"
@@ -746,6 +921,7 @@ let () =
           Alcotest.test_case "pinned timing" `Quick test_pinned_timing;
           Alcotest.test_case "always-block memory write" `Quick test_always_block_memory_write;
           Alcotest.test_case "in-flight effects match machine" `Quick test_in_flight_effects;
+          Alcotest.test_case "allocation per instruction" `Quick test_alloc_per_instr;
         ] );
       ( "diagnostics",
         [

@@ -415,6 +415,42 @@ let test_wide_register_accumulate () =
           (Bn.to_string got))
     engines
 
+(* native-int ports on both engines: a setter takes the low bits of any
+   int (negative ones too), a getter reads the unsigned value, and a port
+   wider than 62 bits is refused *)
+let test_int_ports () =
+  let m =
+    {
+      Netlist.mod_name = "ports";
+      inputs =
+        [
+          { Netlist.port_name = "a"; port_width = 8; port_signal = "a" };
+          { port_name = "b"; port_width = 62; port_signal = "b" };
+          { port_name = "wide"; port_width = 65; port_signal = "wide" };
+        ];
+      outputs =
+        [
+          { port_name = "sum"; port_width = 8; port_signal = "sum" };
+          { port_name = "b_out"; port_width = 62; port_signal = "b" };
+        ];
+      nodes = [ Netlist.Comb { out = "sum"; width = 8; op = "comb.add"; attrs = []; inputs = [ "a"; "a" ] } ];
+    }
+  in
+  List.iter
+    (fun (kname, make) ->
+      let s = make m in
+      let set_a = Engine.int_input s "a" and set_b = Engine.int_input s "b" in
+      let sum = Engine.int_output s "sum" and b_out = Engine.int_output s "b_out" in
+      set_a (-1);
+      set_b max_int;
+      Engine.eval s;
+      check_int (kname ^ ": 0xff + 0xff at 8 bits") 0xfe (sum ());
+      check_int (kname ^ ": Bitvec view agrees") 0xfe (Bitvec.to_int (Engine.output s "sum"));
+      check_int (kname ^ ": 62-bit round trip") max_int (b_out ());
+      check_bool (kname ^ ": a 65-bit port is refused") true
+        (match ignore (Engine.int_input s "wide" : int -> unit) with () -> false | exception Invalid_argument _ -> true))
+    engines
+
 (* after a warm-up on random inputs, 1000 rounds of eval and clock on
    [m]'s compiled engine allocate nothing *)
 let check_no_allocation name (m : Netlist.t) =
@@ -681,6 +717,7 @@ let () =
             test_reset_trace_equals_fresh;
           Alcotest.test_case "62-130-bit arithmetic" `Quick test_wide_boundary_arith;
           Alcotest.test_case "65-bit register accumulate" `Quick test_wide_register_accumulate;
+          Alcotest.test_case "native-int ports" `Quick test_int_ports;
           Alcotest.test_case "no allocation per cycle on any bundled netlist" `Quick
             test_no_allocation_per_cycle;
         ] );
